@@ -13,7 +13,6 @@ from fractions import Fraction
 from .core import format_rational, parse_rational
 from .errors import CriticalDenominator, UnsupportedGenerator
 from .relations import (
-    RMINUS,
     is_admissible,
     is_noncritical_for,
     reduce_relations,
@@ -478,66 +477,19 @@ def is_highest_weight_vector(M, v):
     return tuple(coords)
 
 
-def _bound_edges(C, seed):
-    """Tightest per-arrow shift constraints z_a - z_b >= t, with all
-    top-row positions collapsed to one fixed node."""
-    n = C.n
-
-    def node(p):
-        return "top" if p[0] == n + 1 else p
-
-    edges = {}
-    for rel in C.relations:
-        a, b = rel
-        base = Fraction(seed.entry(*a)) - Fraction(seed.entry(*b))
-        need = 1 if C.kind(rel) == RMINUS else 0
-        key = (node(a), node(b))
-        if key[0] == key[1]:
-            continue
-        t = need - base
-        if key not in edges or edges[key] < t:
-            edges[key] = t
-    return edges
-
-
-def _bound_closure(edges, size):
-    """Max-weight walk closure; sound because satisfiable constraint
-    graphs have no positive cycles."""
-    best = dict(edges)
-    for _ in range(size):
-        changed = False
-        for (a, b), w1 in list(best.items()):
-            for (b2, c), w2 in list(best.items()):
-                if b2 == b and a != c:
-                    cand = w1 + w2
-                    if (a, c) not in best or best[(a, c)] < cand:
-                        best[(a, c)] = cand
-                        changed = True
-        if not changed:
-            break
-    return best
-
-
 def is_simple(M):
     """Whether C constrains the shifts exactly as the maximal relation
     set satisfied by the seed does."""
     sat = satisfied_relations(M.seed)
-    nodes = M.n * (M.n + 1) // 2 + 1
-    closure_c = _bound_closure(_bound_edges(M.C, M.seed), nodes)
-    closure_sat = _bound_closure(_bound_edges(sat, M.seed), nodes)
+    maximal_eq = M.checker.closure == BasisChecker(sat, M.seed).closure
     witness = None
-    if closure_c != closure_sat:
+    if not maximal_eq:
         for rel in sat.sorted():
-            if rel not in M.C.relations:
-                edges = _bound_edges(sat.with_relations([rel]), M.seed)
-                if not edges:
-                    continue
-                ((a, b), t) = next(iter(edges.items()))
-                if closure_c.get((a, b)) is None or closure_c[(a, b)] < t:
-                    witness = rel
-                    break
+            if rel not in M.C.relations and not M.checker.implies(rel):
+                witness = rel
+                break
     return {
-        "maximal_eq": closure_c == closure_sat,
+        "maximal_eq": maximal_eq,
         "strict_eq": reduce_relations(M.C).relations
         == reduce_relations(sat).relations,
         "witness": witness,

@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from . import action, classify, localization, minimal_orbit
 from .core import format_rational, parse_rational
-from .errors import GtrelError
+from .errors import GtrelError, NotInBasis
 from .tableau import (
     family_tableau,
     hw_tableau_case_a,
     hw_tableau_case_b,
     lem_key_tableau,
     shift_from_json,
+    shift_to_json,
 )
 
 
@@ -95,6 +96,9 @@ def cmd_act(args):
     else:
         z = shift_from_json(json.loads(args.shift))
         v = action.basis_vector(z)
+    for z in v:
+        if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.in_basis(z):
+            raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
     out = action.act(M, g, v)
     _emit(action.vector_to_json(out), args.output)
     return 0

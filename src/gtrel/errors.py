@@ -63,3 +63,11 @@ class BranchNotLocalizable(GtrelError):
 
 class BadTwist(GtrelError):
     pass
+
+
+class RankMismatch(GtrelError):
+    pass
+
+
+class NotInBasis(GtrelError):
+    pass

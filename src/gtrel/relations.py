@@ -284,17 +284,6 @@ def reduce_relations(C):
     return RelationSet(C.n, frozenset(rels))
 
 
-def reachability_pairs(C):
-    """All ordered pairs (u, v), u != v, with a directed path u -> v."""
-    adj = _adjacency(C)
-    out = set()
-    for p in all_positions(C.n):
-        for q in _reachable_from(adj, p):
-            if q != p:
-                out.add((p, q))
-    return out
-
-
 def _forward_ordered(C):
     adj = _adjacency(C)
     for p in all_positions(C.n):

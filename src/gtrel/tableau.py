@@ -8,8 +8,8 @@ H-eigenvalue coordinate tuples of length n.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb
+from functools import cached_property
+from math import comb, inf
 
 from . import classify
 from .core import format_rational, parse_rational
@@ -17,6 +17,7 @@ from .errors import (
     NotCaseA,
     NotCaseB,
     PreconditionViolated,
+    RankMismatch,
     SeedViolatesRelations,
 )
 from .relations import (
@@ -27,6 +28,7 @@ from .relations import (
     is_noncritical_for,
     is_realization,
     reduce_relations,
+    relation_kind,
     satisfied_relations,
     satisfies,
 )
@@ -117,25 +119,36 @@ def weight_delta(n, z):
 
 
 class BasisChecker:
-    """Integer-constraint form of "T(seed+z) satisfies C" for fast scans.
+    """The basis B_C(seed) as a system of difference constraints.
 
     Each relation reduces to z_a - z_b >= t with a fixed integer t, where
-    z of a top-row position is 0.
+    z of a top-row position is 0.  Nodes 0..size-1 are the positions of
+    rows 1..n in flat order (row by row, left to right); node `size` stands
+    for the whole top row.
     """
 
     def __init__(self, C, seed):
+        if seed.n != C.n:
+            raise RankMismatch("seed has rank %d, relation set %d" % (seed.n, C.n))
         if not satisfies(seed, C):
             raise SeedViolatesRelations("seed does not satisfy the relation set")
         self.C = C
         self.seed = seed
         self.n = C.n
-        self.constraints = []
-        for rel in C.sorted():
-            (i, j), (r, s) = rel
-            base = Fraction(seed.entry(i, j)) - Fraction(seed.entry(r, s))
-            assert base.denominator == 1
-            need = 1 if C.kind(rel) == RMINUS else 0
-            self.constraints.append(((i, j), (r, s), need - base.numerator))
+        self.size = self.n * (self.n + 1) // 2
+        self.constraints = [(a, b, self._bound((a, b))) for a, b in C.sorted()]
+
+    def _bound(self, rel):
+        """The t of rel read as z_a - z_b >= t; rel must hold at the seed,
+        so the seed difference is an integer."""
+        a, b = rel
+        base = Fraction(self.seed.entry(*a)) - Fraction(self.seed.entry(*b))
+        need = 1 if relation_kind(self.n, a, b) == RMINUS else 0
+        return need - base.numerator
+
+    def _node(self, pos):
+        k, i = pos
+        return self.size if k == self.n + 1 else k * (k - 1) // 2 + i - 1
 
     @staticmethod
     def _z(z, pos, n):
@@ -148,6 +161,76 @@ class BasisChecker:
                 return False
         return True
 
+    @cached_property
+    def closure(self):
+        """d[u][v]: the greatest t with z_u - z_v >= t on the whole basis,
+        -inf when C implies no bound (Floyd-Warshall over longest paths;
+        the seed satisfies C, so no cycle is positive)."""
+        size = self.size + 1
+        d = [[-inf] * size for _ in range(size)]
+        for u in range(size):
+            d[u][u] = 0
+        for a, b, t in self.constraints:
+            u, v = self._node(a), self._node(b)
+            if u != v:
+                d[u][v] = max(d[u][v], t)
+        for m in range(size):
+            dm = d[m]
+            for row in d:
+                rm = row[m]
+                if rm != -inf:
+                    row[:] = [max(x, rm + y) for x, y in zip(row, dm)]
+        return d
+
+    @property
+    def ranges(self):
+        """Exact (lo, hi) of each coordinate over the basis, in flat order;
+        -inf / inf where C leaves it unbounded."""
+        d, top = self.closure, self.size
+        return [(d[p][top], -d[top][p]) for p in range(top)]
+
+    @property
+    def bounded(self):
+        """Whether C confines every coordinate, i.e. the basis is finite."""
+        return all(-inf < lo and hi < inf for lo, hi in self.ranges)
+
+    def implies(self, rel):
+        """Whether C already forces the constraint of rel, a relation the
+        seed satisfies."""
+        u, v = self._node(rel[0]), self._node(rel[1])
+        return u == v or self.closure[u][v] >= self._bound(rel)
+
+    def enumerate(self, box):
+        """All basis shifts with |z_{ki}| <= box, ascending in flat order.
+
+        Backtracks one coordinate at a time; each range is cut by the
+        closure against the coordinates already fixed and the top row.
+        """
+        if box < 0:
+            raise ValueError("box must be >= 0, got %d" % box)
+        d, size = self.closure, self.size
+        flat = [0] * size
+        out = []
+
+        def place(p):
+            if p == size:
+                rows, idx = [], 0
+                for k in range(1, self.n + 1):
+                    rows.append(tuple(flat[idx : idx + k]))
+                    idx += k
+                out.append(tuple(rows))
+                return
+            lo, hi = max(-box, d[p][size]), min(box, -d[size][p])
+            for q in range(p):
+                lo = max(lo, flat[q] + d[p][q])
+                hi = min(hi, flat[q] - d[q][p])
+            for x in range(lo, hi + 1):
+                flat[p] = x
+                place(p + 1)
+
+        place(0)
+        return out
+
 
 def in_basis(C, seed, z):
     """True iff T(seed+z) still satisfies C."""
@@ -156,59 +239,22 @@ def in_basis(C, seed, z):
 
 def enumerate_basis_box(C, seed, box):
     """All shifts z with |z_{ki}| <= box whose tableau satisfies C."""
-    checker = BasisChecker(C, seed)
-    n = C.n
-    coords = [(k, i) for k in range(1, n + 1) for i in range(1, k + 1)]
-    out = []
-    rng = range(-box, box + 1)
-    for flat in product(rng, repeat=len(coords)):
-        z = []
-        idx = 0
-        for k in range(1, n + 1):
-            z.append(tuple(flat[idx : idx + k]))
-            idx += k
-        z = tuple(z)
-        if checker.check(z):
-            out.append(z)
-    return out
-
-
-def basis_is_box_complete(C):
-    """Conservative test that C confines every shiftable entry.
-
-    Each row-k entry (k <= n) must be bounded above and below through
-    relation chains anchored at the fixed top row: reachable from a
-    top-row vertex (upper bound) and reaching one (lower bound).
-    """
-    from .relations import _adjacency, _reachable_from
-
-    adj = _adjacency(C)
-    n = C.n
-    top = [(n + 1, j) for j in range(1, n + 2)]
-    down = set()
-    for t in top:
-        down |= _reachable_from(adj, t)
-    for k in range(1, n + 1):
-        for i in range(1, k + 1):
-            p = (k, i)
-            if p not in down:
-                return False
-            if not any(t in _reachable_from(adj, p) for t in top):
-                return False
-    return True
+    return BasisChecker(C, seed).enumerate(box)
 
 
 def enumerate_weight_space(C, seed, w, box):
-    """Shifts in the box realizing weight w, plus a completeness flag."""
-    shifts = enumerate_basis_box(C, seed, box)
+    """Shifts in the box realizing weight w, plus a flag that is true only
+    when the box holds the whole basis, so the list is the weight space."""
+    checker = BasisChecker(C, seed)
     base = weight_of(seed)
     target = tuple(Fraction(x) for x in w)
     hits = [
         z
-        for z in shifts
+        for z in checker.enumerate(box)
         if tuple(b + d for b, d in zip(base, weight_delta(C.n, z))) == target
     ]
-    return hits, basis_is_box_complete(C)
+    complete = all(-box <= lo and hi <= box for lo, hi in checker.ranges)
+    return hits, complete
 
 
 # ---------------------------------------------------------------------------

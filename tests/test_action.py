@@ -155,6 +155,15 @@ def test_weight_multiplicity(hw_module):
     assert sweep[w] == 1
 
 
+def test_weight_multiplicity_complete_only_when_box_holds_basis():
+    # the sl3 adjoint module is finite; its zero weight has multiplicity 2,
+    # and only box 2 holds every coordinate's range
+    M = g.hw_module_of((F(1), F(1)))
+    assert g.weight_multiplicity(M, (0, 0), 0) == (0, False)
+    assert g.weight_multiplicity(M, (0, 0), 1)[1] is False
+    assert g.weight_multiplicity(M, (0, 0), 2) == (2, True)
+
+
 def test_module_json_round_trip(module_catalog):
     for name, M in module_catalog:
         M2 = g.module_from_json(g.module_to_json(M))

@@ -38,6 +38,20 @@ def test_build_hw_and_act(tmp_path, capsys):
     )
     assert (code, out) == (0, [])
 
+    # shifts outside the basis, or of the wrong shape, are rejected
+    for shift in ("[[5],[0,0]]", "[[0],[0]]"):
+        code, out = run(
+            capsys, "act", "--module", str(mod), "--gen", "E,2,1", "--shift", shift
+        )
+        assert code == 2
+        assert out["error"] == "NotInBasis"
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps([{"shift": [[5], [0, 0]], "coeff": "1"}]))
+    code, out = run(
+        capsys, "act", "--module", str(mod), "--gen", "E,2,1", "--vector", str(vec)
+    )
+    assert (code, out["error"]) == (2, "NotInBasis")
+
 
 def test_build_family_and_lem_key(tmp_path, capsys):
     code, _ = run(
@@ -76,6 +90,9 @@ def test_verify(tmp_path, capsys):
     assert code == 0
     assert out["failures"] == []
     assert out["samples"] <= 20
+    code, out = run(capsys, "verify", "--module", str(mod), "--box", "-1")
+    assert code == 2
+    assert out["error"] == "ValueError"
 
 
 def test_mults(tmp_path, capsys):

@@ -15,6 +15,7 @@ from gtrel.relations import (
     relation_kind,
     undirected_components,
 )
+from gtrel.tableau import BasisChecker
 
 
 def chain_c(n):
@@ -63,11 +64,9 @@ def test_reduce_keeps_constraint_closure(hw_module):
     sat = g.satisfied_relations(hw_module.seed)
     red = g.reduce_relations(sat)
     assert red.relations <= sat.relations
-    from gtrel.action import _bound_closure, _bound_edges
-
-    nodes = 4
-    assert _bound_closure(_bound_edges(red, hw_module.seed), nodes) == _bound_closure(
-        _bound_edges(sat, hw_module.seed), nodes
+    assert (
+        BasisChecker(red, hw_module.seed).closure
+        == BasisChecker(sat, hw_module.seed).closure
     )
 
 

@@ -1,20 +1,26 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel.errors import NotCaseA, NotCaseB, PreconditionViolated
+from gtrel.errors import (
+    GtrelError,
+    NotCaseA,
+    NotCaseB,
+    PreconditionViolated,
+    RankMismatch,
+)
 from gtrel.tableau import (
     BasisChecker,
-    basis_is_box_complete,
     shift_add,
     shift_from_json,
     shift_neg,
     shift_to_json,
     weight_delta,
 )
+from oracles import brute_force_basis_box
 
 
 def test_case_a_seed_values():
@@ -86,7 +92,55 @@ def test_box_completeness_flag(module_catalog):
     # only the integral dominant module has every entry pinned to the
     # fixed top row in both directions
     for name, M in module_catalog:
-        assert basis_is_box_complete(M.C) == (name == "hw-a-n2-dominant"), name
+        assert M.checker.bounded == (name == "hw-a-n2-dominant"), name
+
+
+def test_enumeration_matches_brute_force(module_catalog):
+    for name, M in module_catalog:
+        for box in range(4):
+            got = g.enumerate_basis_box(M.C, M.seed, box)
+            assert got == brute_force_basis_box(M.C, M.seed, box), (name, box)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=3),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(0, 1),
+)
+def test_enumeration_matches_brute_force_random(lam, box):
+    try:
+        M = g.hw_module_of(tuple(lam))
+    except (GtrelError, ValueError):
+        assume(False)
+    got = g.enumerate_basis_box(M.C, M.seed, box)
+    assert got == brute_force_basis_box(M.C, M.seed, box)
+
+
+def test_kernel_ranges_are_exact(module_catalog):
+    # every finite end of a kernel range that lies in the box is attained
+    # in the box, and no shift leaves its range
+    for name, M in module_catalog:
+        pool = g.enumerate_basis_box(M.C, M.seed, 4)
+        for p, (lo, hi) in enumerate(M.checker.ranges):
+            values = {sum(z, ())[p] for z in pool}
+            assert lo <= min(values) and max(values) <= hi, (name, p)
+            assert all(end in values for end in (lo, hi) if -4 <= end <= 4), (name, p)
+
+
+def test_kernel_rejects_bad_input(hw_module):
+    T3, _ = g.hw_tableau_case_a((F(-5, 2), F(0), F(1)))
+    with pytest.raises(RankMismatch):
+        BasisChecker(hw_module.C, T3)
+    with pytest.raises(RankMismatch):
+        g.module(T3, hw_module.C)
+    with pytest.raises(ValueError):
+        g.enumerate_basis_box(hw_module.C, hw_module.seed, -1)
 
 
 def test_enumerate_weight_space(hw_module):
