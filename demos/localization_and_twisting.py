@@ -6,12 +6,7 @@ Run: python demos/localization_and_twisting.py
 from fractions import Fraction as F
 
 import gtrel as g
-from gtrel.localization import (
-    LocalizationSpec,
-    empirical_kernel_witness,
-    empirical_surjective,
-    twisted_action_direct,
-)
+from gtrel.localization import LocalizationSpec
 
 
 def show(title):
@@ -24,8 +19,6 @@ M = g.hw_module_of((F(-3, 2), F(0)))
 show("E(2,1) behavior on the highest weight module")
 print("injective:", g.e21_injective(M.C))
 print("surjective:", g.e21_surjective(M.C))
-print("empirical kernel witness:", empirical_kernel_witness(M, 2, 3))
-print("empirically surjective:", empirical_surjective(M, 2, 3))
 
 show("localization drops the blocking arrows")
 loc = g.localize_e21(M)
@@ -40,14 +33,9 @@ print("seed entry (1,1):", loc.seed.rows[0][0], "->", tw.seed.rows[0][0])
 v = g.basis_vector(g.zero_shift(2))
 print("H1 eigenvalue after twist:", dict(g.act(tw, g.gen_H(1), v)))
 
-show("the direct twisted formulas agree with acting on the shifted seed")
-mismatches = 0
-for z in g.enumerate_basis_box(tw.C, tw.seed, 2):
-    w = g.basis_vector(z)
-    for gen in (g.gen_H(1), g.gen_E(1, 2), g.gen_E(2, 1), g.gen_E(2, 3)):
-        if twisted_action_direct(loc, F(1, 3), gen, w) != g.act(tw, gen, w):
-            mismatches += 1
-print("mismatches:", mismatches)
+show("the twisted module still satisfies the sl3 relations")
+report = g.verify_axioms(tw, box=2, samples=60)
+print("axiom failures over %d samples:" % report["samples"], len(report["failures"]))
 
 show("simple quotient of the localization by the original module")
 Q = g.quotient_top(loc, M)

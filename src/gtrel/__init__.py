@@ -22,7 +22,6 @@ from .action import (
     vector_from_json,
     vector_to_json,
     verify_axioms,
-    verify_axioms_full,
     weight_multiplicity,
     weight_multiplicity_sweep,
 )
@@ -49,7 +48,6 @@ from .localization import (
     permute_flag,
     quotient_top,
     twist_e21,
-    twisted_action_direct,
 )
 from .minimal_orbit import (
     InducedModule,

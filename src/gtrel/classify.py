@@ -131,6 +131,8 @@ def resolve_sl2_induced(params):
     highest-weight case."""
     gamma = Fraction(params.gamma)
     mu = tuple(Fraction(m) for m in params.mu)
+    if len(mu) < 2:
+        raise ValueError("mu needs at least two coordinates")
     r = rational_sqrt(gamma)
     if r is None:
         raise NonSquareGamma("gamma is not the square of a rational")

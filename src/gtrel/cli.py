@@ -13,14 +13,7 @@ from fractions import Fraction
 from . import action, classify, localization, minimal_orbit
 from .core import format_rational, parse_rational
 from .errors import GtrelError, NotInBasis
-from .tableau import (
-    family_tableau,
-    hw_tableau_case_a,
-    hw_tableau_case_b,
-    lem_key_tableau,
-    shift_from_json,
-    shift_to_json,
-)
+from .tableau import family_tableau, lem_key_tableau, shift_from_json, shift_to_json
 
 
 def _weight(text):
@@ -62,27 +55,24 @@ def cmd_admissible(args):
 
 
 def cmd_build(args):
+    needed = {
+        "hw": {"--lambda": args.weight},
+        "family": {"--u": args.u},
+        "lem-key": {"--lambda": args.weight, "--i": args.i},
+    }[args.type]
+    missing = [opt for opt, value in needed.items() if value is None]
+    if missing:
+        raise GtrelError("--type %s needs %s" % (args.type, ", ".join(missing)))
+    norm = args.normalization
     if args.type == "hw":
-        lam = _weight(args.weight)
-        case = classify.hw_relation_case(lam)
-        if case.tag == "CaseA":
-            T, C = hw_tableau_case_a(lam, normalization=args.normalization)
-        elif case.tag == "CaseB":
-            T, C = hw_tableau_case_b(
-                lam, case.i, case.j, normalization=args.normalization
-            )
-        else:
-            raise GtrelError("weight admits no highest-weight realization")
+        M = minimal_orbit.hw_module_of(_weight(args.weight), normalization=norm)
     elif args.type == "family":
-        u = _weight(args.u)
         v = _weight(args.v) if args.v else ()
-        T, C = family_tableau(u, v, m=args.m)
-    elif args.type == "lem-key":
-        lam = _weight(args.weight)
-        T, C = lem_key_tableau(lam, args.i, normalization=args.normalization)
+        T, C = family_tableau(_weight(args.u), v, m=args.m)
+        M = action.module(T, C, normalization=norm)
     else:
-        raise GtrelError("unknown build type %r" % args.type)
-    M = action.module(T, C, normalization=args.normalization)
+        T, C = lem_key_tableau(_weight(args.weight), args.i, normalization=norm)
+        M = action.module(T, C, normalization=norm)
     _emit(action.module_to_json(M), args.output)
     return 0
 
@@ -90,6 +80,8 @@ def cmd_build(args):
 def cmd_act(args):
     M = _load_module(args.module)
     g = action.parse_generator(args.gen)
+    if (args.vector is None) == (args.shift is None):
+        raise GtrelError("give exactly one of --shift and --vector")
     if args.vector:
         with open(args.vector) as fh:
             v = action.vector_from_json(json.load(fh))
@@ -106,8 +98,9 @@ def cmd_act(args):
 
 def cmd_verify(args):
     M = _load_module(args.module)
-    fn = action.verify_axioms_full if args.full else action.verify_axioms
-    report = fn(M, box=args.box, samples=args.samples, seed=args.seed)
+    report = action.verify_axioms(
+        M, box=args.box, samples=args.samples, seed=args.seed, full=args.full
+    )
     _emit(report)
     return 0
 
@@ -196,8 +189,14 @@ def cmd_minimal_orbit(args):
     lvl = minimal_orbit.Level(args.n, args.p, args.q)
     reps = list(minimal_orbit.minimal_orbit_reps(lvl))
     if args.induce:
+        if not 0 <= args.rep < len(reps):
+            raise GtrelError("--rep %d: %d representatives" % (args.rep, len(reps)))
         rep, _ = reps[args.rep]
         chain = minimal_orbit.hw_orbit_list(lvl, rep)
+        if not 0 <= args.branch < len(chain):
+            raise GtrelError("--branch %d: %d branches" % (args.branch, len(chain)))
+        if args.x is None:
+            raise GtrelError("--induce needs --x")
         branch = chain[args.branch][0]
         ind = minimal_orbit.build_sl2_induced_minimal(
             lvl, rep, branch, parse_rational(args.x)

@@ -227,30 +227,9 @@ def reduce_relations(C):
             return best.get(rel[1], None) is True
         return rel[1] in _reachable_from(adj, rel[0])
 
-    def crossing_arrows(base):
-        comp = same_component_map(RelationSet(C.n, frozenset(base)))
-        links = {}
-        for frm, to in base:
-            if abs(frm[0] - to[0]) == 1:
-                lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
-                links.setdefault((lo[0], lo[1], hi[1]), []).append((frm, to))
-        bad = set()
-        keys = sorted(links)
-        for (k, i, t) in keys:
-            for (k2, j, s) in keys:
-                if (
-                    k2 == k
-                    and i < j
-                    and s < t
-                    and comp[(k, i)] == comp[(k, j)]
-                ):
-                    bad.update(links[(k, i, t)])
-                    bad.update(links[(k2, j, s)])
-        return bad
-
     # phase 1: repair cross-freeness by dropping implied crossing arrows
     while True:
-        bad = crossing_arrows(rels)
+        bad = _crossing_arrows(RelationSet(C.n, frozenset(rels)))
         if not bad:
             break
         for rel in sorted(bad, key=order):
@@ -296,28 +275,31 @@ def _forward_ordered(C):
     return True
 
 
-def _cross_free(C):
+def _crossing_arrows(C):
+    """The arrows between adjacent rows that cross another such arrow of
+    the same connected component."""
     # undirected arrows between adjacent rows k and k+1, keyed by
     # (k, i, t) with i the row-k column and t the row-(k+1) column;
     # crossing matters only inside one connected component, since
     # entries of separate components are never integer-linked and their
     # relative column order carries no constraint
     comp = same_component_map(C)
-    links = set()
+    links = {}
     for frm, to in C.relations:
         if abs(frm[0] - to[0]) == 1:
             lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
-            links.add((lo[0], lo[1], hi[1]))
+            links.setdefault((lo[0], lo[1], hi[1]), []).append((frm, to))
+    bad = set()
     for (k, i, t) in links:
         for (k2, j, s) in links:
-            if (
-                k2 == k
-                and i < j
-                and s < t
-                and comp[(k, i)] == comp[(k, j)]
-            ):
-                return False
-    return True
+            if k2 == k and i < j and s < t and comp[(k, i)] == comp[(k, j)]:
+                bad.update(links[(k, i, t)])
+                bad.update(links[(k2, j, s)])
+    return bad
+
+
+def _cross_free(C):
+    return not _crossing_arrows(C)
 
 
 def _diamond_ok(C):

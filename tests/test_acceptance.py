@@ -6,20 +6,20 @@ import time
 from fractions import Fraction as F
 
 import gtrel as g
-from gtrel.action import em1_bracket
 from gtrel.classify import Sl2InducedParams
 from gtrel.errors import GtrelError, WrongShape
-from gtrel.localization import (
-    LocalizationSpec,
-    empirical_kernel_witness,
-    empirical_surjective,
-    twisted_action_direct,
-)
+from gtrel.localization import LocalizationSpec
 from gtrel.minimal_orbit import (
     Level,
     MinOrbitWeight,
     hw_orbit_list,
     minimal_orbit_reps,
+)
+from oracles import (
+    em1_bracket,
+    empirical_kernel_witness,
+    empirical_surjective,
+    twisted_action_direct,
 )
 
 

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel.action import GTVector, _cartan, axiom_identities, em1_bracket
-from gtrel.errors import CriticalDenominator, UnsupportedGenerator
+from gtrel.action import GTVector, _cartan, axiom_identities
+from gtrel.errors import CriticalDenominator, GtrelError, UnsupportedGenerator
+from oracles import em1_bracket
 
 
 def vec(*pairs):
@@ -110,7 +111,7 @@ def test_verify_axioms_clean(module_catalog):
 
 
 def test_verify_axioms_full(hw_module):
-    report = g.verify_axioms_full(hw_module, box=2, samples=10, seed=1)
+    report = g.verify_axioms(hw_module, box=2, samples=10, seed=1, full=True)
     assert report["failures"] == []
 
 
@@ -128,6 +129,11 @@ def test_unsupported_generator(hw_module):
         g.act(hw_module, ("X", 1, 2), g.basis_vector(g.zero_shift(2)))
     with pytest.raises(UnsupportedGenerator):
         g.act(hw_module, g.gen_E(1, 1), g.basis_vector(g.zero_shift(2)))
+    # out-of-range indices are rejected before the flag permutation reads
+    # them (sigma[-1] would otherwise turn E(0,1) into E(3,1))
+    for gen in (g.gen_E(0, 1), g.gen_E(1, 7), g.gen_H(0), g.gen_H(3)):
+        with pytest.raises(UnsupportedGenerator):
+            g.act(hw_module, gen, g.basis_vector(g.zero_shift(2)))
 
 
 def test_casimir_value(hw_module):
@@ -197,3 +203,25 @@ def test_action_linear(a, b, c):
     lhs = g.act(M, gen, v.scale(c))
     rhs = g.act(M, gen, v).scale(c)
     assert lhs == rhs
+
+
+_coord = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.tuples(st.integers(-12, 12), st.sampled_from((2, 3))).map(lambda t: F(*t)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(*[_coord] * n)), st.data())
+def test_em1_and_axioms_on_random_hw_modules(lam, data):
+    try:
+        M = g.hw_module_of(lam)
+    except GtrelError:
+        assume(False)
+    pool = g.enumerate_basis_box(M.C, M.seed, 2)
+    v = g.basis_vector(data.draw(st.sampled_from(pool)))
+    for m in range(3, M.n + 2):
+        assert g.act(M, g.gen_E(m, 1), v) == em1_bracket(M, m, v), (lam, m)
+    seed = data.draw(st.integers(0, 2**16))
+    report = g.verify_axioms(M, box=2, samples=1, seed=seed, full=True)
+    assert report["failures"] == [], lam

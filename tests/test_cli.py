@@ -52,6 +52,17 @@ def test_build_hw_and_act(tmp_path, capsys):
     )
     assert (code, out["error"]) == (2, "NotInBasis")
 
+    # generators out of range for sl3
+    code, out = run(
+        capsys, "act", "--module", str(mod), "--gen", "E,1,7", "--shift", "[[0],[0,0]]"
+    )
+    assert (code, out["error"]) == (2, "UnsupportedGenerator")
+
+    # exactly one of --shift and --vector
+    for extra in ([], ["--shift", "[[0],[0,0]]", "--vector", str(vec)]):
+        code, out = run(capsys, "act", "--module", str(mod), "--gen", "H,1", *extra)
+        assert (code, out["error"]) == (2, "GtrelError"), extra
+
 
 def test_build_family_and_lem_key(tmp_path, capsys):
     code, _ = run(
@@ -81,6 +92,27 @@ def test_build_family_and_lem_key(tmp_path, capsys):
     assert code == 0
 
 
+def test_build_needs_its_recipe_options(capsys):
+    for argv in (
+        ["--type", "hw"],
+        ["--type", "family", "--v", "2,0"],
+        ["--type", "lem-key", "--lambda=0,-1/2,-1/2"],
+    ):
+        code, out = run(capsys, "build", *argv)
+        assert code == 2, argv
+        assert out["error"] == "GtrelError"
+
+
+def test_malformed_module_json(tmp_path, capsys):
+    for payload in ({"n": None}, []):
+        mod = tmp_path / "bad.json"
+        mod.write_text(json.dumps(payload))
+        code, out = run(
+            capsys, "act", "--module", str(mod), "--gen", "H,1", "--shift", "[[0]]"
+        )
+        assert (code, out["error"]) == (2, "ValueError"), payload
+
+
 def test_verify(tmp_path, capsys):
     mod = tmp_path / "m.json"
     run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
@@ -90,6 +122,13 @@ def test_verify(tmp_path, capsys):
     assert code == 0
     assert out["failures"] == []
     assert out["samples"] <= 20
+    code, out = run(
+        capsys, "verify", "--module", str(mod), "--box", "2", "--samples", "20",
+        "--full",
+    )
+    assert code == 0
+    assert out["failures"] == []
+    assert out["samples"] >= 20 and out["samples"] % out["identities"] == 0
     code, out = run(capsys, "verify", "--module", str(mod), "--box", "-1")
     assert code == 2
     assert out["error"] == "ValueError"
@@ -123,6 +162,8 @@ def test_resolve_sl2(capsys):
     got = {(tuple(b["lambda"]), b["x"]) for b in out}
     assert (("-3/2", "0"), "1/3") in got
     assert len(got) == 2
+    code, out = run(capsys, "resolve-sl2", "--gamma", "1/4", "--mu=1")
+    assert (code, out["error"]) == (2, "ValueError")
 
 
 def test_localize_and_twist(tmp_path, capsys):
@@ -170,6 +211,16 @@ def test_minimal_orbit_induce(tmp_path, capsys):
     assert code == 0
     assert out["gamma"] == "1/4"
     assert out["mu"] == ["-5/6", "-1/3"]
+
+    base = ["minimal-orbit", "--n", "2", "--p", "3"]
+    for extra in (
+        ["--q", "1", "--induce"],
+        ["--q", "2", "--induce", "--rep", "5", "--x=1/3"],
+        ["--q", "2", "--induce", "--branch", "3", "--x=1/3"],
+        ["--q", "2", "--induce"],
+    ):
+        code, out = run(capsys, *base, *extra)
+        assert (code, out["error"]) == (2, "GtrelError"), extra
 
 
 def test_error_exit_codes(capsys, tmp_path):
