@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import format_rational, parse_rational
-from .errors import CriticalDenominator, UnsupportedGenerator
+from .core import format_rational, json_int, json_list, json_object, parse_rational
+from .errors import CriticalDenominator, NotInBasis, RankMismatch, UnsupportedGenerator
 from .relations import (
     is_admissible,
     is_noncritical_for,
@@ -26,7 +26,6 @@ from .tableau import (
     shift_from_json,
     shift_to_json,
     weight_of,
-    zero_shift,
 )
 
 
@@ -40,12 +39,14 @@ class GTVector(dict):
             self.iadd(k, x)
 
     def iadd(self, key, coeff):
-        coeff = Fraction(coeff)
-        new = self.get(key, Fraction(0)) + coeff
-        if new == 0:
-            self.pop(key, None)
-        else:
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        old = self.get(key)
+        new = coeff if old is None else old + coeff
+        if new:
             self[key] = new
+        else:
+            self.pop(key, None)
 
     def __add__(self, other):
         out = GTVector(self)
@@ -91,7 +92,13 @@ def ELower(k):
 
 @dataclass(frozen=True)
 class GTModule:
-    """A computable description of the relation module V_C(seed)."""
+    """A computable description of the relation module V_C(seed).
+
+    `memo` maps (unpermuted generator, basis shift) to the nonzero
+    (target, coefficient) pairs of that generator on that basis vector.
+    The module is frozen, so an entry never goes stale; every transform
+    builds a new module with an empty memo.
+    """
 
     n: int
     seed: object
@@ -99,13 +106,19 @@ class GTModule:
     sigma: tuple = None
     normalization: str = "hw"
     checker: object = field(default=None, compare=False, repr=False)
+    memo: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.C.n != self.n:
+            raise RankMismatch(
+                "module has rank %d, relation set %d" % (self.n, self.C.n)
+            )
         sigma = self.sigma or tuple(range(1, self.n + 2))
         if sorted(sigma) != list(range(1, self.n + 2)):
             raise ValueError("sigma must be a permutation of 1..n+1")
         object.__setattr__(self, "sigma", tuple(sigma))
         object.__setattr__(self, "checker", BasisChecker(self.C, self.seed))
+        object.__setattr__(self, "memo", {})
         if not is_admissible(self.C):
             raise ValueError("relation set is not admissible")
         if not is_noncritical_for(self.C, self.seed):
@@ -224,32 +237,51 @@ def _resolve_sigma(M, g):
     return [(1, ("E", sigma[i - 1], sigma[j - 1]))]
 
 
+def _basis_terms(M, g, z):
+    """The memoized (target, coefficient) pairs of an unpermuted, in-range
+    generator on the basis vector of z; raises NotInBasis when z is not a
+    basis shift."""
+    key = (g, z)
+    terms = M.memo.get(key)
+    if terms is not None:
+        return terms
+    if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.in_basis(z):
+        raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
+    if g[0] == "H":
+        pairs = ((z, weight_of(M.entries(z))[g[1] - 1]),)
+    elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
+        pairs = _terms(M, g, z)
+    else:
+        _, i, j = g
+        if j > i + 1:
+            a, b = ("E", i, i + 1), ("E", i + 1, j)
+        else:
+            a, b = ("E", i, i - 1), ("E", i - 1, j)
+        v = basis_vector(z)
+        pairs = (
+            _act_primitive(M, a, _act_primitive(M, b, v))
+            - _act_primitive(M, b, _act_primitive(M, a, v))
+        ).items()
+    terms = M.memo[key] = tuple((t, c) for t, c in pairs if c)
+    return terms
+
+
 def _act_primitive(M, g, v):
     """Action of an unpermuted, in-range generator on a vector."""
     out = GTVector()
-    if g[0] == "H":
-        for z, c in v.items():
-            out.iadd(z, c * weight_of(M.entries(z))[g[1] - 1])
-        return out
-    _, i, j = g
-    if abs(i - j) == 1 or (j == 1 and i >= 3):
-        for z, c in v.items():
-            for target, a in _terms(M, g, z):
-                out.iadd(target, c * a)
-        return out
-    if j > i + 1:
-        a, b = ("E", i, i + 1), ("E", i + 1, j)
-    else:
-        a, b = ("E", i, i - 1), ("E", i - 1, j)
-    return _act_primitive(M, a, _act_primitive(M, b, v)) - _act_primitive(
-        M, b, _act_primitive(M, a, v)
-    )
+    for z, c in v.items():
+        for target, a in _basis_terms(M, g, z):
+            out.iadd(target, c * a)
+    return out
 
 
 def act(M, g, v):
     """Linear action of a generator, resolved through the flag twist."""
+    resolved = _resolve_sigma(M, g)
+    if len(resolved) == 1 and resolved[0][0] == 1:
+        return _act_primitive(M, resolved[0][1], v)
     out = GTVector()
-    for sign, g2 in _resolve_sigma(M, g):
+    for sign, g2 in resolved:
         part = _act_primitive(M, g2, v)
         for z, c in part.items():
             out.iadd(z, sign * c)
@@ -478,8 +510,9 @@ def vector_to_json(v):
 
 
 def vector_from_json(obj):
+    terms = [json_object(t, "vector term") for t in json_list(obj, "vector")]
     return GTVector(
-        (shift_from_json(t["shift"]), parse_rational(t["coeff"])) for t in obj
+        (shift_from_json(t.get("shift")), parse_rational(t.get("coeff"))) for t in terms
     )
 
 
@@ -500,13 +533,13 @@ def module_from_json(obj):
     from .relations import relset_from_json
     from .tableau import tableau_from_json
 
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
-        raise ValueError("module JSON must be an object with an integer n")
+    obj = json_object(obj, "module")
+    sigma = json_list(obj.get("sigma") or (), "sigma")
     return GTModule(
-        n=obj["n"],
-        seed=tableau_from_json(obj["seed"]),
-        C=relset_from_json(obj["relations"]),
-        sigma=tuple(obj.get("sigma") or ()) or None,
+        n=json_int(obj.get("n"), "module n"),
+        seed=tableau_from_json(obj.get("seed")),
+        C=relset_from_json(obj.get("relations")),
+        sigma=tuple(json_int(x, "sigma entry") for x in sigma) or None,
         normalization=obj.get("normalization", "hw"),
     )
 

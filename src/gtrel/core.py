@@ -76,12 +76,35 @@ def diff_in(a, b, cls):
 
 def parse_rational(s):
     """Parse "a" or "a/b" into a Fraction; b must be positive."""
+    if not isinstance(s, str):
+        raise ValueError("expected a rational string, got %r" % (s,))
     s = s.strip()
     if "/" in s:
         den = s.split("/")[1].strip()
         if not den.lstrip("+").isdigit() or int(den) <= 0:
             raise ValueError("denominator must be positive: %r" % s)
     return Fraction(s)
+
+
+def json_int(x, what):
+    """x when it is a JSON integer; ValueError otherwise."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError("%s must be an integer, got %r" % (what, x))
+
+
+def json_list(x, what):
+    """x when it is a JSON array; ValueError otherwise."""
+    if isinstance(x, (list, tuple)):
+        return x
+    raise ValueError("%s must be a list, got %r" % (what, x))
+
+
+def json_object(x, what):
+    """x when it is a JSON object; ValueError otherwise."""
+    if isinstance(x, dict):
+        return x
+    raise ValueError("%s must be an object, got %r" % (what, x))
 
 
 def format_rational(r):

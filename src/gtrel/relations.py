@@ -17,7 +17,7 @@ tableaux.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZGEQ0, ZGT0, diff_in
+from .core import ZGEQ0, ZGT0, diff_in, json_int, json_list, json_object
 from .errors import NotARealization, StructureViolation
 
 RPLUS = "RPlus"
@@ -423,6 +423,12 @@ def relset_to_json(C):
 
 
 def relset_from_json(obj):
-    n = int(obj["n"])
-    rels = [((int(f[0]), int(f[1])), (int(t[0]), int(t[1]))) for f, t in obj["relations"]]
-    return RelationSet(n, frozenset(rels))
+    obj = json_object(obj, "relation set")
+    rels = [
+        tuple(
+            tuple(json_int(x, "position entry") for x in json_list(pos, "position"))
+            for pos in json_list(rel, "relation")
+        )
+        for rel in json_list(obj.get("relations"), "relations")
+    ]
+    return RelationSet(json_int(obj.get("n"), "relation set n"), frozenset(rels))

@@ -12,7 +12,7 @@ from functools import cached_property
 from math import comb, inf
 
 from . import classify
-from .core import format_rational, parse_rational
+from .core import format_rational, json_int, json_list, json_object, parse_rational
 from .errors import (
     NotCaseA,
     NotCaseB,
@@ -245,6 +245,8 @@ def enumerate_basis_box(C, seed, box):
 def enumerate_weight_space(C, seed, w, box):
     """Shifts in the box realizing weight w, plus a flag that is true only
     when the box holds the whole basis, so the list is the weight space."""
+    if len(w) != C.n:
+        raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
     checker = BasisChecker(C, seed)
     base = weight_of(seed)
     target = tuple(Fraction(x) for x in w)
@@ -436,7 +438,12 @@ def tableau_to_json(T):
 
 
 def tableau_from_json(obj):
-    return tableau(int(obj["n"]), [[parse_rational(e) for e in row] for row in obj["rows"]])
+    obj = json_object(obj, "tableau")
+    rows = json_list(obj.get("rows"), "tableau rows")
+    return tableau(
+        json_int(obj.get("n"), "tableau n"),
+        [[parse_rational(e) for e in json_list(row, "tableau row")] for row in rows],
+    )
 
 
 def shift_to_json(z):
@@ -444,4 +451,7 @@ def shift_to_json(z):
 
 
 def shift_from_json(obj):
-    return tuple(tuple(int(x) for x in row) for row in obj)
+    return tuple(
+        tuple(json_int(x, "shift entry") for x in json_list(row, "shift row"))
+        for row in json_list(obj, "shift")
+    )

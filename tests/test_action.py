@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 import gtrel as g
 from gtrel.action import GTVector, _cartan, axiom_identities
-from gtrel.errors import CriticalDenominator, GtrelError, UnsupportedGenerator
+from gtrel.errors import (
+    CriticalDenominator,
+    GtrelError,
+    NotInBasis,
+    RankMismatch,
+    UnsupportedGenerator,
+)
 from oracles import em1_bracket
 
 
@@ -136,6 +142,63 @@ def test_unsupported_generator(hw_module):
             g.act(hw_module, gen, g.basis_vector(g.zero_shift(2)))
 
 
+def test_act_rejects_shifts_outside_the_basis(hw_module):
+    M = hw_module
+    for z in (((5,), (0, 0)), ((0,), (0,))):
+        for gen in (g.gen_E(2, 1), g.gen_H(1), g.gen_E(1, 3)):
+            with pytest.raises(NotInBasis):
+                g.act(M, gen, g.basis_vector(z))
+    # one bad shift spoils the vector even when others are in the basis
+    bad = vec((g.zero_shift(2), 1), (((5,), (0, 0)), 1))
+    with pytest.raises(NotInBasis):
+        g.act(M, g.gen_E(2, 1), bad)
+
+
+def all_generators(n):
+    hs = [g.gen_H(k) for k in range(1, n + 1)]
+    es = [g.gen_E(i, j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+    return hs + es
+
+
+def test_memo_is_invisible_to_equality_and_hash(hw_module):
+    M = hw_module.replace()
+    g.verify_axioms(M, box=1, samples=10, seed=2)
+    other = M.replace()
+    assert M.memo and not other.memo
+    assert M == other and hash(M) == hash(other)
+    assert "memo" not in repr(M)
+
+
+def test_transforms_start_with_their_own_memo(module_catalog):
+    M = dict(module_catalog)["lem-key-n3"]
+    v = g.basis_vector(g.zero_shift(3))
+    for gen in all_generators(3):
+        g.act(M, gen, v)
+    before = dict(M.memo)
+    permuted = g.permute_flag(M, (3, 1, 2, 4))
+    assert permuted.memo == {} and permuted.memo is not M.memo
+    for gen in all_generators(3):
+        g.act(permuted, gen, v)
+    assert M.memo == before
+
+    hw = g.hw_module_of((F(-3, 2), F(0)))
+    g.act(hw, g.gen_E(2, 1), g.basis_vector(g.zero_shift(2)))
+    twisted = g.twist_e21(hw, F(1, 3))
+    assert twisted.memo == {} and twisted.memo is not hw.memo
+
+
+def test_mutating_a_result_does_not_change_later_results(hw_module):
+    M = hw_module.replace()
+    z = ((-1,), (-1, 0))
+    for gen in all_generators(2):
+        want = g.act(M, gen, g.basis_vector(z))
+        out = g.act(M, gen, g.basis_vector(z))
+        out.iadd(z, 7)
+        out[g.zero_shift(2)] = F(5)
+        out.clear()
+        assert g.act(M, gen, g.basis_vector(z)) == want, gen
+
+
 def test_casimir_value(hw_module):
     v = g.basis_vector(g.zero_shift(2))
     out = g.casimir_alpha1(hw_module, v)
@@ -170,6 +233,12 @@ def test_weight_multiplicity_complete_only_when_box_holds_basis():
     assert g.weight_multiplicity(M, (0, 0), 2) == (2, True)
 
 
+def test_weight_multiplicity_rejects_wrong_length_weights(hw_module):
+    for w in ((0,), (0, 0, 0)):
+        with pytest.raises(RankMismatch):
+            g.weight_multiplicity(hw_module, w, 2)
+
+
 def test_module_json_round_trip(module_catalog):
     for name, M in module_catalog:
         M2 = g.module_from_json(g.module_to_json(M))
@@ -195,9 +264,7 @@ def test_action_linear(a, b, c):
     T, C = g.hw_tableau_case_a((F(-3, 2), F(0)))
     M = g.module(T, C)
     z0 = g.zero_shift(2)
-    from gtrel.tableau import shift_neg
-
-    z1 = shift_neg(g.unit_shift(2, 2, 1))
+    z1 = ((-1,), (-1, 0))
     v = vec((z0, a), (z1, b))
     gen = g.gen_E(2, 3)
     lhs = g.act(M, gen, v.scale(c))
@@ -225,3 +292,21 @@ def test_em1_and_axioms_on_random_hw_modules(lam, data):
     seed = data.draw(st.integers(0, 2**16))
     report = g.verify_axioms(M, box=2, samples=1, seed=seed, full=True)
     assert report["failures"] == [], lam
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(*[_coord] * n)), st.data())
+def test_memo_gives_what_a_fresh_module_gives(lam, data):
+    try:
+        M = g.hw_module_of(lam)
+    except GtrelError:
+        assume(False)
+    pool = g.enumerate_basis_box(M.C, M.seed, 2)
+    g.verify_axioms(M, box=2, samples=20, seed=data.draw(st.integers(0, 99)), full=True)
+    assert M.memo
+    shifts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    for z in shifts:
+        v = g.basis_vector(z)
+        for gen in all_generators(M.n):
+            fresh = M.replace()
+            assert g.act(M, gen, v) == g.act(fresh, gen, v), (lam, gen, z)

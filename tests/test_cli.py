@@ -113,6 +113,41 @@ def test_malformed_module_json(tmp_path, capsys):
         assert (code, out["error"]) == (2, "ValueError"), payload
 
 
+def test_malformed_json_inputs(tmp_path, capsys):
+    mod = tmp_path / "m.json"
+    run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
+    good = json.loads(mod.read_text())
+    act = ["act", "--gen", "H,1"]
+    for shift in ("5", "[5]", "[[0], [0, null]]", "[[0], [0, 1.5]]", '{"a": 1}'):
+        code, out = run(capsys, *act, "--module", str(mod), "--shift", shift)
+        assert (code, out["error"]) == (2, "ValueError"), shift
+
+    bad = tmp_path / "bad.json"
+    for key, value in (
+        ("seed", None),
+        ("seed", {"n": 2, "rows": [[0], [0, 0], [0, 0, 0]]}),
+        ("seed", {"n": 2, "rows": 5}),
+        ("relations", None),
+        ("relations", {"n": 2, "relations": [[[2, 1], None]]}),
+        ("relations", {"n": 2, "relations": [[["2", 1], [1, 1]]]}),
+        ("sigma", 5),
+        ("sigma", ["1", "2", "3"]),
+    ):
+        bad.write_text(json.dumps(dict(good, **{key: value})))
+        code, out = run(capsys, *act, "--module", str(bad), "--shift", "[[0],[0,0]]")
+        assert (code, out["error"]) == (2, "ValueError"), (key, value)
+
+    bad.write_text(json.dumps(dict(good, n=3)))
+    code, out = run(capsys, *act, "--module", str(bad), "--shift", "[[0],[0,0]]")
+    assert (code, out["error"]) == (2, "RankMismatch")
+
+    vec = tmp_path / "v.json"
+    for payload in ([5], {"shift": [[0], [0, 0]]}, [{"shift": [[0], [0, 0]], "coeff": 1}]):
+        vec.write_text(json.dumps(payload))
+        code, out = run(capsys, *act, "--module", str(mod), "--vector", str(vec))
+        assert (code, out["error"]) == (2, "ValueError"), payload
+
+
 def test_verify(tmp_path, capsys):
     mod = tmp_path / "m.json"
     run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
@@ -145,6 +180,14 @@ def test_mults(tmp_path, capsys):
     code, out = run(capsys, "mults", "--module", str(mod), "--box", "2")
     assert code == 0
     assert all(entry["count"] >= 1 for entry in out)
+
+
+def test_mults_rejects_wrong_length_weights(tmp_path, capsys):
+    mod = tmp_path / "m.json"
+    run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
+    for weight in ("--weight=1", "--weight=0,0,0"):
+        code, out = run(capsys, "mults", "--module", str(mod), weight)
+        assert (code, out["error"]) == (2, "RankMismatch"), weight
 
 
 def test_classify_hw(capsys):
