@@ -16,6 +16,8 @@ from .relations import (
     is_admissible,
     is_noncritical_for,
     reduce_relations,
+    relset_from_json,
+    relset_to_json,
     satisfied_relations,
 )
 from .tableau import (
@@ -25,6 +27,9 @@ from .tableau import (
     enumerate_weight_space,
     shift_from_json,
     shift_to_json,
+    tableau_from_json,
+    tableau_to_json,
+    weight_delta,
     weight_of,
 )
 
@@ -489,8 +494,6 @@ def weight_multiplicity(M, w, box):
 def weight_multiplicity_sweep(M, box):
     """Counts of basis shifts per realized weight within the box."""
     base = weight_of(M.seed)
-    from .tableau import weight_delta
-
     counts = {}
     for z in enumerate_basis_box(M.C, M.seed, box):
         w = tuple(b + d for b, d in zip(base, weight_delta(M.n, z)))
@@ -517,9 +520,6 @@ def vector_from_json(obj):
 
 
 def module_to_json(M):
-    from .relations import relset_to_json
-    from .tableau import tableau_to_json
-
     return {
         "n": M.n,
         "seed": tableau_to_json(M.seed),
@@ -530,9 +530,6 @@ def module_to_json(M):
 
 
 def module_from_json(obj):
-    from .relations import relset_from_json
-    from .tableau import tableau_from_json
-
     obj = json_object(obj, "module")
     sigma = json_list(obj.get("sigma") or (), "sigma")
     return GTModule(

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation/parse failure, 1 internal error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -320,9 +321,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser main uses, built once per process: parsing does not
+    change it."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (GtrelError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -60,8 +60,11 @@ NOTZ = "NotZ"
 
 
 def diff_in(a, b, cls):
-    """Test whether a - b lies in the named class of integers."""
-    d = Fraction(a) - Fraction(b)
+    """Test whether a - b lies in the named class of integers; a and b are
+    Fractions or ints."""
+    d = a - b
+    if not isinstance(d, Fraction):
+        d = Fraction(d)
     integral = d.denominator == 1
     if cls == ZGEQ0:
         return integral and d >= 0

@@ -21,6 +21,8 @@ class Level:
     q: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("need n >= 1")
         if gcd(self.p, self.q) != 1:
             raise ValueError("p and q must be coprime")
         if self.p < self.n + 1 or self.q < 1:
@@ -144,6 +146,8 @@ def hw_module_of(lam, normalization="hw"):
 def build_sl2_induced_minimal(lvl, rep, branch, x):
     """Twisted localization of the highest-weight module of a branch
     weight from the orbit chain."""
+    if lvl.n < 2:
+        raise ValueError("the sl2-induced construction needs n >= 2")
     branch = tuple(Fraction(b) for b in branch)
     x = Fraction(x)
     chain = [w for w, _ in hw_orbit_list(lvl, rep)]

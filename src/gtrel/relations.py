@@ -77,31 +77,39 @@ def relation_set(n, rels=()):
     return RelationSet(n, frozenset(tuple(map(tuple, r)) for r in rels))
 
 
-def full_relation_universe(n):
-    """All of R = R+ u R- u R0 for the given n."""
-    rels = []
+def _universe(n):
+    """(relation, kind) for every relation of R, in the order of
+    full_relation_universe."""
     for i in range(2, n + 2):
         for j in range(1, i + 1):
             for t in range(1, i):
-                rels.append(((i, j), (i - 1, t)))
+                yield ((i, j), (i - 1, t)), RPLUS
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for s in range(1, i + 2):
-                rels.append(((i, j), (i + 1, s)))
+                yield ((i, j), (i + 1, s)), RMINUS
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if i != j:
-                rels.append(((n + 1, i), (n + 1, j)))
-    return rels
+                yield ((n + 1, i), (n + 1, j)), RZERO
+
+
+def full_relation_universe(n):
+    """All of R = R+ u R- u R0 for the given n."""
+    return [rel for rel, _ in _universe(n)]
 
 
 # ---------------------------------------------------------------------------
 # graph helpers
+#
+# The private helpers take the rank and a plain set of arrows, so the
+# reduction can test its working sets without building a RelationSet (whose
+# constructor classifies every arrow again).
 
 
-def _adjacency(C):
+def _adjacency(rels):
     adj = {}
-    for frm, to in C.relations:
+    for frm, to in rels:
         adj.setdefault(frm, set()).add(to)
     return adj
 
@@ -149,9 +157,9 @@ def _strict_reachable_from(adj, kinds, start, skip_edge=None):
     return best
 
 
-def undirected_components(C):
-    """Partition of all positions into undirected components of G(C)."""
-    parent = {p: p for p in all_positions(C.n)}
+def _roots(n, rels):
+    """Union-find root of every position, the arrows taken undirected."""
+    parent = {p: p for p in all_positions(n)}
 
     def find(x):
         while parent[x] != x:
@@ -159,14 +167,19 @@ def undirected_components(C):
             x = parent[x]
         return x
 
-    for frm, to in C.relations:
+    for frm, to in rels:
         ra, rb = find(frm), find(to)
         if ra != rb:
             parent[ra] = rb
+    return {p: find(p) for p in parent}
+
+
+def undirected_components(C):
+    """Partition of all positions into undirected components of G(C)."""
     groups = {}
-    for p in all_positions(C.n):
-        groups.setdefault(find(p), set()).add(p)
-    return sorted(groups.values(), key=lambda s: min(s))
+    for p, root in _roots(C.n, C.relations).items():
+        groups.setdefault(root, set()).add(p)
+    return sorted(groups.values(), key=min)
 
 
 def same_component_map(C):
@@ -177,18 +190,28 @@ def same_component_map(C):
     return comp
 
 
+def _adjoining_pairs(n, adj):
+    pairs = []
+    for k in range(1, n + 2):
+        row = [(k, t) for t in range(1, k + 1)]
+        for i in range(1, k + 1):
+            reach = _reachable_from(adj, (k, i), blocked=row)
+            pairs.extend(
+                ((k, i), (k, j)) for j in range(i + 1, k + 1) if (k, j) in reach
+            )
+    return pairs
+
+
 def adjoining_pairs(C):
     """All same-row pairs {(k,i),(k,j)}, i<j, joined by a directed path
-    that avoids the intermediate vertices (k,t), i < t < j."""
-    adj = _adjacency(C)
-    pairs = []
-    for k in range(1, C.n + 2):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                blocked = {(k, t) for t in range(i + 1, j)}
-                if (k, j) in _reachable_from(adj, (k, i), blocked=blocked):
-                    pairs.append(((k, i), (k, j)))
-    return pairs
+    that avoids the intermediate vertices (k,t), i < t < j.
+
+    G(C) must be forward-ordered.  Then no such path passes through its
+    own row: it would lead from (k,i) back to (k,i) or to some (k,t) with
+    t < i, or from some (k,t) with t > j to (k,j).  So one search per
+    vertex, with the whole row blocked, finds every pair.
+    """
+    return _adjoining_pairs(C.n, _adjacency(C.relations))
 
 
 def reduce_relations(C):
@@ -199,17 +222,29 @@ def reduce_relations(C):
     least one strict arrow, a non-strict arrow needs any alternative path.
     Equal top-row entries can produce two-cycles of R0 arrows; only the
     column-increasing direction is kept.
+
+    Each arrow is classified once, and one adjacency is kept and updated
+    after each drop; a candidate is tested on it with its own arrow
+    skipped.  Dropping arrows never creates a path, so an arrow found not
+    implied stays so and is not searched again, and a drop keeps forward
+    order and cross-freeness (reachability only shrinks, components only
+    split).
     """
-    rels = set(C.relations)
+    n = C.n
+    kinds = {rel: C.kind(rel) for rel in C.relations}
     # two-cycles (possible only among top-row pairs) mean the entries are
     # equal; keep the column-increasing direction in the output but let
     # implication paths use both directions
-    eq_extra = {rel for rel in rels if (rel[1], rel[0]) in rels}
+    eq_extra = {rel for rel in C.relations if (rel[1], rel[0]) in C.relations}
     # a column-decreasing top-row arrow breaks the forward order and fixes
     # no shift (both endpoints are pinned), so it is never kept
-    for frm, to in sorted(rels):
-        if frm[0] == to[0] and frm[1] > to[1]:
-            rels.discard((frm, to))
+    rels = {
+        (frm, to)
+        for frm, to in C.relations
+        if not (frm[0] == to[0] and frm[1] > to[1])
+    }
+    adj = _adjacency(rels | eq_extra)
+    not_implied = set()
 
     def order(rel):
         # try to drop skewed arrows first so straight column chains
@@ -217,55 +252,55 @@ def reduce_relations(C):
         (r1, c1), (r2, c2) = rel
         return (-abs(c1 - c2), rel)
 
-    def implied(rel, base):
-        work = (set(base) | eq_extra) - {rel}
-        current = RelationSet(C.n, frozenset(work))
-        adj = _adjacency(current)
-        if C.kind(rel) == RMINUS:
-            kinds = {r: current.kind(r) for r in work}
-            best = _strict_reachable_from(adj, kinds, rel[0])
-            return best.get(rel[1], None) is True
-        return rel[1] in _reachable_from(adj, rel[0])
+    def implied(rel):
+        if rel in not_implied:
+            return False
+        frm, to = rel
+        if kinds[rel] == RMINUS:
+            best = _strict_reachable_from(adj, kinds, frm, skip_edge=rel)
+            found = best.get(to) is True
+        else:
+            found = to in _reachable_from(adj, frm, skip_edge=rel)
+        if not found:
+            not_implied.add(rel)
+        return found
+
+    def drop(rel):
+        rels.discard(rel)
+        if rel not in eq_extra:
+            adj[rel[0]].discard(rel[1])
 
     # phase 1: repair cross-freeness by dropping implied crossing arrows
     while True:
-        bad = _crossing_arrows(RelationSet(C.n, frozenset(rels)))
-        if not bad:
+        bad = _crossing_arrows(n, rels)
+        rel = next((r for r in sorted(bad, key=order) if implied(r)), None)
+        if rel is None:
             break
-        for rel in sorted(bad, key=order):
-            if implied(rel, rels):
-                rels.discard(rel)
-                break
-        else:
-            break
+        drop(rel)
 
     # phase 2: minimize, but never break the structural conditions or an
-    # already-holding diamond condition
-    def quality(base):
-        current = RelationSet(C.n, frozenset(base))
-        structural = _forward_ordered(current) and _cross_free(current)
-        diamond = structural and _diamond_ok(current)
-        return (structural, diamond)
+    # already-holding diamond condition; since a drop keeps the structural
+    # conditions, only the diamond condition is checked on a trial
+    keep_diamond = (
+        _forward_ordered(rels)
+        and not _crossing_arrows(n, rels)
+        and _diamond_ok(n, rels)
+    )
 
-    baseline = quality(rels)
-    changed = True
-    while changed:
-        changed = False
-        for rel in sorted(rels, key=order):
-            if not implied(rel, rels):
-                continue
-            trial = set(rels)
-            trial.discard(rel)
-            if quality(trial) >= baseline:
-                rels = trial
-                changed = True
-                break
-    return RelationSet(C.n, frozenset(rels))
+    def droppable(rel):
+        return implied(rel) and (not keep_diamond or _diamond_ok(n, rels - {rel}))
+
+    while True:
+        rel = next((r for r in sorted(rels, key=order) if droppable(r)), None)
+        if rel is None:
+            break
+        drop(rel)
+    return RelationSet(n, frozenset(rels))
 
 
-def _forward_ordered(C):
-    adj = _adjacency(C)
-    for p in all_positions(C.n):
+def _forward_ordered(rels):
+    adj = _adjacency(rels)
+    for p in adj:
         reach = _reachable_from(adj, p)
         if p in reach:
             return False
@@ -275,39 +310,36 @@ def _forward_ordered(C):
     return True
 
 
-def _crossing_arrows(C):
+def _crossing_arrows(n, rels):
     """The arrows between adjacent rows that cross another such arrow of
     the same connected component."""
-    # undirected arrows between adjacent rows k and k+1, keyed by
-    # (k, i, t) with i the row-k column and t the row-(k+1) column;
+    # undirected arrows between rows k and k+1, grouped by k and keyed by
+    # (i, t) with i the row-k column and t the row-(k+1) column;
     # crossing matters only inside one connected component, since
     # entries of separate components are never integer-linked and their
     # relative column order carries no constraint
-    comp = same_component_map(C)
+    comp = _roots(n, rels)
     links = {}
-    for frm, to in C.relations:
+    for frm, to in rels:
         if abs(frm[0] - to[0]) == 1:
             lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
-            links.setdefault((lo[0], lo[1], hi[1]), []).append((frm, to))
+            row = links.setdefault(lo[0], {})
+            row.setdefault((lo[1], hi[1]), []).append((frm, to))
     bad = set()
-    for (k, i, t) in links:
-        for (k2, j, s) in links:
-            if k2 == k and i < j and s < t and comp[(k, i)] == comp[(k, j)]:
-                bad.update(links[(k, i, t)])
-                bad.update(links[(k2, j, s)])
+    for k, row in links.items():
+        for (i, t), a in row.items():
+            for (j, s), b in row.items():
+                if i < j and s < t and comp[(k, i)] == comp[(k, j)]:
+                    bad.update(a)
+                    bad.update(b)
     return bad
 
 
-def _cross_free(C):
-    return not _crossing_arrows(C)
-
-
-def _diamond_ok(C):
-    rels = C.relations
-    for (ki, kj) in adjoining_pairs(C):
-        k, i = ki
-        _, j = kj
-        if k > C.n:
+def _diamond_ok(n, rels):
+    """The diamond condition at every adjoining pair of rows 1..n; G(rels)
+    must be forward-ordered (see adjoining_pairs)."""
+    for (k, i), (_, j) in _adjoining_pairs(n, _adjacency(rels)):
+        if k > n:
             continue
         ok = False
         # C2 pattern: (k,i) -> (k+1,s), (k+1,t) -> (k,j) with s < t
@@ -336,8 +368,8 @@ def check_structure(C):
     """Report the three structural conditions on G(C)."""
     return {
         "reduced": reduce_relations(C).relations == C.relations,
-        "forward_ordered": _forward_ordered(C),
-        "cross_free": _cross_free(C),
+        "forward_ordered": _forward_ordered(C.relations),
+        "cross_free": not _crossing_arrows(C.n, C.relations),
     }
 
 
@@ -347,12 +379,13 @@ def is_admissible(C):
     Requires forward order and cross-freeness (StructureViolation
     otherwise); reducedness is advisory and not enforced.
     """
-    forward, cross = _forward_ordered(C), _cross_free(C)
+    forward = _forward_ordered(C.relations)
+    cross = not _crossing_arrows(C.n, C.relations)
     if not (forward and cross):
         raise StructureViolation(
             "forward_ordered=%s cross_free=%s" % (forward, cross)
         )
-    return _diamond_ok(C)
+    return _diamond_ok(C.n, C.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +408,8 @@ def satisfies(T, C):
 
 def satisfied_relations(T):
     """The maximal set of relations of R that T's entries satisfy."""
-    n = T.n
-    out = []
-    for rel in full_relation_universe(n):
-        kind = relation_kind(n, rel[0], rel[1])
-        if relation_holds(T, rel, kind):
-            out.append(rel)
-    return RelationSet(n, frozenset(out))
+    out = [rel for rel, kind in _universe(T.n) if relation_holds(T, rel, kind)]
+    return RelationSet(T.n, frozenset(out))
 
 
 def is_realization(C, T):

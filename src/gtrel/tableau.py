@@ -14,6 +14,7 @@ from math import comb, inf
 from . import classify
 from .core import format_rational, json_int, json_list, json_object, parse_rational
 from .errors import (
+    NotARealization,
     NotCaseA,
     NotCaseB,
     PreconditionViolated,
@@ -26,7 +27,6 @@ from .relations import (
     RelationSet,
     is_admissible,
     is_noncritical_for,
-    is_realization,
     reduce_relations,
     relation_kind,
     satisfied_relations,
@@ -277,9 +277,13 @@ def _hw_top_values(lam, n, normalization):
 
 
 def _validated(T, C):
-    if not is_realization(C, T):
-        raise PreconditionViolated("constructed tableau is not a C-realization")
-    if not is_noncritical_for(C, T):
+    try:
+        noncritical = is_noncritical_for(C, T)
+    except NotARealization:
+        raise PreconditionViolated(
+            "constructed tableau is not a C-realization"
+        ) from None
+    if not noncritical:
         raise PreconditionViolated("constructed tableau is critical")
     if not is_admissible(C):
         raise PreconditionViolated("constructed relation set is not admissible")

@@ -1,13 +1,23 @@
 """Reference implementations that the library's fast paths are checked
 against: a brute-force basis scan, the nested-commutator ladder for
-E(m,1), the twisted action written out entry by entry, and empirical
-kernel / image scans for the localization predicates."""
+E(m,1), the twisted action written out entry by entry, empirical
+kernel / image scans for the localization predicates, and relation-set
+reduction with one rebuild per candidate arrow."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from gtrel.action import GTVector, _act_primitive, _em1_tuples, act, gen_E
 from gtrel.localization import twist_e21
+from gtrel.relations import (
+    RMINUS,
+    RelationSet,
+    _reachable_from,
+    _strict_reachable_from,
+    all_positions,
+    same_component_map,
+)
 from gtrel.tableau import BasisChecker, enumerate_basis_box, unit_shift
 
 
@@ -47,7 +57,7 @@ def twisted_action_direct(M, x, g, v):
     only when its shift stays in the basis of the twisted module.
     """
     x = Fraction(x)
-    tw = twist_e21(M, x) if x != 0 else M
+    tw = _twisted(M, x)
     n = M.n
 
     def w(T, k, i):
@@ -109,6 +119,13 @@ def twisted_action_direct(M, x, g, v):
         else:
             raise ValueError("only Chevalley-adjacent generators: %r" % (g,))
     return out
+
+
+@lru_cache(maxsize=None)
+def _twisted(M, x):
+    """The twisted module whose basis twisted_action_direct filters by,
+    built once per (M, x) instead of once per call."""
+    return twist_e21(M, x) if x != 0 else M
 
 
 def _shifted(n, z, k, i, sign):
@@ -179,4 +196,172 @@ def empirical_images_distinct(M, m, box):
         if key in seen:
             return False
         seen[key] = z
+    return True
+
+
+# ---------------------------------------------------------------------------
+# relation-set surgery as first written: every candidate arrow gets its own
+# RelationSet and adjacency, every trial its full structural check, and
+# adjoining pairs one search per pair of a row
+
+
+def _adjacency(C):
+    adj = {}
+    for frm, to in C.relations:
+        adj.setdefault(frm, set()).add(to)
+    return adj
+
+
+def adjoining_pairs_per_pair(C):
+    """All same-row pairs {(k,i),(k,j)}, i<j, joined by a directed path
+    that avoids the intermediate vertices (k,t), i < t < j."""
+    adj = _adjacency(C)
+    pairs = []
+    for k in range(1, C.n + 2):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                blocked = {(k, t) for t in range(i + 1, j)}
+                if (k, j) in _reachable_from(adj, (k, i), blocked=blocked):
+                    pairs.append(((k, i), (k, j)))
+    return pairs
+
+
+def reduce_relations_per_candidate(C):
+    """Remove transitively redundant arrows.
+
+    An arrow may only go if the surviving graph still implies its
+    constraint: a strict (R-) arrow needs an alternative path through at
+    least one strict arrow, a non-strict arrow needs any alternative path.
+    Equal top-row entries can produce two-cycles of R0 arrows; only the
+    column-increasing direction is kept.
+    """
+    rels = set(C.relations)
+    # two-cycles (possible only among top-row pairs) mean the entries are
+    # equal; keep the column-increasing direction in the output but let
+    # implication paths use both directions
+    eq_extra = {rel for rel in rels if (rel[1], rel[0]) in rels}
+    # a column-decreasing top-row arrow breaks the forward order and fixes
+    # no shift (both endpoints are pinned), so it is never kept
+    for frm, to in sorted(rels):
+        if frm[0] == to[0] and frm[1] > to[1]:
+            rels.discard((frm, to))
+
+    def order(rel):
+        # try to drop skewed arrows first so straight column chains
+        # survive and cross-freeness is preserved
+        (r1, c1), (r2, c2) = rel
+        return (-abs(c1 - c2), rel)
+
+    def implied(rel, base):
+        work = (set(base) | eq_extra) - {rel}
+        current = RelationSet(C.n, frozenset(work))
+        adj = _adjacency(current)
+        if C.kind(rel) == RMINUS:
+            kinds = {r: current.kind(r) for r in work}
+            best = _strict_reachable_from(adj, kinds, rel[0])
+            return best.get(rel[1], None) is True
+        return rel[1] in _reachable_from(adj, rel[0])
+
+    # phase 1: repair cross-freeness by dropping implied crossing arrows
+    while True:
+        bad = _crossing_arrows(RelationSet(C.n, frozenset(rels)))
+        if not bad:
+            break
+        for rel in sorted(bad, key=order):
+            if implied(rel, rels):
+                rels.discard(rel)
+                break
+        else:
+            break
+
+    # phase 2: minimize, but never break the structural conditions or an
+    # already-holding diamond condition
+    def quality(base):
+        current = RelationSet(C.n, frozenset(base))
+        structural = forward_ordered(current) and cross_free(current)
+        diamond = structural and diamond_ok(current)
+        return (structural, diamond)
+
+    baseline = quality(rels)
+    changed = True
+    while changed:
+        changed = False
+        for rel in sorted(rels, key=order):
+            if not implied(rel, rels):
+                continue
+            trial = set(rels)
+            trial.discard(rel)
+            if quality(trial) >= baseline:
+                rels = trial
+                changed = True
+                break
+    return RelationSet(C.n, frozenset(rels))
+
+
+def forward_ordered(C):
+    adj = _adjacency(C)
+    for p in all_positions(C.n):
+        reach = _reachable_from(adj, p)
+        if p in reach:
+            return False
+        for q in reach:
+            if q[0] == p[0] and q[1] <= p[1]:
+                return False
+    return True
+
+
+def _crossing_arrows(C):
+    """The arrows between adjacent rows that cross another such arrow of
+    the same connected component."""
+    # undirected arrows between adjacent rows k and k+1, keyed by
+    # (k, i, t) with i the row-k column and t the row-(k+1) column;
+    # crossing matters only inside one connected component, since
+    # entries of separate components are never integer-linked and their
+    # relative column order carries no constraint
+    comp = same_component_map(C)
+    links = {}
+    for frm, to in C.relations:
+        if abs(frm[0] - to[0]) == 1:
+            lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
+            links.setdefault((lo[0], lo[1], hi[1]), []).append((frm, to))
+    bad = set()
+    for (k, i, t) in links:
+        for (k2, j, s) in links:
+            if k2 == k and i < j and s < t and comp[(k, i)] == comp[(k, j)]:
+                bad.update(links[(k, i, t)])
+                bad.update(links[(k2, j, s)])
+    return bad
+
+
+def cross_free(C):
+    return not _crossing_arrows(C)
+
+
+def diamond_ok(C):
+    rels = C.relations
+    for (ki, kj) in adjoining_pairs_per_pair(C):
+        k, i = ki
+        _, j = kj
+        if k > C.n:
+            continue
+        ok = False
+        # C2 pattern: (k,i) -> (k+1,s), (k+1,t) -> (k,j) with s < t
+        ups = [s for s in range(1, k + 2) if ((k, i), (k + 1, s)) in rels]
+        downs = [t for t in range(1, k + 2) if ((k + 1, t), (k, j)) in rels]
+        if any(s < t for s in ups for t in downs):
+            ok = True
+        # C1 pattern: through (k+1,p) and (k-1,q)
+        if not ok and k >= 2:
+            through_up = any(
+                ((k, i), (k + 1, p)) in rels and ((k + 1, p), (k, j)) in rels
+                for p in range(1, k + 2)
+            )
+            through_down = any(
+                ((k, i), (k - 1, q)) in rels and ((k - 1, q), (k, j)) in rels
+                for q in range(1, k)
+            )
+            if through_up and through_down:
+                ok = True
+        if not ok:
+            return False
     return True

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
@@ -10,12 +11,20 @@ from gtrel.relations import (
     RMINUS,
     RPLUS,
     RZERO,
+    _diamond_ok,
     adjoining_pairs,
     full_relation_universe,
     relation_kind,
     undirected_components,
 )
 from gtrel.tableau import BasisChecker
+from oracles import (
+    adjoining_pairs_per_pair,
+    cross_free,
+    diamond_ok,
+    forward_ordered,
+    reduce_relations_per_candidate,
+)
 
 
 def chain_c(n):
@@ -121,3 +130,85 @@ def test_random_subsets_kind_closed(n, data):
     C = g.relation_set(n, rels)
     for rel in C.relations:
         assert C.kind(rel) in (RPLUS, RMINUS, RZERO)
+
+
+# ---------------------------------------------------------------------------
+# the reduction against its one-rebuild-per-candidate reference
+
+
+def _rational(draw):
+    return F(draw(st.integers(-8, 8)), draw(st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def hw_weights(draw):
+    """A weight of rank 2..5 that hw_module_of accepts.  With `defect` the
+    weight is a case-a weight with a nonpositive-integer pairing on a
+    last-column root, the family where hw_module_of is known to raise
+    StructureViolation; otherwise it is any weight that is not NotRelation."""
+    n = draw(st.integers(2, 5))
+    lam = [_rational(draw) for _ in range(n)]
+    defect = draw(st.booleans())
+    if defect:
+        # make <lam + rho, alpha_{r,n}> = -p for a drawn r and p >= 0
+        r = draw(st.integers(1, n))
+        p = draw(st.integers(0, 4))
+        lam[n - 1] = -p - sum(lam[k - 1] + 1 for k in range(r, n)) - 1
+    lam = tuple(lam)
+    tag = g.hw_relation_case(lam).tag
+    assume(tag == "CaseA" if defect else tag != "NotRelation")
+    return lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(hw_weights())
+def test_reduce_matches_reference_on_hw_weights(lam):
+    # every set the constructor and is_simple reduce, including the sets
+    # of weights that end in StructureViolation
+    tableau_module = sys.modules["gtrel.tableau"]
+    action_module = sys.modules["gtrel.action"]
+    seen = []
+
+    def recording(C):
+        seen.append(C)
+        return g.reduce_relations(C)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau_module, "reduce_relations", recording)
+        mp.setattr(action_module, "reduce_relations", recording)
+        try:
+            g.is_simple(g.hw_module_of(lam))
+        except StructureViolation:
+            pass
+    assert seen
+    for C in seen:
+        assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_reduce_and_structure_match_reference_on_random_subsets(n, data):
+    universe = full_relation_universe(n)
+    C = g.relation_set(n, data.draw(st.lists(st.sampled_from(universe), max_size=30)))
+    reduced = g.reduce_relations(C)
+    assert reduced == reduce_relations_per_candidate(C)
+    assert g.check_structure(C) == {
+        "reduced": reduced.relations == C.relations,
+        "forward_ordered": forward_ordered(C),
+        "cross_free": cross_free(C),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_adjoining_pairs_match_reference_on_forward_ordered_sets(n, data):
+    # keep each drawn arrow that leaves the set forward-ordered
+    universe = full_relation_universe(n)
+    rels = set()
+    for rel in data.draw(st.lists(st.sampled_from(universe), max_size=40)):
+        trial = g.relation_set(n, rels | {rel})
+        if forward_ordered(trial):
+            rels.add(rel)
+    C = g.relation_set(n, rels)
+    assert adjoining_pairs(C) == adjoining_pairs_per_pair(C)
+    assert _diamond_ok(C.n, C.relations) == diamond_ok(C)
