@@ -21,15 +21,14 @@ from .relations import (
     satisfied_relations,
 )
 from .tableau import (
+    BasisBox,
     BasisChecker,
     apply_shift,
-    enumerate_basis_box,
-    enumerate_weight_space,
+    row_sums_weight_delta,
     shift_from_json,
     shift_to_json,
     tableau_from_json,
     tableau_to_json,
-    weight_delta,
     weight_of,
 )
 
@@ -414,13 +413,18 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     every sampled shift is checked against every identity until at least
     `samples` checks are done (slower, used at acceptance).
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0, got %d" % samples)
     rng = random.Random(seed)
-    pool = enumerate_basis_box(M.C, M.seed, box)
+    # counts the box and unranks each draw: the same shifts as indexing
+    # the enumerated list
+    pool = BasisBox(M.checker, box)
+    size = len(pool)
     identities = axiom_identities(M.n)
     failures = []
     checked = 0
     while checked < samples:
-        z = pool[rng.randrange(len(pool))]
+        z = pool[rng.randrange(size)]
         v = basis_vector(z)
         batch = identities if full else [identities[checked % len(identities)]]
         for name, _, fn in batch:
@@ -432,7 +436,7 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
         "samples": checked,
         "seed": seed,
         "identities": len(identities),
-        "pool": len(pool),
+        "pool": size,
     }
 
 
@@ -487,17 +491,32 @@ def casimir_alpha1(M, v):
 
 
 def weight_multiplicity(M, w, box):
-    shifts, complete = enumerate_weight_space(M.C, M.seed, w, box)
-    return len(shifts), complete
+    """(number of basis shifts in the box realizing weight w, whether the
+    box holds the whole basis, so that the number is dim of the weight
+    space)."""
+    if len(w) != M.n:
+        raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
+    target = tuple(Fraction(x) for x in w)
+    return weight_multiplicity_sweep(M, box).get(target, 0), M.checker.in_box(box)
 
 
 def weight_multiplicity_sweep(M, box):
     """Counts of basis shifts per realized weight within the box."""
     base = weight_of(M.seed)
+    # per coordinate, integer change -> coordinate: few distinct values,
+    # each a Fraction built once
+    coords = [{} for _ in base]
     counts = {}
-    for z in enumerate_basis_box(M.C, M.seed, box):
-        w = tuple(b + d for b, d in zip(base, weight_delta(M.n, z)))
-        counts[w] = counts.get(w, 0) + 1
+    # a weight fixes the row sums (the Cartan matrix is invertible), so
+    # each row-sum tuple of the sweep is a weight of its own
+    for sums, c in M.checker.sweep(box).items():
+        w = []
+        for b, seen, d in zip(base, coords, row_sums_weight_delta(sums)):
+            x = seen.get(d)
+            if x is None:
+                x = seen[d] = b + d
+            w.append(x)
+        counts[tuple(w)] = c
     return counts
 
 

@@ -6,9 +6,11 @@ integer arrays over rows 1..n (the top row is pinned).  Weights are
 H-eigenvalue coordinate tuples of length n.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb, inf
 
 from . import classify
@@ -110,12 +112,18 @@ def weight_of(T):
 
 def weight_delta(n, z):
     """weight_of(T + z) - weight_of(T); depends on z only."""
-    sums = [sum(row) for row in z] + [0]
+    return tuple(Fraction(d) for d in row_sums_weight_delta([sum(row) for row in z]))
+
+
+def row_sums_weight_delta(sums):
+    """The integer weight_delta of every shift whose rows 1..n sum to
+    `sums`."""
+    sums = list(sums) + [0]
     out = []
-    for k in range(1, n + 1):
+    for k in range(1, len(sums)):
         below = sums[k - 2] if k >= 2 else 0
-        out.append(Fraction(2 * sums[k - 1] - below - sums[k]))
-    return tuple(out)
+        out.append(2 * sums[k - 1] - below - sums[k])
+    return out
 
 
 class BasisChecker:
@@ -200,35 +208,180 @@ class BasisChecker:
         u, v = self._node(rel[0]), self._node(rel[1])
         return u == v or self.closure[u][v] >= self._bound(rel)
 
-    def enumerate(self, box):
-        """All basis shifts with |z_{ki}| <= box, ascending in flat order.
+    def in_box(self, box):
+        """Whether every basis shift has |z_{ki}| <= box, so that the box
+        holds the whole basis."""
+        return all(-box <= lo and hi <= box for lo, hi in self.ranges)
 
-        Backtracks one coordinate at a time; each range is cut by the
-        closure against the coordinates already fixed and the top row.
-        """
+    def count(self, box):
+        """The number of basis shifts with |z_{ki}| <= box."""
+        return len(BasisBox(self, box))
+
+    def shift_at(self, box, i):
+        """The i-th basis shift of `enumerate(box)`, found without listing
+        the shifts before it."""
+        return BasisBox(self, box)[i]
+
+    def sweep(self, box):
+        """Row-sum tuple (sum of z's row 1, ..., row n) -> number of basis
+        shifts with |z_{ki}| <= box and those row sums."""
+        return BasisBox(self, box).sweep()
+
+    def enumerate(self, box):
+        """All basis shifts with |z_{ki}| <= box, ascending in flat order."""
+        return BasisBox(self, box).shifts()
+
+
+class BasisBox:
+    """The basis shifts with |z_{ki}| <= box, in `BasisChecker.enumerate`
+    order (ascending in flat order), as a sequence: `len` counts them and
+    indexing unranks one, neither by listing them.
+
+    Every relation of C links row k with row k+-1 or lies in the pinned
+    top row, so the ways to complete rows k+1..n of a shift depend on rows
+    1..k only through row k.  The walks below memoize per row k (a tuple of
+    length k; the empty tuple stands for row 0) its candidates for row k+1
+    and their completion counts, which turns enumeration into a
+    transfer-matrix count.  These memos and the shifts already unranked
+    live as long as this object, so build one per call.
+    """
+
+    def __init__(self, checker, box):
         if box < 0:
             raise ValueError("box must be >= 0, got %d" % box)
-        d, size = self.closure, self.size
-        flat = [0] * size
+        self.n = checker.n
+        d, top = checker.closure, checker.size
+
+        def cuts(p, nodes):
+            """(j, t) with z_p >= z_{nodes[j]} + t, and with
+            z_p <= z_{nodes[j]} - t; -inf entries of d cut nothing."""
+            return (
+                [(j, d[p][q]) for j, q in enumerate(nodes) if d[p][q] != -inf],
+                [(j, d[q][p]) for j, q in enumerate(nodes) if d[q][p] != -inf],
+            )
+
+        # per row k+1, per position p: its range from the box and the top
+        # row, then its cuts against row k and against row k+1 before p
+        self._cuts = []
+        for k in range(self.n):
+            start = k * (k + 1) // 2
+            prev = range(start - k, start)
+            self._cuts.append(
+                [
+                    (max(-box, d[p][top]), min(box, -d[top][p]))
+                    + cuts(p, prev)
+                    + cuts(p, range(start, p))
+                    for p in range(start, start + k + 1)
+                ]
+            )
+        self._children = {}
+        self._blocks = {}
+        self._unranked = {}
+
+    def _rows(self, row):
+        """The candidates for row k+1 under row k = `row`, ascending in lex
+        order: each entry's range is cut by the closure against row k, the
+        entries of row k+1 already placed, and the top row."""
+        kids = self._children.get(row)
+        if kids is not None:
+            return kids
+        kids = [()]
+        for lo, hi, lows, highs, lows_in, highs_in in self._cuts[len(row)]:
+            for j, t in lows:
+                lo = max(lo, row[j] + t)
+            for j, t in highs:
+                hi = min(hi, row[j] - t)
+            placed = []
+            for r in kids:
+                a, b = lo, hi
+                for j, t in lows_in:
+                    a = max(a, r[j] + t)
+                for j, t in highs_in:
+                    b = min(b, r[j] - t)
+                placed.extend(r + (x,) for x in range(a, b + 1))
+            kids = placed
+            if not kids:
+                break
+        self._children[row] = kids
+        return kids
+
+    def _block(self, row):
+        """(`_rows(row)`, the cumulative numbers of completions of rows
+        k+1..n under row k, child by child)."""
+        block = self._blocks.get(row)
+        if block is None:
+            kids = self._rows(row)
+            if len(row) == self.n - 1:
+                sizes = range(1, len(kids) + 1)
+            else:
+                sizes = list(accumulate(self._count(r) for r in kids))
+            block = self._blocks[row] = (kids, sizes)
+        return block
+
+    def _count(self, row):
+        sizes = self._block(row)[1]
+        return sizes[-1] if sizes else 0
+
+    @cached_property
+    def _size(self):
+        return self._count(())
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, i):
+        """Unrank i: at each row, the child whose block of completions
+        holds i, found by bisecting the cumulative child counts."""
+        z = self._unranked.get(i)
+        if z is not None:
+            return z
+        size = self._size
+        if not 0 <= i < size:
+            raise IndexError("shift index %d out of range [0, %d)" % (i, size))
+        # counting filled the memo for every row on the way down
+        blocks, rows, row, rest = self._blocks, [], (), i
+        for _ in range(self.n):
+            kids, sizes = blocks[row]
+            j = bisect_right(sizes, rest)
+            if j:
+                rest -= sizes[j - 1]
+            row = kids[j]
+            rows.append(row)
+        z = self._unranked[i] = tuple(rows)
+        return z
+
+    def sweep(self):
+        """Row-sum tuple -> number of shifts; merged row by row, so each
+        row k's table of completion row sums is built once."""
+        memo, leaf = {}, {(): 1}
+
+        def walk(row):
+            if len(row) == self.n:
+                return leaf
+            hit = memo.get(row)
+            if hit is None:
+                hit = memo[row] = {}
+                for r in self._rows(row):
+                    s = sum(r)
+                    for key, c in walk(r).items():
+                        key = (s,) + key
+                        hit[key] = hit.get(key, 0) + c
+            return hit
+
+        return walk(())
+
+    def shifts(self):
+        """Every shift, in order."""
         out = []
 
-        def place(p):
-            if p == size:
-                rows, idx = [], 0
-                for k in range(1, self.n + 1):
-                    rows.append(tuple(flat[idx : idx + k]))
-                    idx += k
-                out.append(tuple(rows))
+        def walk(prefix, row):
+            if len(row) == self.n:
+                out.append(prefix)
                 return
-            lo, hi = max(-box, d[p][size]), min(box, -d[size][p])
-            for q in range(p):
-                lo = max(lo, flat[q] + d[p][q])
-                hi = min(hi, flat[q] - d[q][p])
-            for x in range(lo, hi + 1):
-                flat[p] = x
-                place(p + 1)
+            for r in self._rows(row):
+                walk(prefix + (r,), r)
 
-        place(0)
+        walk((), ())
         return out
 
 
@@ -255,8 +408,7 @@ def enumerate_weight_space(C, seed, w, box):
         for z in checker.enumerate(box)
         if tuple(b + d for b, d in zip(base, weight_delta(C.n, z))) == target
     ]
-    complete = all(-box <= lo and hi <= box for lo, hi in checker.ranges)
-    return hits, complete
+    return hits, checker.in_box(box)
 
 
 # ---------------------------------------------------------------------------

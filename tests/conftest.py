@@ -95,3 +95,14 @@ def family_module_n3():
         (F(1, 2), F(1, 3), F(1, 5), F(1, 7)), (F(4), F(2), F(0))
     )
     return g.module(T, Q)
+
+
+@pytest.fixture(scope="session")
+def large_catalog():
+    """Generic sl5 and sl6 highest weight modules (infinite bases).  Kept
+    out of `catalog()`: a full scan of the box cannot finish at sl6."""
+    lams = [
+        (F(-1, 2), F(-1, 3), F(-1, 5), F(-1, 7)),
+        (F(-1, 2), F(-1, 3), F(-1, 5), F(-1, 7), F(-1, 11)),
+    ]
+    return [("generic-n%d" % len(lam), g.hw_module_of(lam)) for lam in lams]

@@ -1,5 +1,7 @@
 """Reference implementations that the library's fast paths are checked
-against: a brute-force basis scan, the nested-commutator ladder for
+against: a brute-force basis scan, a coordinate-by-coordinate
+backtracking enumeration, a weight sweep over the enumerated basis, the
+nested-commutator ladder for
 E(m,1), the twisted action written out entry by entry, empirical
 kernel / image scans for the localization predicates, and relation-set
 reduction with one rebuild per candidate arrow."""
@@ -18,7 +20,13 @@ from gtrel.relations import (
     all_positions,
     same_component_map,
 )
-from gtrel.tableau import BasisChecker, enumerate_basis_box, unit_shift
+from gtrel.tableau import (
+    BasisChecker,
+    enumerate_basis_box,
+    unit_shift,
+    weight_delta,
+    weight_of,
+)
 
 
 def brute_force_basis_box(C, seed, box):
@@ -37,6 +45,48 @@ def brute_force_basis_box(C, seed, box):
         if checker.check(z):
             out.append(z)
     return out
+
+
+def backtrack_basis_box(checker, box):
+    """All basis shifts with |z_{ki}| <= box, ascending in flat order.
+
+    Backtracks one coordinate at a time; each range is cut by the
+    closure against the coordinates already fixed and the top row.
+    """
+    if box < 0:
+        raise ValueError("box must be >= 0, got %d" % box)
+    d, size = checker.closure, checker.size
+    flat = [0] * size
+    out = []
+
+    def place(p):
+        if p == size:
+            rows, idx = [], 0
+            for k in range(1, checker.n + 1):
+                rows.append(tuple(flat[idx : idx + k]))
+                idx += k
+            out.append(tuple(rows))
+            return
+        lo, hi = max(-box, d[p][size]), min(box, -d[size][p])
+        for q in range(p):
+            lo = max(lo, flat[q] + d[p][q])
+            hi = min(hi, flat[q] - d[q][p])
+        for x in range(lo, hi + 1):
+            flat[p] = x
+            place(p + 1)
+
+    place(0)
+    return out
+
+
+def sweep_by_enumeration(M, box):
+    """Counts of basis shifts per realized weight within the box."""
+    base = weight_of(M.seed)
+    counts = {}
+    for z in enumerate_basis_box(M.C, M.seed, box):
+        w = tuple(b + d for b, d in zip(base, weight_delta(M.n, z)))
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def em1_bracket(M, m, v):

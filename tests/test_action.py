@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
+from gtrel import action
 from gtrel.action import GTVector, _cartan, axiom_identities
 from gtrel.errors import (
     CriticalDenominator,
@@ -119,6 +121,34 @@ def test_verify_axioms_clean(module_catalog):
 def test_verify_axioms_full(hw_module):
     report = g.verify_axioms(hw_module, box=2, samples=10, seed=1, full=True)
     assert report["failures"] == []
+
+
+def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkeypatch):
+    drawn = []
+
+    class RecordingBox(action.BasisBox):
+        def __getitem__(self, i):
+            z = super().__getitem__(i)
+            drawn.append(z)
+            return z
+
+    monkeypatch.setattr(action, "BasisBox", RecordingBox)
+    for name, M in module_catalog:
+        for box, samples, full in ((2, 40, False), (3, 200, False), (3, 30, True)):
+            del drawn[:]
+            report = g.verify_axioms(M, box=box, samples=samples, seed=11, full=full)
+            pool = g.enumerate_basis_box(M.C, M.seed, box)
+            rng = random.Random(11)
+            want = [pool[rng.randrange(len(pool))] for _ in drawn]
+            assert drawn == want and report["pool"] == len(pool), (name, box, full)
+            draws = -(-samples // len(axiom_identities(M.n))) if full else samples
+            assert len(drawn) == draws, (name, box, full)
+
+
+def test_verify_axioms_rejects_negative_samples(hw_module):
+    with pytest.raises(ValueError):
+        g.verify_axioms(hw_module, samples=-3)
+    assert g.verify_axioms(hw_module, samples=0)["samples"] == 0
 
 
 def test_critical_denominator_raises():

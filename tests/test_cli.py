@@ -173,6 +173,9 @@ def test_verify(tmp_path, capsys):
     code, out = run(capsys, "verify", "--module", str(mod), "--box", "-1")
     assert code == 2
     assert out["error"] == "ValueError"
+    code, out = run(capsys, "verify", "--module", str(mod), "--samples", "-3")
+    assert code == 2
+    assert out["error"] == "ValueError"
 
 
 def test_mults(tmp_path, capsys):

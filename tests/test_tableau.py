@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from gtrel.errors import (
     RankMismatch,
 )
 from gtrel.tableau import (
+    BasisBox,
     BasisChecker,
     shift_add,
     shift_from_json,
@@ -20,7 +22,7 @@ from gtrel.tableau import (
     shift_to_json,
     weight_delta,
 )
-from oracles import brute_force_basis_box
+from oracles import backtrack_basis_box, brute_force_basis_box, sweep_by_enumeration
 
 
 def test_case_a_seed_values():
@@ -95,11 +97,42 @@ def test_box_completeness_flag(module_catalog):
         assert M.checker.bounded == (name == "hw-a-n2-dominant"), name
 
 
+def _row_sums(pool):
+    return Counter(tuple(sum(row) for row in z) for z in pool)
+
+
+def _assert_walks_match(M, box, pool):
+    """count, shift_at, sweep and enumerate of M's checker against a
+    reference list of the box's basis shifts."""
+    checker = M.checker
+    assert checker.enumerate(box) == pool
+    assert checker.count(box) == len(pool)
+    assert checker.sweep(box) == _row_sums(pool)
+    for i in (0, len(pool) // 2, len(pool) - 1) if pool else ():
+        assert checker.shift_at(box, i) == pool[i], i
+    ranked = BasisBox(checker, box)
+    assert [ranked[i] for i in range(len(ranked))] == pool
+
+
 def test_enumeration_matches_brute_force(module_catalog):
     for name, M in module_catalog:
         for box in range(4):
             got = g.enumerate_basis_box(M.C, M.seed, box)
-            assert got == brute_force_basis_box(M.C, M.seed, box), (name, box)
+            pool = brute_force_basis_box(M.C, M.seed, box)
+            assert got == pool, (name, box)
+            _assert_walks_match(M, box, pool)
+            assert [M.checker.shift_at(box, i) for i in range(len(pool))] == pool
+            weights = Counter(g.weight_of(M.entries(z)) for z in pool)
+            assert g.weight_multiplicity_sweep(M, box) == weights, (name, box)
+            assert sweep_by_enumeration(M, box) == weights, (name, box)
+
+
+def test_walks_match_backtracking_on_large_ranks(large_catalog):
+    for name, M in large_catalog:
+        for box in range(3):
+            _assert_walks_match(M, box, backtrack_basis_box(M.checker, box))
+        # the oracle builds a Fraction weight per shift: 56,700 at sl6 box 2
+        assert g.weight_multiplicity_sweep(M, 1) == sweep_by_enumeration(M, 1), name
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,6 +155,29 @@ def test_enumeration_matches_brute_force_random(lam, box):
     assert got == brute_force_basis_box(M.C, M.seed, box)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.fractions(min_value=-6, max_value=6, max_denominator=3),
+                min_size=n,
+                max_size=n,
+            ),
+            st.integers(0, 2 if n <= 4 else 1),
+        )
+    )
+)
+def test_walks_match_backtracking_random(lam_box):
+    lam, box = lam_box
+    try:
+        M = g.hw_module_of(tuple(lam))
+    except (GtrelError, ValueError):
+        assume(False)
+    _assert_walks_match(M, box, backtrack_basis_box(M.checker, box))
+    assert g.weight_multiplicity_sweep(M, box) == sweep_by_enumeration(M, box)
+
+
 def test_kernel_ranges_are_exact(module_catalog):
     # every finite end of a kernel range that lies in the box is attained
     # in the box, and no shift leaves its range
@@ -141,6 +197,17 @@ def test_kernel_rejects_bad_input(hw_module):
         g.module(T3, hw_module.C)
     with pytest.raises(ValueError):
         g.enumerate_basis_box(hw_module.C, hw_module.seed, -1)
+    checker = hw_module.checker
+    for walk in (checker.count, checker.sweep, checker.enumerate):
+        with pytest.raises(ValueError):
+            walk(-1)
+    with pytest.raises(ValueError):
+        checker.shift_at(-1, 0)
+    size = checker.count(2)
+    assert checker.shift_at(2, size - 1) == checker.enumerate(2)[-1]
+    for i in (-1, size, size + 5):
+        with pytest.raises(IndexError):
+            checker.shift_at(2, i)
 
 
 def test_enumerate_weight_space(hw_module):
