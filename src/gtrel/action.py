@@ -496,8 +496,32 @@ def weight_multiplicity(M, w, box):
     space)."""
     if len(w) != M.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
-    target = tuple(Fraction(x) for x in w)
-    return weight_multiplicity_sweep(M, box).get(target, 0), M.checker.in_box(box)
+    delta = [Fraction(x) - b for x, b in zip(w, weight_of(M.seed))]
+    sums = _row_sums_of_weight_delta(delta)
+    count = 0 if sums is None else M.checker.sweep(box).get(sums, 0)
+    return count, M.checker.in_box(box)
+
+
+def _row_sums_of_weight_delta(delta):
+    """The row sums s_1..s_n of the shifts whose weight_delta is `delta`,
+    or None when no integer shift has it.
+
+    weight_delta is the Cartan matrix applied to the row sums, and its
+    inverse has entries min(k, l) (n + 1 - max(k, l)) / (n + 1).
+    """
+    n = len(delta)
+    if any(d.denominator != 1 for d in delta):
+        return None
+    sums = []
+    for k in range(1, n + 1):
+        num = sum(
+            min(k, l) * (n + 1 - max(k, l)) * d.numerator
+            for l, d in enumerate(delta, start=1)
+        )
+        if num % (n + 1):
+            return None
+        sums.append(num // (n + 1))
+    return tuple(sums)
 
 
 def weight_multiplicity_sweep(M, box):

@@ -9,25 +9,13 @@ of alpha_{r,s} = alpha_r + ... + alpha_s is sum_{k=r..s}(coords[k] + 1).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import rational_sqrt
+from .core import ZGEQ0, ZGT0, Z, diff_in, rational_sqrt
 from .errors import DegenerateDense, NonSquareGamma
 
 
 def pairing(lam, r, s):
     """<lam + rho, alpha_{r,s}^vee> as a Fraction."""
     return sum((Fraction(lam[k - 1]) + 1 for k in range(r, s + 1)), Fraction(0))
-
-
-def _in_z(x):
-    return Fraction(x).denominator == 1
-
-
-def _in_z_leq0(x):
-    return _in_z(x) and x <= 0
-
-
-def _in_z_gt0(x):
-    return _in_z(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -42,18 +30,20 @@ def hw_relation_case(lam):
     n = len(lam)
     roots = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
     # case a: no nonpositive-integer pairing outside the last-column roots
-    if all(not _in_z_leq0(pairing(lam, r, s)) for r, s in roots if s != n):
+    if all(not diff_in(0, pairing(lam, r, s), ZGEQ0) for r, s in roots if s != n):
         return HWCase("CaseA")
     found = []
     for i in range(1, n):
         for j in range(i, n):
-            if not all(_in_z_gt0(pairing(lam, k, k)) for k in range(j + 1, n + 1)):
+            if not all(
+                diff_in(pairing(lam, k, k), 0, ZGT0) for k in range(j + 1, n + 1)
+            ):
                 continue
-            if not _in_z_leq0(pairing(lam, i, n)):
+            if not diff_in(0, pairing(lam, i, n), ZGEQ0):
                 continue
             allowed = {(i, k) for k in range(j, n + 1)}
             if any(
-                _in_z_leq0(pairing(lam, r, s))
+                diff_in(0, pairing(lam, r, s), ZGEQ0)
                 for r, s in roots
                 if (r, s) not in allowed
             ):
@@ -69,35 +59,37 @@ def bounded_case(lam):
     criterion, or None."""
     n = len(lam)
     a = [None] + [pairing(lam, k, k) for k in range(1, n + 1)]
-    if (not _in_z_gt0(a[n])) and all(_in_z_gt0(a[k]) for k in range(1, n)):
+
+    def positive(k):
+        return diff_in(a[k], 0, ZGT0)
+
+    if not positive(n) and all(positive(k) for k in range(1, n)):
         return "a"
-    if (not _in_z(a[1])) and all(_in_z_gt0(a[k]) for k in range(2, n + 1)):
+    if not diff_in(a[1], 0, Z) and all(positive(k) for k in range(2, n + 1)):
         return "b"
     if (
-        _in_z(a[1])
-        and a[1] < 0
-        and _in_z_leq0(pairing(lam, 1, n))
-        and all(_in_z_gt0(a[k]) for k in range(2, n + 1))
+        diff_in(0, a[1], ZGT0)
+        and diff_in(0, pairing(lam, 1, n), ZGEQ0)
+        and all(positive(k) for k in range(2, n + 1))
     ):
         return "c"
     d_hits = [
         i
         for i in range(2, n)
-        if _in_z(a[i])
-        and a[i] < 0
-        and _in_z_gt0(pairing(lam, i - 1, i))
-        and _in_z_leq0(pairing(lam, i, n))
-        and all(_in_z_gt0(a[k]) for k in range(1, n + 1) if k != i)
+        if diff_in(0, a[i], ZGT0)
+        and diff_in(pairing(lam, i - 1, i), 0, ZGT0)
+        and diff_in(0, pairing(lam, i, n), ZGEQ0)
+        and all(positive(k) for k in range(1, n + 1) if k != i)
     ]
     if len(d_hits) == 1:
         return ("d", d_hits[0])
     e_hits = [
         i
         for i in range(1, n)
-        if (not _in_z(a[i]))
-        and (not _in_z(a[i + 1]))
-        and _in_z_gt0(pairing(lam, i, i + 1))
-        and all(_in_z_gt0(a[k]) for k in range(1, n + 1) if k not in (i, i + 1))
+        if not diff_in(a[i], 0, Z)
+        and not diff_in(a[i + 1], 0, Z)
+        and diff_in(pairing(lam, i, i + 1), 0, ZGT0)
+        and all(positive(k) for k in range(1, n + 1) if k not in (i, i + 1))
     ]
     if len(e_hits) == 1:
         return ("e", e_hits[0])
@@ -112,9 +104,9 @@ def verma_simple_relation(lam):
         for s in range(r, n + 1):
             p = pairing(lam, r, s)
             if s == n:
-                if _in_z_gt0(p):
+                if diff_in(p, 0, ZGT0):
                     return False
-            elif _in_z(p):
+            elif diff_in(p, 0, Z):
                 return False
     return True
 
@@ -144,12 +136,12 @@ def resolve_sl2_induced(params):
     branches = []
     for sign in ((1, -1) if r != 0 else (1,)):
         lam1 = sign * r - 1
-        if _in_z(lam1 + 1) and lam1 + 1 >= 0:
+        if diff_in(lam1 + 1, 0, ZGEQ0):
             continue
         x = (mu1 - lam1) / 2
-        if _in_z(x):
+        if diff_in(x, 0, Z):
             continue
-        if _in_z(x - (mu1 + 1)):
+        if diff_in(x, mu1 + 1, Z):
             continue
         lam = (lam1, mu[1] + x) + mu[2:]
         branches.append((lam, x, hw_relation_case(lam)))

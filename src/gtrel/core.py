@@ -11,47 +11,6 @@ from math import isqrt
 Rational = Fraction
 
 
-class NotInZ:
-    """Tag for a rational that is not an integer."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, NotInZ)
-
-    def __hash__(self):
-        return hash("NotInZ")
-
-    def __repr__(self):
-        return "NotInZ"
-
-
-class InZ:
-    """Tag for an integer value, carrying the integer."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = int(value)
-
-    def __eq__(self, other):
-        return isinstance(other, InZ) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("InZ", self.value))
-
-    def __repr__(self):
-        return "InZ(%d)" % self.value
-
-
-def classify_integer(r):
-    """Return InZ(v) when r is the integer v, NotInZ otherwise."""
-    r = Fraction(r)
-    if r.denominator == 1:
-        return InZ(r.numerator)
-    return NotInZ()
-
-
 # difference classes accepted by diff_in
 ZGEQ0 = "ZGeq0"
 ZGT0 = "ZGt0"
@@ -62,14 +21,14 @@ NOTZ = "NotZ"
 def diff_in(a, b, cls):
     """Test whether a - b lies in the named class of integers; a and b are
     Fractions or ints."""
-    d = a - b
-    if not isinstance(d, Fraction):
-        d = Fraction(d)
-    integral = d.denominator == 1
+    # in lowest terms, a - b is an integer iff the denominators agree and
+    # the numerators agree modulo them; its sign is that of the numerators'
+    q, p = a.denominator, a.numerator - b.numerator
+    integral = q == b.denominator and p % q == 0
     if cls == ZGEQ0:
-        return integral and d >= 0
+        return integral and p >= 0
     if cls == ZGT0:
-        return integral and d > 0
+        return integral and p > 0
     if cls == Z:
         return integral
     if cls == NOTZ:

@@ -14,7 +14,7 @@ from .errors import (
     NotInjective,
     WrongShape,
 )
-from .relations import is_noncritical_for, is_realization
+from .relations import is_noncritical_for
 from .tableau import apply_rational_shift, apply_shift, unit_shift
 
 E21_DOWN = frozenset({((2, 1), (1, 1)), ((2, 2), (1, 1))})
@@ -56,6 +56,14 @@ def spec_from_json(obj):
     )
 
 
+def _noncritical_realization(C, T):
+    """Whether T is a noncritical C-realization."""
+    try:
+        return is_noncritical_for(C, T)
+    except NotARealization:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # E21
 
@@ -80,7 +88,7 @@ def twist_e21(M, x):
     """Localized module with seed entry (1,1) shifted by x."""
     loc = localize_e21(M)
     seed = apply_rational_shift(M.seed, 1, 1, x)
-    if not (is_realization(loc.C, seed) and is_noncritical_for(loc.C, seed)):
+    if not _noncritical_realization(loc.C, seed):
         raise NotARealization("shifted seed is not a noncritical realization")
     return loc.replace(seed=seed)
 
@@ -143,7 +151,7 @@ def localize_family(M, spec):
     if spec.twist is not None:
         for m in spec.targets:
             seed = apply_rational_shift(seed, m - 1, 1, spec.twist)
-        if not (is_realization(D, seed) and is_noncritical_for(D, seed)):
+        if not _noncritical_realization(D, seed):
             raise BadTwist("twisted seed is not a noncritical realization")
     return M.replace(C=D, seed=seed)
 

