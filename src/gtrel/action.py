@@ -465,19 +465,18 @@ def is_highest_weight_vector(M, v):
 
 def is_simple(M):
     """Whether C constrains the shifts exactly as the maximal relation
-    set satisfied by the seed does."""
-    sat = satisfied_relations(M.seed)
-    maximal_eq = M.checker.closure == BasisChecker(sat, M.seed).closure
-    witness = None
-    if not maximal_eq:
-        for rel in sat.sorted():
-            if rel not in M.C.relations and not M.checker.implies(rel):
-                witness = rel
-                break
+    set satisfied by the seed does.
+
+    The seed satisfies C and C lies in R, so C is a subset of that set,
+    sat, and the closure of sat is at least that of C entrywise.  The two
+    are equal iff C implies every arrow of sat, as C's closure obeys the
+    triangle inequality; `witness` is the first arrow of sat it does not.
+    """
+    sat = satisfied_relations(M.seed).sorted()
+    witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
     return {
-        "maximal_eq": maximal_eq,
-        "strict_eq": reduce_relations(M.C).relations
-        == reduce_relations(sat).relations,
+        "maximal_eq": witness is None,
+        "strict_eq": reduce_relations(M.C).relations == M.seed.maximal_set.relations,
         "witness": witness,
     }
 

@@ -49,6 +49,7 @@ class RelationSet:
 
     n: int
     relations: frozenset
+    _reduced = False  # True on reduce_relations' output: it is returned as is
 
     def __post_init__(self):
         for frm, to in self.relations:
@@ -56,9 +57,6 @@ class RelationSet:
 
     def kind(self, rel):
         return relation_kind(self.n, rel[0], rel[1])
-
-    def with_relations(self, rels):
-        return RelationSet(self.n, frozenset(rels))
 
     def union(self, rels):
         return RelationSet(self.n, self.relations | frozenset(rels))
@@ -180,12 +178,12 @@ def _roots(n, rels):
     return {p: find(p) for p in parent}
 
 
-def _adjoining_pairs(n, adj):
+def _adjoining_pairs(adj, rows, skip_edge=None):
     pairs = []
-    for k in range(1, n + 2):
+    for k in rows:
         row = [(k, t) for t in range(1, k + 1)]
         for i in range(1, k + 1):
-            reach = _reachable_from(adj, (k, i), blocked=row)
+            reach = _reachable_from(adj, (k, i), blocked=row, skip_edge=skip_edge)
             pairs.extend(
                 ((k, i), (k, j)) for j in range(i + 1, k + 1) if (k, j) in reach
             )
@@ -201,7 +199,7 @@ def adjoining_pairs(C):
     t < i, or from some (k,t) with t > j to (k,j).  So one search per
     vertex, with the whole row blocked, finds every pair.
     """
-    return _adjoining_pairs(C.n, _adjacency(C.relations))
+    return _adjoining_pairs(_adjacency(C.relations), range(1, C.n + 2))
 
 
 def reduce_relations(C):
@@ -237,7 +235,18 @@ def reduce_relations(C):
     two-cycle between adjacent rows demand contradictory differences, so
     no tableau satisfies such a set; for it the pairs are found afresh
     after every drop once both are gone.
+
+    Phase 2 checks the diamond condition only on a forward-ordered,
+    cross-free, diamond-ok set.  A drop only removes adjoining pairs, and
+    the C1/C2 patterns of row k use only arrows to rows k+-1, so a trial
+    drop of an arrow between rows r and r+1 is checked at rows r, r+1 <= n
+    alone (of a top-row arrow, nowhere), on the working set's adjacency.
+    The output is marked reduced, and admissible after such a phase 2.
     """
+    return C if C._reduced else _reduce(C)
+
+
+def _reduce(C):
     n = C.n
     kinds = {rel: C.kind(rel) for rel in C.relations}
     # two-cycles (possible only among top-row pairs) mean the entries are
@@ -252,6 +261,7 @@ def reduce_relations(C):
         if not (frm[0] == to[0] and frm[1] > to[1])
     }
     adj = _adjacency(rels | eq_extra)
+    fwd = _adjacency(rels)
     not_implied = set()
 
     def order(rel):
@@ -275,6 +285,7 @@ def reduce_relations(C):
 
     def drop(rel):
         rels.discard(rel)
+        fwd[rel[0]].discard(rel[1])
         if rel not in eq_extra:
             adj[rel[0]].discard(rel[1])
 
@@ -299,17 +310,21 @@ def reduce_relations(C):
     # phase 2: minimize, but never break the structural conditions or an
     # already-holding diamond condition; since a drop keeps the structural
     # conditions, only the diamond condition is checked on a trial
-    keep_diamond = _forward_ordered(rels) and not partners and _diamond_ok(n, rels)
+    keep_diamond = _forward_ordered(rels) and not partners and _diamond_ok(n, rels, fwd)
 
     def droppable(rel):
-        return implied(rel) and (not keep_diamond or _diamond_ok(n, rels - {rel}))
+        return implied(rel) and (not keep_diamond or _diamond_kept(n, rels, fwd, rel))
 
     while True:
         rel = next((r for r in sorted(rels, key=order) if droppable(r)), None)
         if rel is None:
             break
         drop(rel)
-    return RelationSet(n, frozenset(rels))
+    out = RelationSet(n, frozenset(rels))
+    object.__setattr__(out, "_reduced", True)
+    if keep_diamond:
+        object.__setattr__(out, "_admissible", True)
+    return out
 
 
 def _forward_ordered(rels):
@@ -351,12 +366,13 @@ def _crossing_partners(n, rels):
     return partners
 
 
-def _diamond_ok(n, rels):
-    """The diamond condition at every adjoining pair of rows 1..n; G(rels)
-    must be forward-ordered (see adjoining_pairs)."""
-    for (k, i), (_, j) in _adjoining_pairs(n, _adjacency(rels)):
-        if k > n:
-            continue
+def _diamond_ok(n, rels, adj=None, rows=None, skip=None):
+    """The diamond condition at every adjoining pair of rows 1..n, or of
+    `rows` only; G(rels) must be forward-ordered (see adjoining_pairs).
+    adj, when given, is its adjacency plus the arrow `skip`."""
+    adj = _adjacency(rels) if adj is None else adj
+    rows = range(1, n + 1) if rows is None else rows
+    for (k, i), (_, j) in _adjoining_pairs(adj, rows, skip):
         ok = False
         # C2 pattern: (k,i) -> (k+1,s), (k+1,t) -> (k,j) with s < t
         ups = [s for s in range(1, k + 2) if ((k, i), (k + 1, s)) in rels]
@@ -378,6 +394,12 @@ def _diamond_ok(n, rels):
         if not ok:
             return False
     return True
+
+
+def _diamond_kept(n, rels, adj, rel):
+    """_diamond_ok(n, rels - {rel}) on a diamond-ok rels with adjacency adj:
+    only the rows rel joins can lose it (see reduce_relations)."""
+    return _diamond_ok(n, rels - {rel}, adj, [k for k, _ in rel if k <= n], rel)
 
 
 def check_structure(C):
@@ -419,10 +441,6 @@ def _holds(classes, frm, to, strict):
     ca, xa = classes[frm[0] - 1][frm[1] - 1]
     cb, xb = classes[to[0] - 1][to[1] - 1]
     return ca == cb and (xa > xb if strict else xa >= xb)
-
-
-def relation_holds(T, rel, kind):
-    return _holds(T.classes, rel[0], rel[1], kind == RMINUS)
 
 
 def satisfies(T, C):

@@ -67,6 +67,11 @@ class Tableau:
 
         return tuple(tuple(map(classify, row)) for row in self.rows)
 
+    @cached_property
+    def maximal_set(self):
+        """The reduced maximal relation set of this seed, computed once."""
+        return reduce_relations(satisfied_relations(self))
+
 
 def tableau(n, rows):
     return Tableau(n, tuple(tuple(Fraction(x) for x in row) for row in rows))
@@ -466,8 +471,7 @@ def hw_tableau_case_a(lam, normalization="hw"):
         raise NotCaseA("weight is not in case a: %r" % (case,))
     v = _hw_top_values(lam, n, normalization)
     T = tableau(n, [[v[s - 1] for s in range(1, r + 1)] for r in range(1, n + 2)])
-    C = reduce_relations(satisfied_relations(T))
-    return _validated(T, C)
+    return _validated(T, T.maximal_set)
 
 
 def hw_tableau_case_b(lam, i, j, normalization="hw"):
@@ -488,8 +492,7 @@ def hw_tableau_case_b(lam, i, j, normalization="hw"):
         raise AssertionError("uncovered entry (%d,%d)" % (r, s))
 
     T = tableau(n, [[ent(r, s) for s in range(1, r + 1)] for r in range(1, n + 2)])
-    C = reduce_relations(satisfied_relations(T))
-    return _validated(T, C)
+    return _validated(T, T.maximal_set)
 
 
 def family_tableau(u, v, m=None):

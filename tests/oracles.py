@@ -4,8 +4,9 @@ backtracking enumeration, a weight sweep over the enumerated basis, the
 nested-commutator ladder for
 E(m,1), the twisted action written out entry by entry, empirical
 kernel / image scans for the localization predicates, relation-set
-reduction with one rebuild per candidate arrow, and the relation tests
-against a tableau written with Fraction differences."""
+reduction with one rebuild per candidate arrow, the relation tests
+against a tableau written with Fraction differences, and simplicity by
+comparing two Floyd-Warshall closures."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,9 @@ from gtrel.relations import (
     _strict_reachable_from,
     all_positions,
     full_relation_universe,
+    reduce_relations,
     relation_kind,
+    satisfied_relations,
 )
 from gtrel.tableau import (
     BasisChecker,
@@ -512,3 +515,27 @@ def constraints_by_diff(C, seed):
         need = 1 if relation_kind(C.n, a, b) == RMINUS else 0
         out.append((a, b, need - base.numerator))
     return out
+
+
+# ---------------------------------------------------------------------------
+# simplicity as first written: a second BasisChecker on the seed's maximal
+# set, its closure compared with the module's, and both sets reduced
+
+
+def is_simple_by_closure(M):
+    """Whether C constrains the shifts exactly as the maximal relation
+    set satisfied by the seed does."""
+    sat = satisfied_relations(M.seed)
+    maximal_eq = M.checker.closure == BasisChecker(sat, M.seed).closure
+    witness = None
+    if not maximal_eq:
+        for rel in sat.sorted():
+            if rel not in M.C.relations and not M.checker.implies(rel):
+                witness = rel
+                break
+    return {
+        "maximal_eq": maximal_eq,
+        "strict_eq": reduce_relations(M.C).relations
+        == reduce_relations(sat).relations,
+        "witness": witness,
+    }

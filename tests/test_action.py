@@ -16,7 +16,7 @@ from gtrel.errors import (
     UnsupportedGenerator,
 )
 from gtrel.tableau import BasisBox
-from oracles import em1_bracket
+from oracles import em1_bracket, is_simple_by_closure
 
 
 def vec(*pairs):
@@ -390,3 +390,69 @@ def test_act_returns_only_basis_shifts(M, data):
         for gen in gens:
             for target in g.act(M, gen, g.basis_vector(z)):
                 assert M.in_basis(target), (gen, z, target)
+
+
+FAMILY_FRACTIONS = (F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(2, 5), F(1, 7))
+
+
+@st.composite
+def family_modules(draw):
+    """A dense-family module, Q or some C^m, with random parameters."""
+    n = draw(st.integers(2, 3))
+    fracs = draw(st.permutations(FAMILY_FRACTIONS))[: n + 1]
+    u = [draw(st.integers(-3, 3)) + f for f in fracs]
+    v = [F(draw(st.integers(0, 4)))]
+    for _ in range(n - 1):
+        v.append(v[-1] - draw(st.integers(1, 2)))
+    m = draw(st.none() | st.integers(2, n))
+    if m is not None:
+        u[m:] = [u[m - 1]] * (n + 1 - m)
+    return g.module(*g.family_tableau(u, v, m))
+
+
+def _admissible_variants(M, draw):
+    """Modules on M's seed whose C is a strict subset of the seed's maximal
+    set: M.C less some arrows, and M.C plus some arrows of that set, each
+    move kept when the module can still be built."""
+    sat = g.satisfied_relations(M.seed).relations
+    out = []
+    for moves in (M.C.relations, sat - M.C.relations):
+        rels = set(M.C.relations)
+        for rel in draw(st.permutations(sorted(moves)))[: draw(st.integers(1, 6))]:
+            try:
+                g.module(M.seed, g.relation_set(M.n, rels ^ {rel}))
+            except (GtrelError, ValueError):
+                continue
+            rels ^= {rel}
+        if rels < sat:
+            out.append(g.module(M.seed, g.relation_set(M.n, rels)))
+    return out
+
+
+def test_is_simple_matches_the_closure_oracle():
+    outcomes = set()
+
+    # hw modules built and JSON-loaded, their localizations and variants,
+    # and family modules
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda n: st.tuples(*[_coord] * n)),
+        family_modules(),
+        st.data(),
+    )
+    def check(lam, family, data):
+        try:
+            M = g.hw_module_of(lam)
+        except GtrelError:
+            assume(False)
+        modules = [M, g.module_from_json(g.module_to_json(M)), family]
+        if g.e21_injective(M.C) and not g.e21_surjective(M.C):
+            modules.append(g.localize_e21(M))
+        modules += _admissible_variants(M, data.draw)
+        for X in modules:
+            report = g.is_simple(X)
+            assert report == is_simple_by_closure(X), g.module_to_json(X)
+            outcomes.add((report["maximal_eq"], report["witness"] is None))
+
+    check()
+    assert outcomes == {(True, True), (False, False)}

@@ -11,10 +11,13 @@ from gtrel.relations import (
     RMINUS,
     RPLUS,
     RZERO,
+    _adjacency,
+    _check_admissible,
+    _diamond_kept,
     _diamond_ok,
+    _holds,
     adjoining_pairs,
     full_relation_universe,
-    relation_holds,
     relation_kind,
 )
 from gtrel.tableau import BasisChecker
@@ -194,19 +197,19 @@ def hw_weights(draw):
 @settings(max_examples=40, deadline=None)
 @given(hw_weights())
 def test_reduce_matches_reference_on_hw_weights(lam):
-    # every set the constructor and is_simple reduce, including the sets
-    # of weights that end in StructureViolation
-    tableau_module = sys.modules["gtrel.tableau"]
-    action_module = sys.modules["gtrel.action"]
+    # every reduction the constructor and is_simple compute, including the
+    # sets of weights that end in StructureViolation; recorded where the
+    # work is done, behind reduce_relations' return of a reduced set
+    relations = sys.modules["gtrel.relations"]
+    reduce = relations._reduce
     seen = []
 
     def recording(C):
         seen.append(C)
-        return g.reduce_relations(C)
+        return reduce(C)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tableau_module, "reduce_relations", recording)
-        mp.setattr(action_module, "reduce_relations", recording)
+        mp.setattr(relations, "_reduce", recording)
         try:
             g.is_simple(g.hw_module_of(lam))
         except StructureViolation:
@@ -214,6 +217,26 @@ def test_reduce_matches_reference_on_hw_weights(lam):
     assert seen
     for C in seen:
         assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
+        _assert_marks_hold(C)
+
+
+def _assert_marks_hold(C):
+    """A reduced set is returned as it is and is a fixed point of the
+    reference; a stored admissibility is what a fresh check computes."""
+    R = g.reduce_relations(C)
+    assert g.reduce_relations(R) is R
+    assert R == reduce_relations_per_candidate(R)
+    if "_admissible" in vars(R):
+        assert R._admissible == _check_admissible(R.n, R.relations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_reduction_marks_hold_on_random_subsets_with_two_cycles(n, data):
+    universe = full_relation_universe(n)
+    rels = data.draw(st.lists(st.sampled_from(universe), max_size=30))
+    twins = data.draw(st.lists(st.sampled_from(rels), max_size=4)) if rels else []
+    _assert_marks_hold(g.relation_set(n, rels + [(b, a) for a, b in twins]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,6 +266,50 @@ def test_adjoining_pairs_match_reference_on_forward_ordered_sets(n, data):
     C = g.relation_set(n, rels)
     assert adjoining_pairs(C) == adjoining_pairs_per_pair(C)
     assert _diamond_ok(C.n, C.relations) == diamond_ok(C)
+
+
+def test_reduction_checks_the_diamond_without_the_two_cycle_arrows():
+    # the adjacency the reduction searches for implications also holds the
+    # dropped arrows of two-cycles; on it (2,1) would adjoin (2,2) through
+    # (2,1) -> (3,3) -> (3,1) -> (2,2), a pair the working set lacks, and
+    # the drop of ((2,2), (3,3)) would be refused
+    C = g.relation_set(
+        2,
+        [
+            ((2, 1), (3, 2)), ((2, 1), (3, 3)), ((2, 2), (3, 2)), ((2, 2), (3, 3)),
+            ((3, 1), (2, 2)), ((3, 1), (3, 3)), ((3, 2), (2, 1)), ((3, 2), (3, 3)),
+            ((3, 3), (2, 1)), ((3, 3), (3, 1)),
+        ],
+    )
+    assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_two_row_diamond_check_matches_the_full_check(n, from_seed, data):
+    # a forward-ordered, cross-free, diamond-ok set: random arrows, or an
+    # hw module's relation set plus arrows its seed satisfies, each kept
+    # when the set stays so
+    rels = set()
+    if from_seed:
+        lam = tuple(_rational(data.draw) for _ in range(n))
+        try:
+            M = g.hw_module_of(lam)
+        except g.GtrelError:
+            assume(False)
+        rels = set(M.C.relations)
+        sat = sorted(g.satisfied_relations(M.seed).relations)
+        order = data.draw(st.permutations(sat))[: data.draw(st.integers(0, len(sat)))]
+    else:
+        universe = full_relation_universe(n)
+        order = data.draw(st.lists(st.sampled_from(universe), max_size=40))
+    for rel in order:
+        trial = g.relation_set(n, rels | {rel})
+        if forward_ordered(trial) and cross_free(trial) and diamond_ok(trial):
+            rels.add(rel)
+    adj = _adjacency(rels)
+    for rel in sorted(rels):
+        assert _diamond_kept(n, rels, adj, rel) == _diamond_ok(n, rels - {rel}), rel
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +345,7 @@ def test_integer_classes_match_fraction_differences(T, data):
     sat = satisfied_relations_by_diff(T)
     assert g.satisfied_relations(T).relations == sat
     for rel in universe:
-        holds = relation_holds(T, rel, relation_kind(n, *rel))
+        holds = _holds(T.classes, rel[0], rel[1], relation_kind(n, *rel) == RMINUS)
         assert holds == (rel in sat)
     drawn = data.draw(st.lists(st.sampled_from(universe), max_size=10))
     held = data.draw(st.lists(st.sampled_from(sorted(sat) or [None]), max_size=10))
