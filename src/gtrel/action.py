@@ -309,98 +309,68 @@ def _cartan(k, l):
 
 
 def axiom_identities(n):
-    """(name, word length, callable) triples checking defining relations
-    on a single basis vector."""
+    """(name, word length, combination) triples, one per defining relation
+    checked on a single basis vector.  A combination is a list of (integer
+    coefficient, word); a word (g_1, ..., g_r) acts as g_1 ... g_r, its last
+    letter first, and the relation holds iff the combination acts as 0."""
+
+    def bracket(a, b, *rest):
+        return [(1, (a, b)), (-1, (b, a))] + [t for t in rest if t[0]]
+
     ids = []
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            ids.append(
-                (
-                    "[H%d,H%d]=0" % (k, l),
-                    2,
-                    lambda M, v, k=k, l=l: commutator(M, gen_H(k), gen_H(l), v),
-                )
-            )
+            ids.append(("[H%d,H%d]=0" % (k, l), 2, bracket(gen_H(k), gen_H(l))))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
             c = _cartan(k, l)
-            ids.append(
-                (
-                    "[H%d,E%d%d]=%dE" % (k, l, l + 1, c),
-                    2,
-                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ERaise(l), v)
-                    - act(M, ERaise(l), v).scale(c),
-                )
-            )
-            ids.append(
-                (
-                    "[H%d,E%d%d]=%dE" % (k, l + 1, l, -c),
-                    2,
-                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ELower(l), v)
-                    + act(M, ELower(l), v).scale(c),
-                )
-            )
+            for e, d in ((ERaise(l), c), (ELower(l), -c)):
+                name = "[H%d,E%d%d]=%dE" % (k, e[1], e[2], d)
+                ids.append((name, 2, bracket(gen_H(k), e, (-d, (e,)))))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if k == l:
-                ids.append(
-                    (
-                        "[E%d%d,E%d%d]=H%d" % (k, k + 1, k + 1, k, k),
-                        2,
-                        lambda M, v, k=k: commutator(M, ERaise(k), ELower(k), v)
-                        - act(M, gen_H(k), v),
-                    )
-                )
-            else:
-                ids.append(
-                    (
-                        "[E%d%d,E%d%d]=0" % (k, k + 1, l + 1, l),
-                        2,
-                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ELower(l), v),
-                    )
-                )
+            h = [(-1, (gen_H(k),))] if k == l else []
+            name = "[E%d%d,E%d%d]=%s" % (k, k + 1, l + 1, l, "H%d" % k if h else "0")
+            ids.append((name, 2, bracket(ERaise(k), ELower(l), *h)))
     for k in range(1, n + 1):
         for l in range(1, n + 1):
-            if abs(k - l) == 1:
-                ids.append(
-                    (
-                        "ad(E%d%d)^2 E%d%d=0" % (k, k + 1, l, l + 1),
-                        3,
-                        lambda M, v, k=k, l=l: _serre(M, ERaise(k), ERaise(l), v),
-                    )
-                )
-                ids.append(
-                    (
-                        "ad(E%d%d)^2 E%d%d=0" % (k + 1, k, l + 1, l),
-                        3,
-                        lambda M, v, k=k, l=l: _serre(M, ELower(k), ELower(l), v),
-                    )
-                )
-            elif abs(k - l) >= 2 and k < l:
-                ids.append(
-                    (
-                        "[E%d%d,E%d%d]=0" % (k, k + 1, l, l + 1),
-                        2,
-                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ERaise(l), v),
-                    )
-                )
-                ids.append(
-                    (
-                        "[E%d%d,E%d%d]=0" % (k + 1, k, l + 1, l),
-                        2,
-                        lambda M, v, k=k, l=l: commutator(M, ELower(k), ELower(l), v),
-                    )
-                )
+            for a, b in ((ERaise(k), ERaise(l)), (ELower(k), ELower(l))):
+                if abs(k - l) == 1:
+                    # ad(a)^2 b = aab - 2aba + baa
+                    word = [(1, (a, a, b)), (-2, (a, b, a)), (1, (b, a, a))]
+                    ids.append(("ad(E%d%d)^2 E%d%d=0" % (a[1:] + b[1:]), 3, word))
+                elif abs(k - l) >= 2 and k < l:
+                    ids.append(("[E%d%d,E%d%d]=0" % (a[1:] + b[1:]), 2, bracket(a, b)))
     return ids
 
 
-def _serre(M, a, b, v):
-    """ad(a)^2 b applied to v: aab - 2aba + baa."""
-    return (
-        act(M, a, act(M, a, act(M, b, v)))
-        - act(M, a, act(M, b, act(M, a, v))).scale(2)
-        + act(M, b, act(M, a, act(M, a, v)))
-    )
+def _combination_sums(M, combination, z):
+    """target -> (num, den) of a combination of resolved words on the basis
+    vector of z, read from the memo.  The pairs are not reduced: a product
+    is (n1 n2, d1 d2), a sum is cross-multiplied, every den is > 0."""
+    memo = M.memo
+    acc = {}
+    for coef, letters in combination:
+        layer = [(z, coef, 1)]
+        for letter in letters:
+            step = []
+            for y, p, q in layer:
+                for sign, h in letter:
+                    terms = memo.get((h, y))
+                    if terms is None:
+                        terms = _basis_terms(M, h, y)
+                    for t, c in terms:
+                        step.append((t, sign * p * c.numerator, q * c.denominator))
+            layer = step
+        for t, p, q in layer:
+            old = acc.get(t)
+            if old is None:
+                acc[t] = (p, q)
+            elif old[1] == q:
+                acc[t] = (old[0] + p, q)
+            else:
+                acc[t] = (old[0] * q + p * old[1], old[1] * q)
+    return acc
 
 
 def verify_axioms(M, box=3, samples=200, seed=7, full=False):
@@ -411,7 +381,8 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     can appear; the box only bounds the sampling region.  By default the
     s-th sample checks one identity, cycling through them; with full=True
     every sampled shift is checked against every identity until at least
-    `samples` checks are done (slower, used at acceptance).
+    `samples` checks are done (slower, used at acceptance).  A failure
+    carries its nonzero residual as a JSON vector.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
@@ -421,15 +392,30 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     pool = BasisBox(M.checker, box)
     size = len(pool)
     identities = axiom_identities(M.n)
+    # each letter resolved through the flag once; words listed in the order
+    # their letters act
+    letters = {x for _, _, comb in identities for _, word in comb for x in word}
+    resolved = {x: _resolve_sigma(M, x) for x in letters}
+    checks = [
+        (name, [(coef, [resolved[x] for x in reversed(word)]) for coef, word in comb])
+        for name, _, comb in identities
+    ]
     failures = []
     checked = 0
     while checked < samples:
         z = pool[rng.randrange(size)]
-        v = basis_vector(z)
-        batch = identities if full else [identities[checked % len(identities)]]
-        for name, _, fn in batch:
-            if not fn(M, v).is_zero():
-                failures.append({"identity": name, "shift": shift_to_json(z)})
+        batch = checks if full else [checks[checked % len(checks)]]
+        for name, words in batch:
+            sums = _combination_sums(M, words, z)
+            if any(p for p, _ in sums.values()):
+                residual = GTVector((t, Fraction(*pq)) for t, pq in sums.items())
+                failures.append(
+                    {
+                        "identity": name,
+                        "shift": shift_to_json(z),
+                        "residual": vector_to_json(residual),
+                    }
+                )
         checked += len(batch)
     return {
         "failures": failures,
@@ -471,12 +457,16 @@ def is_simple(M):
     sat, and the closure of sat is at least that of C entrywise.  The two
     are equal iff C implies every arrow of sat, as C's closure obeys the
     triangle inequality; `witness` is the first arrow of sat it does not.
+    A C equal to the seed's reduced maximal set needs no reduction of its
+    own: a reduced set reduces to itself.
     """
     sat = satisfied_relations(M.seed).sorted()
     witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
+    maximal = M.seed.maximal_set.relations
     return {
         "maximal_eq": witness is None,
-        "strict_eq": reduce_relations(M.C).relations == M.seed.maximal_set.relations,
+        "strict_eq": M.C.relations == maximal
+        or reduce_relations(M.C).relations == maximal,
         "witness": witness,
     }
 

@@ -5,14 +5,29 @@ nested-commutator ladder for
 E(m,1), the twisted action written out entry by entry, empirical
 kernel / image scans for the localization predicates, relation-set
 reduction with one rebuild per candidate arrow, the relation tests
-against a tableau written with Fraction differences, and simplicity by
-comparing two Floyd-Warshall closures."""
+against a tableau written with Fraction differences, simplicity by
+comparing two Floyd-Warshall closures, and the axiom suite as closures
+over GTVector arithmetic."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from gtrel.action import GTVector, _act_primitive, _em1_tuples, act, gen_E
+from gtrel.action import (
+    ELower,
+    ERaise,
+    GTVector,
+    _act_primitive,
+    _cartan,
+    _em1_tuples,
+    act,
+    basis_vector,
+    commutator,
+    gen_E,
+    gen_H,
+    vector_to_json,
+)
 from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
 from gtrel.errors import NotARealization
 from gtrel.localization import twist_e21
@@ -28,8 +43,10 @@ from gtrel.relations import (
     satisfied_relations,
 )
 from gtrel.tableau import (
+    BasisBox,
     BasisChecker,
     enumerate_basis_box,
+    shift_to_json,
     unit_shift,
     weight_delta,
     weight_of,
@@ -538,4 +555,140 @@ def is_simple_by_closure(M):
         "strict_eq": reduce_relations(M.C).relations
         == reduce_relations(sat).relations,
         "witness": witness,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the axiom suite as first written: one closure per identity, evaluated with
+# act, commutator and GTVector arithmetic on Fractions
+
+
+def axiom_identities_by_vectors(n):
+    """(name, word length, callable) triples checking defining relations
+    on a single basis vector."""
+    ids = []
+    for k in range(1, n + 1):
+        for l in range(k, n + 1):
+            ids.append(
+                (
+                    "[H%d,H%d]=0" % (k, l),
+                    2,
+                    lambda M, v, k=k, l=l: commutator(M, gen_H(k), gen_H(l), v),
+                )
+            )
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            c = _cartan(k, l)
+            ids.append(
+                (
+                    "[H%d,E%d%d]=%dE" % (k, l, l + 1, c),
+                    2,
+                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ERaise(l), v)
+                    - act(M, ERaise(l), v).scale(c),
+                )
+            )
+            ids.append(
+                (
+                    "[H%d,E%d%d]=%dE" % (k, l + 1, l, -c),
+                    2,
+                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ELower(l), v)
+                    + act(M, ELower(l), v).scale(c),
+                )
+            )
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            if k == l:
+                ids.append(
+                    (
+                        "[E%d%d,E%d%d]=H%d" % (k, k + 1, k + 1, k, k),
+                        2,
+                        lambda M, v, k=k: commutator(M, ERaise(k), ELower(k), v)
+                        - act(M, gen_H(k), v),
+                    )
+                )
+            else:
+                ids.append(
+                    (
+                        "[E%d%d,E%d%d]=0" % (k, k + 1, l + 1, l),
+                        2,
+                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ELower(l), v),
+                    )
+                )
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            if abs(k - l) == 1:
+                ids.append(
+                    (
+                        "ad(E%d%d)^2 E%d%d=0" % (k, k + 1, l, l + 1),
+                        3,
+                        lambda M, v, k=k, l=l: _serre(M, ERaise(k), ERaise(l), v),
+                    )
+                )
+                ids.append(
+                    (
+                        "ad(E%d%d)^2 E%d%d=0" % (k + 1, k, l + 1, l),
+                        3,
+                        lambda M, v, k=k, l=l: _serre(M, ELower(k), ELower(l), v),
+                    )
+                )
+            elif abs(k - l) >= 2 and k < l:
+                ids.append(
+                    (
+                        "[E%d%d,E%d%d]=0" % (k, k + 1, l, l + 1),
+                        2,
+                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ERaise(l), v),
+                    )
+                )
+                ids.append(
+                    (
+                        "[E%d%d,E%d%d]=0" % (k + 1, k, l + 1, l),
+                        2,
+                        lambda M, v, k=k, l=l: commutator(M, ELower(k), ELower(l), v),
+                    )
+                )
+    return ids
+
+
+def _serre(M, a, b, v):
+    """ad(a)^2 b applied to v: aab - 2aba + baa."""
+    return (
+        act(M, a, act(M, a, act(M, b, v)))
+        - act(M, a, act(M, b, act(M, a, v))).scale(2)
+        + act(M, b, act(M, a, act(M, a, v)))
+    )
+
+
+def verify_axioms_by_vectors(M, box=3, samples=200, seed=7, full=False):
+    """verify_axioms on the closures above: the same draws and the same
+    report, each failure carrying the closure's nonzero vector as its
+    residual."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0, got %d" % samples)
+    rng = random.Random(seed)
+    pool = BasisBox(M.checker, box)
+    size = len(pool)
+    identities = axiom_identities_by_vectors(M.n)
+    failures = []
+    checked = 0
+    while checked < samples:
+        z = pool[rng.randrange(size)]
+        v = basis_vector(z)
+        batch = identities if full else [identities[checked % len(identities)]]
+        for name, _, fn in batch:
+            out = fn(M, v)
+            if not out.is_zero():
+                failures.append(
+                    {
+                        "identity": name,
+                        "shift": shift_to_json(z),
+                        "residual": vector_to_json(out),
+                    }
+                )
+        checked += len(batch)
+    return {
+        "failures": failures,
+        "samples": checked,
+        "seed": seed,
+        "identities": len(identities),
+        "pool": size,
     }

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +18,7 @@ from gtrel.errors import (
     UnsupportedGenerator,
 )
 from gtrel.tableau import BasisBox
-from oracles import em1_bracket, is_simple_by_closure
+from oracles import em1_bracket, is_simple_by_closure, verify_axioms_by_vectors
 
 
 def vec(*pairs):
@@ -144,6 +146,23 @@ def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkey
             assert drawn == want and report["pool"] == len(pool), (name, box, full)
             draws = -(-samples // len(axiom_identities(M.n))) if full else samples
             assert len(drawn) == draws, (name, box, full)
+
+
+def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):
+    # box 0 draws only the seed; one memo coefficient of E21 on it doubled
+    M = hw_module.replace()
+    z = g.zero_shift(2)
+    assert g.verify_axioms(M, box=0, samples=1, full=True)["failures"] == []
+    (target, c), *rest = M.memo[(g.gen_E(2, 1), z)]
+    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * c), *rest)
+    for full in (False, True):
+        args = dict(box=0, samples=40, seed=5, full=full)
+        report = g.verify_axioms(M, **args)
+        assert report["failures"], full
+        assert report == verify_axioms_by_vectors(M, **args)
+        for failure in report["failures"]:
+            assert failure["shift"] == [[0], [0, 0]]
+            assert g.vector_from_json(failure["residual"])
 
 
 def test_verify_axioms_rejects_negative_samples(hw_module):
@@ -390,6 +409,49 @@ def test_act_returns_only_basis_shifts(M, data):
         for gen in gens:
             for target in g.act(M, gen, g.basis_vector(z)):
                 assert M.in_basis(target), (gen, z, target)
+
+
+def _reshaped(M, data):
+    """M, its E21 localization and twist and M under a non-identity flag
+    permutation (a permuted H resolves to several H), each kept when it
+    can be built."""
+    x = data.draw(st.sampled_from((F(1, 3), F(1, 2), F(-2, 5))))
+    ids = tuple(range(1, M.n + 2))
+    sigma = data.draw(st.permutations(ids).filter(lambda s: tuple(s) != ids))
+    out = [M]
+    for make in (g.localize_e21, lambda M: g.twist_e21(M, x)):
+        try:
+            out.append(make(M))
+        except GtrelError:
+            pass
+    return out + [g.permute_flag(M, sigma)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hw_modules(), st.data())
+def test_verify_axioms_reports_what_the_vector_oracle_reports(M, data):
+    seed = data.draw(st.integers(0, 2**16))
+    for X in _reshaped(M, data):
+        for full, samples in ((False, 60), (True, 1)):
+            args = dict(box=2, samples=samples, seed=seed, full=full)
+            got = json.dumps(g.verify_axioms(X.replace(), **args))
+            want = json.dumps(verify_axioms_by_vectors(X.replace(), **args))
+            assert got == want, g.module_to_json(X)
+
+
+def test_is_simple_reduces_once_on_a_reloaded_module(monkeypatch):
+    # the reloaded C is the seed's maximal set, unmarked: only the new
+    # seed's maximal set is reduced
+    relations = sys.modules["gtrel.relations"]
+    reduce = relations._reduce
+    seen = []
+    monkeypatch.setattr(relations, "_reduce", lambda C: seen.append(C) or reduce(C))
+    for lam in ((F(-3, 2), F(0)), (F(-5, 2), F(0), F(1)), (F(-2), F(0))):
+        M = g.module_from_json(g.module_to_json(g.hw_module_of(lam)))
+        del seen[:]
+        report = g.is_simple(M)
+        assert len(seen) == 1, lam
+        assert report == is_simple_by_closure(M), lam
 
 
 FAMILY_FRACTIONS = (F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(2, 5), F(1, 7))

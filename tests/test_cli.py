@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
+from gtrel import action
 from gtrel.cli import main
 
 
@@ -154,7 +155,7 @@ def test_malformed_json_inputs(tmp_path, capsys):
         assert (code, out["error"]) == (2, "ValueError"), payload
 
 
-def test_verify(tmp_path, capsys):
+def test_verify(tmp_path, capsys, monkeypatch):
     mod = tmp_path / "m.json"
     run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
     code, out = run(
@@ -173,6 +174,18 @@ def test_verify(tmp_path, capsys):
     code, out = run(capsys, "verify", "--module", str(mod), "--box", "-1")
     assert code == 2
     assert out["error"] == "ValueError"
+    # H1 read one too high: [E12,E21]=H1 fails with residual -1 on the
+    # drawn shift, every other identity holds
+    weight_of = action.weight_of
+    monkeypatch.setattr(
+        action, "weight_of", lambda T: (weight_of(T)[0] + 1,) + weight_of(T)[1:]
+    )
+    code, out = run(capsys, "verify", "--module", str(mod), "--box", "2", "--full")
+    assert code == 0 and out["failures"]
+    for failure in out["failures"]:
+        assert failure["identity"] == "[E12,E21]=H1"
+        assert failure["residual"] == [{"shift": failure["shift"], "coeff": "-1"}]
+    monkeypatch.undo()
     code, out = run(capsys, "verify", "--module", str(mod), "--samples", "-3")
     assert code == 2
     assert out["error"] == "ValueError"
