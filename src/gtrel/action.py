@@ -24,6 +24,7 @@ from .tableau import (
     BasisBox,
     BasisChecker,
     apply_shift,
+    row_sums_of_weight_delta,
     row_sums_weight_delta,
     shift_from_json,
     shift_to_json,
@@ -113,6 +114,10 @@ class GTModule:
     memo: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.normalization not in ("hw", "sl2"):
+            raise ValueError(
+                'normalization must be "hw" or "sl2", got %r' % (self.normalization,)
+            )
         if self.C.n != self.n:
             raise RankMismatch(
                 "module has rank %d, relation set %d" % (self.n, self.C.n)
@@ -244,7 +249,8 @@ def _resolve_sigma(M, g):
 def _basis_terms(M, g, z):
     """The memoized (target, coefficient) pairs of an unpermuted, in-range
     generator on the basis vector of z; raises NotInBasis when z is not a
-    basis shift."""
+    basis shift.  A long-root E(i,j) that is not an E(m,1) is the bracket
+    of two generators one step nearer the diagonal."""
     key = (g, z)
     terms = M.memo.get(key)
     if terms is not None:
@@ -252,48 +258,44 @@ def _basis_terms(M, g, z):
     if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.in_basis(z):
         raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
     if g[0] == "H":
-        pairs = ((z, weight_of(M.entries(z))[g[1] - 1]),)
+        k = g[1]
+        delta = row_sums_weight_delta([sum(row) for row in z])
+        pairs = ((z, weight_of(M.seed)[k - 1] + delta[k - 1]),)
     elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
         pairs = _terms(M, g, z)
     else:
         _, i, j = g
-        if j > i + 1:
-            a, b = ("E", i, i + 1), ("E", i + 1, j)
-        else:
-            a, b = ("E", i, i - 1), ("E", i - 1, j)
-        v = basis_vector(z)
-        pairs = (
-            _act_primitive(M, a, _act_primitive(M, b, v))
-            - _act_primitive(M, b, _act_primitive(M, a, v))
-        ).items()
+        step = i + 1 if j > i + 1 else i - 1
+        a, b = [(1, ("E", i, step))], [(1, ("E", step, j))]
+        sums = _combination_sums(M, [(1, [b, a]), (-1, [a, b])], z)
+        pairs = ((t, Fraction(p, q)) for t, (p, q) in sums.items())
     terms = M.memo[key] = tuple((t, c) for t, c in pairs if c)
     return terms
 
 
-def _act_primitive(M, g, v):
-    """Action of an unpermuted, in-range generator on a vector."""
+def _apply(M, combination, v):
+    """A combination of (integer coefficient, word) in the form of
+    `axiom_identities`, applied to the vector v: each letter is resolved
+    through the flag and each basis term of v summed by
+    `_combination_sums`."""
+    words = [
+        (coef, [_resolve_sigma(M, x) for x in reversed(word)])
+        for coef, word in combination
+    ]
     out = GTVector()
     for z, c in v.items():
-        for target, a in _basis_terms(M, g, z):
-            out.iadd(target, c * a)
+        for t, (p, q) in _combination_sums(M, words, z).items():
+            out.iadd(t, Fraction(c.numerator * p, c.denominator * q))
     return out
 
 
 def act(M, g, v):
     """Linear action of a generator, resolved through the flag twist."""
-    resolved = _resolve_sigma(M, g)
-    if len(resolved) == 1 and resolved[0][0] == 1:
-        return _act_primitive(M, resolved[0][1], v)
-    out = GTVector()
-    for sign, g2 in resolved:
-        part = _act_primitive(M, g2, v)
-        for z, c in part.items():
-            out.iadd(z, sign * c)
-    return out
+    return _apply(M, [(1, (g,))], v)
 
 
 def commutator(M, g1, g2, v):
-    return act(M, g1, act(M, g2, v)) - act(M, g2, act(M, g1, v))
+    return _apply(M, [(1, (g1, g2)), (-1, (g2, g1))], v)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +475,8 @@ def is_simple(M):
 
 def casimir_alpha1(M, v):
     """(H1+1)^2 + 4 E21 E12 applied to v."""
-    h1 = act(M, gen_H(1), v) + v
-    h2 = act(M, gen_H(1), h1) + h1
-    ef = act(M, gen_E(2, 1), act(M, gen_E(1, 2), v)).scale(4)
-    return h2 + ef
+    h1, e12, e21 = gen_H(1), gen_E(1, 2), gen_E(2, 1)
+    return _apply(M, [(1, (h1, h1)), (2, (h1,)), (1, ()), (4, (e21, e12))], v)
 
 
 def weight_multiplicity(M, w, box):
@@ -486,31 +486,9 @@ def weight_multiplicity(M, w, box):
     if len(w) != M.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(M.seed))]
-    sums = _row_sums_of_weight_delta(delta)
+    sums = row_sums_of_weight_delta(delta)
     count = 0 if sums is None else M.checker.sweep(box).get(sums, 0)
     return count, M.checker.in_box(box)
-
-
-def _row_sums_of_weight_delta(delta):
-    """The row sums s_1..s_n of the shifts whose weight_delta is `delta`,
-    or None when no integer shift has it.
-
-    weight_delta is the Cartan matrix applied to the row sums, and its
-    inverse has entries min(k, l) (n + 1 - max(k, l)) / (n + 1).
-    """
-    n = len(delta)
-    if any(d.denominator != 1 for d in delta):
-        return None
-    sums = []
-    for k in range(1, n + 1):
-        num = sum(
-            min(k, l) * (n + 1 - max(k, l)) * d.numerator
-            for l, d in enumerate(delta, start=1)
-        )
-        if num % (n + 1):
-            return None
-        sums.append(num // (n + 1))
-    return tuple(sums)
 
 
 def weight_multiplicity_sweep(M, box):

@@ -8,14 +8,10 @@ fractions.Fraction; there is no floating point anywhere in the package.
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
-
-
 # difference classes accepted by diff_in
 ZGEQ0 = "ZGeq0"
 ZGT0 = "ZGt0"
 Z = "Z"
-NOTZ = "NotZ"
 
 
 def diff_in(a, b, cls):
@@ -31,8 +27,6 @@ def diff_in(a, b, cls):
         return integral and p > 0
     if cls == Z:
         return integral
-    if cls == NOTZ:
-        return not integral
     raise ValueError("unknown class %r" % (cls,))
 
 

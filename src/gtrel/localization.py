@@ -38,24 +38,6 @@ class LocalizationSpec:
             object.__setattr__(self, "twist", Fraction(self.twist))
 
 
-def spec_to_json(spec):
-    from .core import format_rational
-
-    out = {"targets": list(spec.targets)}
-    if spec.twist is not None:
-        out["x"] = format_rational(spec.twist)
-    return out
-
-
-def spec_from_json(obj):
-    from .core import parse_rational
-
-    x = obj.get("x")
-    return LocalizationSpec(
-        tuple(obj["targets"]), parse_rational(x) if x is not None else None
-    )
-
-
 def _noncritical_realization(C, T):
     """Whether T is a noncritical C-realization."""
     try:
@@ -86,11 +68,13 @@ def localize_e21(M):
 
 def twist_e21(M, x):
     """Localized module with seed entry (1,1) shifted by x."""
-    loc = localize_e21(M)
+    if not e21_injective(M.C):
+        raise NotInjective("E21 is not injective on this module")
+    D = M.C.difference(E21_DOWN)
     seed = apply_rational_shift(M.seed, 1, 1, x)
-    if not _noncritical_realization(loc.C, seed):
+    if not _noncritical_realization(D, seed):
         raise NotARealization("shifted seed is not a noncritical realization")
-    return loc.replace(seed=seed)
+    return M.replace(C=D, seed=seed)
 
 
 def quotient_top(M_loc, M_sub):

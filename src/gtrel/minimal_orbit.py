@@ -3,7 +3,7 @@ action, and construction of the induced modules attached to them."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from .action import module
 from .classify import HWCase, hw_relation_case, pairing
@@ -73,10 +73,6 @@ def minimal_orbit_reps(lvl):
         for bar in bars(n, p - n - 1):
             rep = MinOrbitWeight(bar, a)
             yield rep, rep_weight(lvl, rep)
-
-
-def count_minimal_orbit_reps(lvl):
-    return (lvl.q - 1) * comb(lvl.p - 1, lvl.n)
 
 
 def dot_action(word, lam):

@@ -95,10 +95,6 @@ def shift_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def shift_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def apply_shift(T, z):
     """Entrywise sum on rows 1..n; the top row is unchanged."""
     if len(z) != T.n:
@@ -122,29 +118,44 @@ def apply_rational_shift(T, k, i, x):
 
 
 def weight_of(T):
-    """H-eigenvalue coordinates of T."""
+    """H-eigenvalue coordinates of T: the Cartan matrix on its row sums,
+    less 1."""
     sums = [sum(row) for row in T.rows]
-    coords = []
-    for k in range(1, T.n + 1):
-        below = sums[k - 2] if k >= 2 else 0
-        coords.append(2 * sums[k - 1] - below - sums[k] - 1)
-    return tuple(Fraction(c) for c in coords)
+    return tuple(Fraction(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1]))
 
 
-def weight_delta(n, z):
-    """weight_of(T + z) - weight_of(T); depends on z only."""
-    return tuple(Fraction(d) for d in row_sums_weight_delta([sum(row) for row in z]))
-
-
-def row_sums_weight_delta(sums):
-    """The integer weight_delta of every shift whose rows 1..n sum to
-    `sums`."""
-    sums = list(sums) + [0]
+def row_sums_weight_delta(sums, top=0):
+    """The Cartan matrix applied to the row sums s_1..s_n, with s_0 = 0 and
+    s_{n+1} = top: the weight change of every shift whose rows 1..n sum to
+    `sums` (its top row is pinned, so top = 0)."""
+    sums = list(sums) + [top]
     out = []
     for k in range(1, len(sums)):
         below = sums[k - 2] if k >= 2 else 0
         out.append(2 * sums[k - 1] - below - sums[k])
     return out
+
+
+def row_sums_of_weight_delta(delta):
+    """The row sums s_1..s_n of the shifts whose weight change is `delta`,
+    or None when no integer shift has it.
+
+    The inverse of the Cartan matrix has entries
+    min(k, l) (n + 1 - max(k, l)) / (n + 1).
+    """
+    n = len(delta)
+    if any(d.denominator != 1 for d in delta):
+        return None
+    sums = []
+    for k in range(1, n + 1):
+        num = sum(
+            min(k, l) * (n + 1 - max(k, l)) * d.numerator
+            for l, d in enumerate(delta, start=1)
+        )
+        if num % (n + 1):
+            return None
+        sums.append(num // (n + 1))
+    return tuple(sums)
 
 
 class BasisChecker:
@@ -237,11 +248,6 @@ class BasisChecker:
     def count(self, box):
         """The number of basis shifts with |z_{ki}| <= box."""
         return len(BasisBox(self, box))
-
-    def shift_at(self, box, i):
-        """The i-th basis shift of `enumerate(box)`, found without listing
-        the shifts before it."""
-        return BasisBox(self, box)[i]
 
     def sweep(self, box):
         """Row-sum tuple (sum of z's row 1, ..., row n) -> number of basis
@@ -422,13 +428,9 @@ def enumerate_weight_space(C, seed, w, box):
     if len(w) != C.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
     checker = BasisChecker(C, seed)
-    base = weight_of(seed)
-    target = tuple(Fraction(x) for x in w)
-    hits = [
-        z
-        for z in checker.enumerate(box)
-        if tuple(b + d for b, d in zip(base, weight_delta(C.n, z))) == target
-    ]
+    delta = [Fraction(x) - b for x, b in zip(w, weight_of(seed))]
+    sums = row_sums_of_weight_delta(delta)
+    hits = [z for z in checker.enumerate(box) if tuple(map(sum, z)) == sums]
     return hits, checker.in_box(box)
 
 

@@ -1,8 +1,10 @@
 """Reference implementations that the library's fast paths are checked
 against: a brute-force basis scan, a coordinate-by-coordinate
 backtracking enumeration, a weight sweep over the enumerated basis, the
-nested-commutator ladder for
-E(m,1), the twisted action written out entry by entry, empirical
+generator action chained through GTVector arithmetic, the
+nested-commutator ladder for E(m,1), the twisted action written out
+entry by entry, the closed-form count of minimal-orbit representatives,
+empirical
 kernel / image scans for the localization predicates, relation-set
 reduction with one rebuild per candidate arrow, the relation tests
 against a tableau written with Fraction differences, simplicity by
@@ -13,17 +15,17 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 from gtrel.action import (
     ELower,
     ERaise,
     GTVector,
-    _act_primitive,
+    _basis_terms,
     _cartan,
     _em1_tuples,
-    act,
+    _resolve_sigma,
     basis_vector,
-    commutator,
     gen_E,
     gen_H,
     vector_to_json,
@@ -48,7 +50,6 @@ from gtrel.tableau import (
     enumerate_basis_box,
     shift_to_json,
     unit_shift,
-    weight_delta,
     weight_of,
 )
 
@@ -105,22 +106,68 @@ def backtrack_basis_box(checker, box):
 
 def sweep_by_enumeration(M, box):
     """Counts of basis shifts per realized weight within the box."""
-    base = weight_of(M.seed)
     counts = {}
     for z in enumerate_basis_box(M.C, M.seed, box):
-        w = tuple(b + d for b, d in zip(base, weight_delta(M.n, z)))
+        w = weight_of(M.entries(z))
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def _primitive_by_vectors(M, g, v):
+    """Action of an unpermuted, in-range generator on a vector, chained
+    through GTVector: H from the weight of each tableau, a long-root E(i,j)
+    that is not an E(m,1) as the vector bracket of two generators one step
+    nearer the diagonal, every other E from the library's formula terms."""
+    if g[0] == "E" and abs(g[1] - g[2]) > 1 and not (g[2] == 1 and g[1] >= 3):
+        _, i, j = g
+        if j > i + 1:
+            a, b = ("E", i, i + 1), ("E", i + 1, j)
+        else:
+            a, b = ("E", i, i - 1), ("E", i - 1, j)
+        return _primitive_by_vectors(
+            M, a, _primitive_by_vectors(M, b, v)
+        ) - _primitive_by_vectors(M, b, _primitive_by_vectors(M, a, v))
+    out = GTVector()
+    for z, c in v.items():
+        if g[0] == "H":
+            out.iadd(z, c * weight_of(M.entries(z))[g[1] - 1])
+            continue
+        for target, a in _basis_terms(M, g, z):
+            out.iadd(target, c * a)
+    return out
+
+
+def act_by_vectors(M, g, v):
+    """The generator action resolved through the flag twist, one signed
+    primitive action per resolved generator, summed as GTVectors."""
+    out = GTVector()
+    for sign, g2 in _resolve_sigma(M, g):
+        part = _primitive_by_vectors(M, g2, v)
+        for z, c in part.items():
+            out.iadd(z, sign * c)
+    return out
+
+
+def commutator_by_vectors(M, g1, g2, v):
+    return act_by_vectors(M, g1, act_by_vectors(M, g2, v)) - act_by_vectors(
+        M, g2, act_by_vectors(M, g1, v)
+    )
 
 
 def em1_bracket(M, m, v):
     """E_{m,1} via the nested-commutator ladder."""
     if m == 2:
-        return _act_primitive(M, ("E", 2, 1), v)
+        return act_by_vectors(M, ("E", 2, 1), v)
     low = ("E", m, m - 1)
-    return _act_primitive(M, low, em1_bracket(M, m - 1, v)) - em1_bracket(
-        M, m - 1, _act_primitive(M, low, v)
+    return act_by_vectors(M, low, em1_bracket(M, m - 1, v)) - em1_bracket(
+        M, m - 1, act_by_vectors(M, low, v)
     )
+
+
+def count_minimal_orbit_reps(lvl):
+    """The number of minimal-orbit representatives at a level, in closed
+    form: (q - 1) a-values times the C(p - 1, n) bars of sum <= p - n - 1."""
+    return (lvl.q - 1) * comb(lvl.p - 1, lvl.n)
 
 
 def twisted_action_direct(M, x, g, v):
@@ -226,7 +273,7 @@ def empirical_kernel_witness(M, m, box):
         if max(abs(x) for row in z for x in row) > box - m:
             continue
         v = GTVector(((z, Fraction(1)),))
-        if act(M, gen_E(m, 1), v).is_zero():
+        if act_by_vectors(M, gen_E(m, 1), v).is_zero():
             return z
     return None
 
@@ -247,7 +294,7 @@ def empirical_surjective(M, m, box):
             if src not in inside or not M.in_basis(src):
                 continue
             v = GTVector(((src, Fraction(1)),))
-            if act(M, gen_E(m, 1), v).get(z, 0) != 0:
+            if act_by_vectors(M, gen_E(m, 1), v).get(z, 0) != 0:
                 hit = True
                 break
         if not hit:
@@ -263,7 +310,7 @@ def empirical_images_distinct(M, m, box):
         if max(abs(x) for row in z for x in row) > box - m:
             continue
         v = GTVector(((z, Fraction(1)),))
-        img = act(M, gen_E(m, 1), v)
+        img = act_by_vectors(M, gen_E(m, 1), v)
         if img.is_zero():
             return False
         key = tuple(sorted(img.items()))
@@ -560,7 +607,7 @@ def is_simple_by_closure(M):
 
 # ---------------------------------------------------------------------------
 # the axiom suite as first written: one closure per identity, evaluated with
-# act, commutator and GTVector arithmetic on Fractions
+# act_by_vectors, commutator_by_vectors and GTVector arithmetic on Fractions
 
 
 def axiom_identities_by_vectors(n):
@@ -573,7 +620,9 @@ def axiom_identities_by_vectors(n):
                 (
                     "[H%d,H%d]=0" % (k, l),
                     2,
-                    lambda M, v, k=k, l=l: commutator(M, gen_H(k), gen_H(l), v),
+                    lambda M, v, k=k, l=l: commutator_by_vectors(
+                        M, gen_H(k), gen_H(l), v
+                    ),
                 )
             )
     for k in range(1, n + 1):
@@ -583,16 +632,20 @@ def axiom_identities_by_vectors(n):
                 (
                     "[H%d,E%d%d]=%dE" % (k, l, l + 1, c),
                     2,
-                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ERaise(l), v)
-                    - act(M, ERaise(l), v).scale(c),
+                    lambda M, v, k=k, l=l, c=c: commutator_by_vectors(
+                        M, gen_H(k), ERaise(l), v
+                    )
+                    - act_by_vectors(M, ERaise(l), v).scale(c),
                 )
             )
             ids.append(
                 (
                     "[H%d,E%d%d]=%dE" % (k, l + 1, l, -c),
                     2,
-                    lambda M, v, k=k, l=l, c=c: commutator(M, gen_H(k), ELower(l), v)
-                    + act(M, ELower(l), v).scale(c),
+                    lambda M, v, k=k, l=l, c=c: commutator_by_vectors(
+                        M, gen_H(k), ELower(l), v
+                    )
+                    + act_by_vectors(M, ELower(l), v).scale(c),
                 )
             )
     for k in range(1, n + 1):
@@ -602,8 +655,10 @@ def axiom_identities_by_vectors(n):
                     (
                         "[E%d%d,E%d%d]=H%d" % (k, k + 1, k + 1, k, k),
                         2,
-                        lambda M, v, k=k: commutator(M, ERaise(k), ELower(k), v)
-                        - act(M, gen_H(k), v),
+                        lambda M, v, k=k: commutator_by_vectors(
+                            M, ERaise(k), ELower(k), v
+                        )
+                        - act_by_vectors(M, gen_H(k), v),
                     )
                 )
             else:
@@ -611,7 +666,9 @@ def axiom_identities_by_vectors(n):
                     (
                         "[E%d%d,E%d%d]=0" % (k, k + 1, l + 1, l),
                         2,
-                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ELower(l), v),
+                        lambda M, v, k=k, l=l: commutator_by_vectors(
+                            M, ERaise(k), ELower(l), v
+                        ),
                     )
                 )
     for k in range(1, n + 1):
@@ -636,14 +693,18 @@ def axiom_identities_by_vectors(n):
                     (
                         "[E%d%d,E%d%d]=0" % (k, k + 1, l, l + 1),
                         2,
-                        lambda M, v, k=k, l=l: commutator(M, ERaise(k), ERaise(l), v),
+                        lambda M, v, k=k, l=l: commutator_by_vectors(
+                            M, ERaise(k), ERaise(l), v
+                        ),
                     )
                 )
                 ids.append(
                     (
                         "[E%d%d,E%d%d]=0" % (k + 1, k, l + 1, l),
                         2,
-                        lambda M, v, k=k, l=l: commutator(M, ELower(k), ELower(l), v),
+                        lambda M, v, k=k, l=l: commutator_by_vectors(
+                            M, ELower(k), ELower(l), v
+                        ),
                     )
                 )
     return ids
@@ -652,9 +713,9 @@ def axiom_identities_by_vectors(n):
 def _serre(M, a, b, v):
     """ad(a)^2 b applied to v: aab - 2aba + baa."""
     return (
-        act(M, a, act(M, a, act(M, b, v)))
-        - act(M, a, act(M, b, act(M, a, v))).scale(2)
-        + act(M, b, act(M, a, act(M, a, v)))
+        act_by_vectors(M, a, act_by_vectors(M, a, act_by_vectors(M, b, v)))
+        - act_by_vectors(M, a, act_by_vectors(M, b, act_by_vectors(M, a, v))).scale(2)
+        + act_by_vectors(M, b, act_by_vectors(M, a, act_by_vectors(M, a, v)))
     )
 
 

@@ -18,7 +18,13 @@ from gtrel.errors import (
     UnsupportedGenerator,
 )
 from gtrel.tableau import BasisBox
-from oracles import em1_bracket, is_simple_by_closure, verify_axioms_by_vectors
+from oracles import (
+    act_by_vectors,
+    commutator_by_vectors,
+    em1_bracket,
+    is_simple_by_closure,
+    verify_axioms_by_vectors,
+)
 
 
 def vec(*pairs):
@@ -62,10 +68,8 @@ def test_raising_kills_seed(hw_module):
 
 def test_weight_shift_of_generators(hw_module):
     # E(i,j) maps the w-weight space to w + (eps_i - eps_j) in H-coordinates
-    from gtrel.tableau import shift_neg
-
     M = hw_module
-    z = shift_neg(g.unit_shift(2, 1, 1))
+    z = ((-1,), (0, 0))  # one box down in row 1
     assert M.in_basis(z)
     v = g.basis_vector(z)
     base = None
@@ -100,6 +104,18 @@ def test_em1_direct_equals_bracket_n3(family_module_n3):
         assert g.act(M, g.gen_E(4, 1), v) == em1_bracket(M, 4, v), z
         count += 1
     assert count > 0
+
+
+def test_module_rejects_unknown_normalization(hw_module):
+    data = g.module_to_json(hw_module)
+    for norm in ("sl2", "hw"):
+        M = g.module_from_json(dict(data, normalization=norm))
+        assert g.module_to_json(M)["normalization"] == norm
+    for norm in (7, "SL2", None, ""):
+        with pytest.raises(ValueError):
+            g.module_from_json(dict(data, normalization=norm))
+        with pytest.raises(ValueError):
+            g.module(hw_module.seed, hw_module.C, normalization=norm)
 
 
 def test_cartan_matrix():
@@ -437,6 +453,39 @@ def test_verify_axioms_reports_what_the_vector_oracle_reports(M, data):
             got = json.dumps(g.verify_axioms(X.replace(), **args))
             want = json.dumps(verify_axioms_by_vectors(X.replace(), **args))
             assert got == want, g.module_to_json(X)
+
+
+def _casimir_by_vectors(M, v):
+    h = g.gen_H(1)
+    h1 = act_by_vectors(M, h, v) + v
+    h2 = act_by_vectors(M, h, h1) + h1
+    e = act_by_vectors(M, g.gen_E(2, 1), act_by_vectors(M, g.gen_E(1, 2), v))
+    return h2 + e.scale(4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hw_modules(), st.data())
+def test_word_evaluator_matches_the_vector_oracle(M, data):
+    # every in-range generator, the long-root ones that are not E(m,1)
+    # included; under a permuted flag an H resolves to several signed H
+    coeffs = st.sampled_from((F(1), F(-2), F(1, 3), F(-5, 2)))
+    for X in _reshaped(M, data):
+        lib, ref = X.replace(), X.replace()
+        pool = BasisBox(X.checker, 2)
+        index = st.integers(0, len(pool) - 1)
+        vectors = [g.basis_vector(pool[data.draw(index)]) for _ in range(2)]
+        vectors.append(
+            GTVector((pool[data.draw(index)], data.draw(coeffs)) for _ in range(3))
+        )
+        gens = all_generators(X.n)
+        pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(gens)] * 2), max_size=6))
+        for v in vectors:
+            for gen in gens:
+                assert g.act(lib, gen, v) == act_by_vectors(ref, gen, v), (gen, v)
+            for a, b in pairs:
+                got = g.commutator(lib, a, b, v)
+                assert got == commutator_by_vectors(ref, a, b, v), (a, b, v)
+            assert g.casimir_alpha1(lib, v) == _casimir_by_vectors(ref, v), v
 
 
 def test_is_simple_reduces_once_on_a_reloaded_module(monkeypatch):

@@ -155,6 +155,15 @@ def test_malformed_json_inputs(tmp_path, capsys):
         assert (code, out["error"]) == (2, "ValueError"), payload
 
 
+def test_unknown_normalization_exits_2(tmp_path, capsys):
+    mod = tmp_path / "m.json"
+    run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(json.loads(mod.read_text()), normalization=7)))
+    code, out = run(capsys, "verify", "--module", str(bad), "--samples", "5")
+    assert (code, out["error"]) == (2, "ValueError")
+
+
 def test_verify(tmp_path, capsys, monkeypatch):
     mod = tmp_path / "m.json"
     run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 import gtrel as g
+from gtrel import action
 from gtrel.errors import BadTwist, IncompatiblePair, NotInjective, WrongShape
-from gtrel.localization import LocalizationSpec, spec_from_json, spec_to_json
+from gtrel.localization import LocalizationSpec
 from oracles import (
+    act_by_vectors,
     empirical_images_distinct,
     empirical_kernel_witness,
     empirical_surjective,
@@ -54,6 +56,24 @@ def test_twist_values():
     z0 = g.zero_shift(2)
     out = g.act(tw, g.gen_H(1), g.basis_vector(z0))
     assert out[z0] == F(-5, 6)
+
+
+def test_twist_builds_one_module(monkeypatch):
+    M = hw_n2()
+    D = g.localize_e21(M).C
+    built = []
+    checker = action.BasisChecker
+    monkeypatch.setattr(
+        action, "BasisChecker", lambda C, seed: built.append(C) or checker(C, seed)
+    )
+    for x in (F(1, 3), F(0), F(-2, 5)):
+        del built[:]
+        tw = g.twist_e21(M, x)
+        assert built == [D] and tw.C == D, x
+    up = D.union({((1, 1), (2, 1))})
+    bad = M.replace(C=up, seed=g.apply_shift(M.seed, g.unit_shift(2, 1, 1)))
+    with pytest.raises(NotInjective):
+        g.twist_e21(bad, F(1, 3))
 
 
 def test_twist_zero_is_identity():
@@ -160,16 +180,14 @@ def test_permute_flag_round_trip(module_catalog):
 
 
 def GTV_sum(M, ks, v):
-    from gtrel.action import GTVector, _act_primitive
+    from gtrel.action import GTVector
 
     out = GTVector()
     for k in ks:
-        out = out + _act_primitive(M, ("H", k), v)
+        out = out + act_by_vectors(M, ("H", k), v)
     return out
 
 
-def test_spec_json_round_trip():
+def test_spec_sorts_its_targets():
     spec = LocalizationSpec((3, 2), F(-1, 6))
     assert spec.targets == (2, 3)
-    assert spec_from_json(spec_to_json(spec)) == spec
-    assert spec_from_json(spec_to_json(LocalizationSpec((2,)))).twist is None

@@ -8,13 +8,13 @@ from gtrel.minimal_orbit import (
     Level,
     MinOrbitWeight,
     admissible_level,
-    count_minimal_orbit_reps,
     dot_action,
     hw_orbit_list,
     minimal_orbit_reps,
     rep_weight,
     sl2_dense_admissible,
 )
+from oracles import count_minimal_orbit_reps
 
 
 def test_level_arithmetic():

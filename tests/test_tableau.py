@@ -16,11 +16,11 @@ from gtrel.errors import (
 from gtrel.tableau import (
     BasisBox,
     BasisChecker,
+    row_sums_of_weight_delta,
+    row_sums_weight_delta,
     shift_add,
     shift_from_json,
-    shift_neg,
     shift_to_json,
-    weight_delta,
 )
 from oracles import backtrack_basis_box, brute_force_basis_box, sweep_by_enumeration
 
@@ -70,8 +70,20 @@ def test_weight_of_seed_matches_delta():
     z = g.unit_shift(2, 2, 1)
     shifted = g.apply_shift(T, z)
     base = g.weight_of(T)
-    delta = weight_delta(2, z)
+    delta = row_sums_weight_delta([sum(row) for row in z])
     assert g.weight_of(shifted) == tuple(b + d for b, d in zip(base, delta))
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.data())
+def test_row_sums_of_weight_delta_inverts_the_cartan_map(sums, data):
+    delta = [F(d) for d in row_sums_weight_delta(sums)]
+    assert row_sums_of_weight_delta(delta) == tuple(sums)
+    # a unit vector is not in the image of the Cartan matrix: the last
+    # entry of its inverse image is k / (n + 1)
+    k = data.draw(st.integers(0, len(sums) - 1))
+    delta[k] += data.draw(st.sampled_from((F(1, 2), F(1))))
+    assert row_sums_of_weight_delta(delta) is None
 
 
 @settings(max_examples=50)
@@ -102,14 +114,14 @@ def _row_sums(pool):
 
 
 def _assert_walks_match(M, box, pool):
-    """count, shift_at, sweep and enumerate of M's checker against a
+    """count, unranking, sweep and enumerate of M's checker against a
     reference list of the box's basis shifts."""
     checker = M.checker
     assert checker.enumerate(box) == pool
     assert checker.count(box) == len(pool)
     assert checker.sweep(box) == _row_sums(pool)
     for i in (0, len(pool) // 2, len(pool) - 1) if pool else ():
-        assert checker.shift_at(box, i) == pool[i], i
+        assert BasisBox(checker, box)[i] == pool[i], i
     ranked = BasisBox(checker, box)
     assert [ranked[i] for i in range(len(ranked))] == pool
 
@@ -121,7 +133,7 @@ def test_enumeration_matches_brute_force(module_catalog):
             pool = brute_force_basis_box(M.C, M.seed, box)
             assert got == pool, (name, box)
             _assert_walks_match(M, box, pool)
-            assert [M.checker.shift_at(box, i) for i in range(len(pool))] == pool
+            assert [BasisBox(M.checker, box)[i] for i in range(len(pool))] == pool
             weights = Counter(g.weight_of(M.entries(z)) for z in pool)
             assert g.weight_multiplicity_sweep(M, box) == weights, (name, box)
             assert sweep_by_enumeration(M, box) == weights, (name, box)
@@ -202,12 +214,12 @@ def test_kernel_rejects_bad_input(hw_module):
         with pytest.raises(ValueError):
             walk(-1)
     with pytest.raises(ValueError):
-        checker.shift_at(-1, 0)
+        BasisBox(checker, -1)
     size = checker.count(2)
-    assert checker.shift_at(2, size - 1) == checker.enumerate(2)[-1]
+    assert BasisBox(checker, 2)[size - 1] == checker.enumerate(2)[-1]
     for i in (-1, size, size + 5):
         with pytest.raises(IndexError):
-            checker.shift_at(2, i)
+            BasisBox(checker, 2)[i]
 
 
 def test_enumerate_weight_space(hw_module):
@@ -217,9 +229,22 @@ def test_enumerate_weight_space(hw_module):
     assert not complete  # the module is not confined to any box
 
 
+def test_weight_space_is_the_shifts_of_that_weight(module_catalog):
+    for name, M in module_catalog:
+        by_weight = {}
+        for z in M.checker.enumerate(2):
+            by_weight.setdefault(g.weight_of(M.entries(z)), []).append(z)
+        for w in sorted(by_weight)[:4]:
+            hits, _ = g.enumerate_weight_space(M.C, M.seed, w, 2)
+            assert hits == by_weight[w], (name, w)
+        # off the seed's root lattice: no shift has the weight
+        w = (w[0] + F(1, 2),) + w[1:]
+        assert g.enumerate_weight_space(M.C, M.seed, w, 2)[0] == [], name
+
+
 def test_shift_algebra():
     z = g.unit_shift(2, 2, 1)
-    assert shift_add(z, shift_neg(z)) == g.zero_shift(2)
+    assert shift_add(z, tuple(tuple(-x for x in row) for row in z)) == g.zero_shift(2)
     assert shift_from_json(shift_to_json(z)) == z
     with pytest.raises(ValueError):
         g.unit_shift(2, 3, 1)  # top row is pinned
