@@ -21,7 +21,6 @@ from .relations import (
     satisfied_relations,
 )
 from .tableau import (
-    BasisBox,
     BasisChecker,
     apply_shift,
     row_sums_of_weight_delta,
@@ -197,7 +196,8 @@ def _em1_tuples(m):
 def _terms(M, g, z):
     """(target, coefficient) pairs of a raise E(k,k+1), a lower E(k+1,k)
     or an E(m,1), m >= 3, on T(seed+z); targets outside the basis are
-    dropped before their coefficient is computed.
+    dropped before their coefficient is computed, and T is built only once
+    a target is kept.
 
     A raise moves one box of row k up, with coefficient -ratio(k, i, k+1).
     A lower or E(m,1) moves one box (s, i_s) down in each row s of a
@@ -210,11 +210,13 @@ def _terms(M, g, z):
         paths, sign = [((j, a),) for a in range(1, j + 1)], -1
     else:
         paths, sign = [tuple(enumerate(t, start=1)) for t in _em1_tuples(i)], -1
-    T = M.entries(z)
+    T = None
     for boxes in paths:
         target = _moved(z, boxes, sign)
         if not M.in_basis(target):
             continue
+        if T is None:
+            T = M.entries(z)
         if sign > 0:
             ((k, a),) = boxes
             yield target, -_ratio(T, k, a, k + 1)
@@ -389,9 +391,9 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
     rng = random.Random(seed)
-    # counts the box and unranks each draw: the same shifts as indexing
-    # the enumerated list
-    pool = BasisBox(M.checker, box)
+    # the checker's walk of the box counts it once per module and unranks
+    # each draw: the same shifts as indexing the enumerated list
+    pool = M.checker.walk(box)
     size = len(pool)
     identities = axiom_identities(M.n)
     # each letter resolved through the flag once; words listed in the order
@@ -499,10 +501,13 @@ def weight_multiplicity_sweep(M, box):
     coords = [{} for _ in base]
     counts = {}
     # a weight fixes the row sums (the Cartan matrix is invertible), so
-    # each row-sum tuple of the sweep is a weight of its own
+    # each row-sum tuple of the sweep is a weight of its own; coordinate k
+    # changes by 2 s_k - s_{k-1} - s_{k+1}, with s_0 = s_{n+1} = 0
     for sums, c in M.checker.sweep(box).items():
+        padded = (0,) + sums + (0,)
         w = []
-        for b, seen, d in zip(base, coords, row_sums_weight_delta(sums)):
+        for b, seen, s, below, above in zip(base, coords, sums, padded, padded[2:]):
+            d = 2 * s - below - above
             x = seen.get(d)
             if x is None:
                 x = seen[d] = b + d

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 from .action import module
-from .classify import HWCase, hw_relation_case, pairing
+from .classify import hw_relation_case, pairing
 from .errors import BadTwist, BranchNotLocalizable
 from .localization import twist_e21
 from .tableau import hw_tableau_case_a, hw_tableau_case_b

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .relations import (
     RMINUS,
-    RZERO,
     RelationSet,
     is_admissible,
     is_noncritical_for,
@@ -66,6 +65,15 @@ class Tableau:
             return pairs.setdefault(pair, pair)
 
         return tuple(tuple(map(classify, row)) for row in self.rows)
+
+    @cached_property
+    def weight(self):
+        """H-eigenvalue coordinates of this tableau, computed once: the
+        Cartan matrix on its row sums, less 1."""
+        sums = [sum(row) for row in self.rows]
+        return tuple(
+            Fraction(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1])
+        )
 
     @cached_property
     def maximal_set(self):
@@ -118,10 +126,8 @@ def apply_rational_shift(T, k, i, x):
 
 
 def weight_of(T):
-    """H-eigenvalue coordinates of T: the Cartan matrix on its row sums,
-    less 1."""
-    sums = [sum(row) for row in T.rows]
-    return tuple(Fraction(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1]))
+    """H-eigenvalue coordinates of T (`Tableau.weight`)."""
+    return T.weight
 
 
 def row_sums_weight_delta(sums, top=0):
@@ -177,6 +183,7 @@ class BasisChecker:
         self.n = C.n
         self.size = self.n * (self.n + 1) // 2
         self.constraints = [(a, b, self._bound((a, b))) for a, b in C.sorted()]
+        self._walks = {}
 
     def _bound(self, rel):
         """The t of rel read as z_a - z_b >= t; rel must hold at the seed,
@@ -245,18 +252,28 @@ class BasisChecker:
         holds the whole basis."""
         return all(-box <= lo and hi <= box for lo, hi in self.ranges)
 
+    def walk(self, box):
+        """The `BasisBox` of this box, built on first use and kept: C and
+        the seed never change, so neither does the walk."""
+        walk = self._walks.get(box)
+        if walk is None:
+            walk = self._walks[box] = BasisBox(self, box)
+        return walk
+
     def count(self, box):
         """The number of basis shifts with |z_{ki}| <= box."""
-        return len(BasisBox(self, box))
+        return len(self.walk(box))
 
     def sweep(self, box):
         """Row-sum tuple (sum of z's row 1, ..., row n) -> number of basis
-        shifts with |z_{ki}| <= box and those row sums."""
-        return BasisBox(self, box).sweep()
+        shifts with |z_{ki}| <= box and those row sums; a new dict per
+        call."""
+        return self.walk(box).sweep()
 
     def enumerate(self, box):
-        """All basis shifts with |z_{ki}| <= box, ascending in flat order."""
-        return BasisBox(self, box).shifts()
+        """All basis shifts with |z_{ki}| <= box, ascending in flat order;
+        a new list per call."""
+        return self.walk(box).shifts()
 
 
 class BasisBox:
@@ -270,7 +287,7 @@ class BasisBox:
     length k; the empty tuple stands for row 0) its candidates for row k+1
     and their completion counts, which turns enumeration into a
     transfer-matrix count.  These memos and the shifts already unranked
-    live as long as this object, so build one per call.
+    live as long as this object; `BasisChecker.walk` keeps one per box.
     """
 
     def __init__(self, checker, box):
@@ -428,9 +445,12 @@ def enumerate_weight_space(C, seed, w, box):
     if len(w) != C.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
     checker = BasisChecker(C, seed)
+    walk = checker.walk(box)  # rejects a negative box on either path
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(seed))]
     sums = row_sums_of_weight_delta(delta)
-    hits = [z for z in checker.enumerate(box) if tuple(map(sum, z)) == sums]
+    if sums is None:
+        return [], checker.in_box(box)
+    hits = [z for z in walk.shifts() if tuple(map(sum, z)) == sums]
     return hits, checker.in_box(box)
 
 

@@ -8,10 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel import action
 from gtrel.action import GTVector, _cartan, axiom_identities
 from gtrel.errors import (
-    CriticalDenominator,
     GtrelError,
     NotInBasis,
     RankMismatch,
@@ -144,14 +142,14 @@ def test_verify_axioms_full(hw_module):
 
 def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkeypatch):
     drawn = []
+    getitem = BasisBox.__getitem__
 
-    class RecordingBox(action.BasisBox):
-        def __getitem__(self, i):
-            z = super().__getitem__(i)
-            drawn.append(z)
-            return z
+    def recording_getitem(self, i):
+        z = getitem(self, i)
+        drawn.append(z)
+        return z
 
-    monkeypatch.setattr(action, "BasisBox", RecordingBox)
+    monkeypatch.setattr(BasisBox, "__getitem__", recording_getitem)
     for name, M in module_catalog:
         for box, samples, full in ((2, 40, False), (3, 200, False), (3, 30, True)):
             del drawn[:]
@@ -162,6 +160,25 @@ def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkey
             assert drawn == want and report["pool"] == len(pool), (name, box, full)
             draws = -(-samples // len(axiom_identities(M.n))) if full else samples
             assert len(drawn) == draws, (name, box, full)
+
+
+def test_verify_axioms_counts_its_box_once(module_catalog, monkeypatch):
+    counted = []
+    count = BasisBox._count
+
+    def recording_count(self, row):
+        counted.append(row)
+        return count(self, row)
+
+    monkeypatch.setattr(BasisBox, "_count", recording_count)
+    for name, M in module_catalog:
+        M = M.replace()
+        first = g.verify_axioms(M, box=2, samples=40)
+        assert counted, name
+        del counted[:]
+        assert g.verify_axioms(M, box=2, samples=40, full=True)["pool"] == first["pool"]
+        assert g.verify_axioms(M, box=2, samples=40) == first, name
+        assert counted == [], name
 
 
 def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):

@@ -190,6 +190,52 @@ def test_walks_match_backtracking_random(lam_box):
     assert g.weight_multiplicity_sweep(M, box) == sweep_by_enumeration(M, box)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=3),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(0, 2),
+)
+def test_sweep_on_a_kept_walk_matches_a_fresh_module(lam, box):
+    try:
+        M = g.hw_module_of(tuple(lam))
+    except (GtrelError, ValueError):
+        assume(False)
+    want = sweep_by_enumeration(M, box)
+    assert g.weight_multiplicity_sweep(M, box) == want
+    assert g.weight_multiplicity_sweep(M, box) == want
+    assert g.weight_multiplicity_sweep(M.replace(), box) == want
+
+
+def test_checker_keeps_one_walk_per_box(hw_module):
+    checker = hw_module.replace().checker
+    walk = checker.walk(2)
+    assert checker.walk(2) is walk and checker.walk(1) is not walk
+    for use in (checker.count, checker.sweep, checker.enumerate):
+        use(2)
+    assert checker.walk(2) is walk
+
+
+def test_mutating_a_walk_result_does_not_change_the_next(module_catalog):
+    for name, M in module_catalog:
+        checker = M.replace().checker
+        for box in (1, 2):
+            sweep, shifts = checker.sweep(box), checker.enumerate(box)
+            want_sweep, want_shifts = dict(sweep), list(shifts)
+            sweep.clear()
+            sweep[(0,) * M.n] = 7
+            shifts.reverse()
+            shifts.append(g.zero_shift(M.n))
+            assert checker.sweep(box) == want_sweep, (name, box)
+            assert checker.enumerate(box) == want_shifts, (name, box)
+            assert checker.count(box) == len(want_shifts), (name, box)
+
+
 def test_kernel_ranges_are_exact(module_catalog):
     # every finite end of a kernel range that lies in the box is attained
     # in the box, and no shift leaves its range
@@ -240,6 +286,21 @@ def test_weight_space_is_the_shifts_of_that_weight(module_catalog):
         # off the seed's root lattice: no shift has the weight
         w = (w[0] + F(1, 2),) + w[1:]
         assert g.enumerate_weight_space(M.C, M.seed, w, 2)[0] == [], name
+
+
+def test_weight_off_the_lattice_lists_no_shift(module_catalog, monkeypatch):
+    def listing(self):
+        raise AssertionError("the box was listed")
+
+    monkeypatch.setattr(BasisBox, "shifts", listing)
+    for name, M in module_catalog:
+        w = g.weight_of(M.seed)
+        w = (w[0] + F(1, 2),) + w[1:]
+        for box in (0, 3):
+            got = g.enumerate_weight_space(M.C, M.seed, w, box)
+            assert got == ([], M.checker.in_box(box)), (name, box)
+        with pytest.raises(ValueError):
+            g.enumerate_weight_space(M.C, M.seed, w, -1)
 
 
 def test_shift_algebra():
