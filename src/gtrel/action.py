@@ -21,6 +21,7 @@ from .relations import (
     satisfied_relations,
 )
 from .tableau import (
+    BasisBox,
     BasisChecker,
     apply_shift,
     row_sums_of_weight_delta,
@@ -391,9 +392,9 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
     rng = random.Random(seed)
-    # the checker's walk of the box counts it once per module and unranks
-    # each draw: the same shifts as indexing the enumerated list
-    pool = M.checker.walk(box)
+    # counts the box and unranks each draw: the same shifts as indexing
+    # the enumerated list
+    pool = BasisBox(M.checker, box)
     size = len(pool)
     identities = axiom_identities(M.n)
     # each letter resolved through the flag once; words listed in the order
@@ -487,6 +488,8 @@ def weight_multiplicity(M, w, box):
     space)."""
     if len(w) != M.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
+    if box < 0:
+        raise ValueError("box must be >= 0, got %d" % box)
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(M.seed))]
     sums = row_sums_of_weight_delta(delta)
     count = 0 if sums is None else M.checker.sweep(box).get(sums, 0)
@@ -501,13 +504,10 @@ def weight_multiplicity_sweep(M, box):
     coords = [{} for _ in base]
     counts = {}
     # a weight fixes the row sums (the Cartan matrix is invertible), so
-    # each row-sum tuple of the sweep is a weight of its own; coordinate k
-    # changes by 2 s_k - s_{k-1} - s_{k+1}, with s_0 = s_{n+1} = 0
+    # each row-sum tuple of the sweep is a weight of its own
     for sums, c in M.checker.sweep(box).items():
-        padded = (0,) + sums + (0,)
         w = []
-        for b, seen, s, below, above in zip(base, coords, sums, padded, padded[2:]):
-            d = 2 * s - below - above
+        for b, seen, d in zip(base, coords, row_sums_weight_delta(sums)):
             x = seen.get(d)
             if x is None:
                 x = seen[d] = b + d

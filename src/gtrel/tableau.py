@@ -134,12 +134,11 @@ def row_sums_weight_delta(sums, top=0):
     """The Cartan matrix applied to the row sums s_1..s_n, with s_0 = 0 and
     s_{n+1} = top: the weight change of every shift whose rows 1..n sum to
     `sums` (its top row is pinned, so top = 0)."""
-    sums = list(sums) + [top]
-    out = []
-    for k in range(1, len(sums)):
-        below = sums[k - 2] if k >= 2 else 0
-        out.append(2 * sums[k - 1] - below - sums[k])
-    return out
+    padded = (0, *sums, top)
+    return [
+        2 * s - below - above
+        for below, s, above in zip(padded, padded[1:], padded[2:])
+    ]
 
 
 def row_sums_of_weight_delta(delta):
@@ -183,7 +182,6 @@ class BasisChecker:
         self.n = C.n
         self.size = self.n * (self.n + 1) // 2
         self.constraints = [(a, b, self._bound((a, b))) for a, b in C.sorted()]
-        self._walks = {}
 
     def _bound(self, rel):
         """The t of rel read as z_a - z_b >= t; rel must hold at the seed,
@@ -252,28 +250,18 @@ class BasisChecker:
         holds the whole basis."""
         return all(-box <= lo and hi <= box for lo, hi in self.ranges)
 
-    def walk(self, box):
-        """The `BasisBox` of this box, built on first use and kept: C and
-        the seed never change, so neither does the walk."""
-        walk = self._walks.get(box)
-        if walk is None:
-            walk = self._walks[box] = BasisBox(self, box)
-        return walk
-
     def count(self, box):
         """The number of basis shifts with |z_{ki}| <= box."""
-        return len(self.walk(box))
+        return len(BasisBox(self, box))
 
     def sweep(self, box):
         """Row-sum tuple (sum of z's row 1, ..., row n) -> number of basis
-        shifts with |z_{ki}| <= box and those row sums; a new dict per
-        call."""
-        return self.walk(box).sweep()
+        shifts with |z_{ki}| <= box and those row sums."""
+        return BasisBox(self, box).sweep()
 
     def enumerate(self, box):
-        """All basis shifts with |z_{ki}| <= box, ascending in flat order;
-        a new list per call."""
-        return self.walk(box).shifts()
+        """All basis shifts with |z_{ki}| <= box, ascending in flat order."""
+        return BasisBox(self, box).shifts()
 
 
 class BasisBox:
@@ -287,7 +275,7 @@ class BasisBox:
     length k; the empty tuple stands for row 0) its candidates for row k+1
     and their completion counts, which turns enumeration into a
     transfer-matrix count.  These memos and the shifts already unranked
-    live as long as this object; `BasisChecker.walk` keeps one per box.
+    live as long as this object, so build one per call.
     """
 
     def __init__(self, checker, box):
@@ -444,13 +432,14 @@ def enumerate_weight_space(C, seed, w, box):
     when the box holds the whole basis, so the list is the weight space."""
     if len(w) != C.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
+    if box < 0:
+        raise ValueError("box must be >= 0, got %d" % box)
     checker = BasisChecker(C, seed)
-    walk = checker.walk(box)  # rejects a negative box on either path
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(seed))]
     sums = row_sums_of_weight_delta(delta)
     if sums is None:
         return [], checker.in_box(box)
-    hits = [z for z in walk.shifts() if tuple(map(sum, z)) == sums]
+    hits = [z for z in checker.enumerate(box) if tuple(map(sum, z)) == sums]
     return hits, checker.in_box(box)
 
 

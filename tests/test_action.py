@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
+from gtrel import action
 from gtrel.action import GTVector, _cartan, axiom_identities
 from gtrel.errors import (
     GtrelError,
@@ -142,14 +143,14 @@ def test_verify_axioms_full(hw_module):
 
 def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkeypatch):
     drawn = []
-    getitem = BasisBox.__getitem__
 
-    def recording_getitem(self, i):
-        z = getitem(self, i)
-        drawn.append(z)
-        return z
+    class RecordingBox(action.BasisBox):
+        def __getitem__(self, i):
+            z = super().__getitem__(i)
+            drawn.append(z)
+            return z
 
-    monkeypatch.setattr(BasisBox, "__getitem__", recording_getitem)
+    monkeypatch.setattr(action, "BasisBox", RecordingBox)
     for name, M in module_catalog:
         for box, samples, full in ((2, 40, False), (3, 200, False), (3, 30, True)):
             del drawn[:]
@@ -162,23 +163,26 @@ def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkey
             assert len(drawn) == draws, (name, box, full)
 
 
-def test_verify_axioms_counts_its_box_once(module_catalog, monkeypatch):
-    counted = []
-    count = BasisBox._count
+def test_verify_axioms_counts_its_box_once_per_call(module_catalog, monkeypatch):
+    built, counted = [], []
+    init, count = BasisBox.__init__, BasisBox._count
+
+    def recording_init(self, checker, box):
+        built.append(box)
+        init(self, checker, box)
 
     def recording_count(self, row):
         counted.append(row)
         return count(self, row)
 
+    monkeypatch.setattr(BasisBox, "__init__", recording_init)
     monkeypatch.setattr(BasisBox, "_count", recording_count)
     for name, M in module_catalog:
-        M = M.replace()
-        first = g.verify_axioms(M, box=2, samples=40)
-        assert counted, name
-        del counted[:]
-        assert g.verify_axioms(M, box=2, samples=40, full=True)["pool"] == first["pool"]
-        assert g.verify_axioms(M, box=2, samples=40) == first, name
-        assert counted == [], name
+        for full in (False, True):
+            del built[:], counted[:]
+            g.verify_axioms(M, box=2, samples=40, full=full)
+            assert built == [2], (name, full)
+            assert counted.count(()) == 1, (name, full)
 
 
 def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):
@@ -339,6 +343,13 @@ def test_weight_multiplicity_rejects_wrong_length_weights(hw_module):
     for w in ((0,), (0, 0, 0)):
         with pytest.raises(RankMismatch):
             g.weight_multiplicity(hw_module, w, 2)
+
+
+def test_weight_multiplicity_rejects_a_negative_box_on_and_off_the_lattice(hw_module):
+    w = g.weight_of(hw_module.seed)
+    for weight in (w, (w[0] + F(1, 2),) + w[1:]):
+        with pytest.raises(ValueError):
+            g.weight_multiplicity(hw_module, weight, -1)
 
 
 def test_module_json_round_trip(module_catalog):
