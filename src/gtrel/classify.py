@@ -28,27 +28,30 @@ class HWCase:
 def hw_relation_case(lam):
     """Classify a weight per the highest-weight realization criterion."""
     n = len(lam)
+    # prefix[s] - prefix[r-1] is pairing(lam, r, s)
+    prefix = [Fraction(0)]
+    for x in lam:
+        prefix.append(prefix[-1] + Fraction(x) + 1)
+
+    def nonpositive(r, s):
+        return diff_in(0, prefix[s] - prefix[r - 1], ZGEQ0)
+
+    def positive(k):
+        return diff_in(prefix[k] - prefix[k - 1], 0, ZGT0)
+
     roots = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
     # case a: no nonpositive-integer pairing outside the last-column roots
-    if all(not diff_in(0, pairing(lam, r, s), ZGEQ0) for r, s in roots if s != n):
+    if not any(nonpositive(r, s) for r, s in roots if s != n):
         return HWCase("CaseA")
+    bad = {root for root in roots if nonpositive(*root)}
     found = []
     for i in range(1, n):
+        if (i, n) not in bad:
+            continue
         for j in range(i, n):
-            if not all(
-                diff_in(pairing(lam, k, k), 0, ZGT0) for k in range(j + 1, n + 1)
-            ):
-                continue
-            if not diff_in(0, pairing(lam, i, n), ZGEQ0):
-                continue
             allowed = {(i, k) for k in range(j, n + 1)}
-            if any(
-                diff_in(0, pairing(lam, r, s), ZGEQ0)
-                for r, s in roots
-                if (r, s) not in allowed
-            ):
-                continue
-            found.append((i, j))
+            if bad <= allowed and all(positive(k) for k in range(j + 1, n + 1)):
+                found.append((i, j))
     if len(found) == 1:
         return HWCase("CaseB", *found[0])
     return HWCase("NotRelation")

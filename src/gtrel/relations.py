@@ -11,18 +11,25 @@ integer-difference inequality between tableau entries:
 The admissibility machinery (forward order, cross-freeness, the
 diamond condition on adjoining pairs) lives here, together with the
 satisfaction / realization / noncriticality tests against concrete
-tableaux.
+tableaux.  Every graph question is answered on integer bitmasks over the
+positions of one rank by one reachability search, `_closure`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 from .core import json_int, json_list, json_object
-from .errors import NotARealization, StructureViolation
+from .errors import NotARealization, RankMismatch, StructureViolation
 
 RPLUS = "RPlus"
 RMINUS = "RMinus"
 RZERO = "RZero"
+
+# RelationSet validation reads the cached universe of ranks up to this one
+# and classifies the arrows of a higher rank one by one: a rank read from
+# outside can be huge, and its universe has O(n^3) arrows
+_MAX_CACHED_RANK = 16
 
 
 def all_positions(n):
@@ -52,8 +59,10 @@ class RelationSet:
     _reduced = False  # True on reduce_relations' output: it is returned as is
 
     def __post_init__(self):
-        for frm, to in self.relations:
-            relation_kind(self.n, frm, to)
+        n, rels = self.n, self.relations
+        if n > _MAX_CACHED_RANK or not _layout(n).universe.keys() >= rels:
+            for frm, to in rels:
+                relation_kind(n, frm, to)  # raises on the first illegal arrow
 
     def kind(self, rel):
         return relation_kind(self.n, rel[0], rel[1])
@@ -100,94 +109,124 @@ def _universe(n):
 
 def full_relation_universe(n):
     """All of R = R+ u R- u R0 for the given n."""
-    return [rel for rel, _ in _universe(n)]
+    return list(_layout(n).universe)
 
 
 # ---------------------------------------------------------------------------
-# graph helpers
+# the graph kernel
 #
-# The private helpers take the rank and a plain set of arrows, so the
-# reduction can test its working sets without building a RelationSet (whose
-# constructor classifies every arrow again).
+# A set of positions is an int whose bit v is the position of flat index v
+# (row by row, left to right, as in all_positions), so within a row a lower
+# bit is a lower column.  A graph is a list of out-masks, one per position.
+# The private helpers take the layout and plain masks or sets of arrows, so
+# the reduction can test its working sets without building a RelationSet
+# (whose constructor validates every arrow again).
 
 
-def _adjacency(rels):
-    adj = {}
+class _Layout(NamedTuple):
+    """The positions of one rank as bits; shared by every caller, so read
+    only."""
+
+    n: int
+    index: dict  # position -> flat index
+    positions: tuple  # flat index -> position
+    rows: tuple  # rows[k]: the mask of row k, 0 for k = 0 and k = n+2
+    next_row: tuple  # next_row[v]: the mask of the row an R- arrow from v enters
+    upto: tuple  # upto[v]: the mask of v's row at or left of v
+    universe: dict  # every relation of R -> whether it is strict (R-)
+
+
+@cache
+def _layout(n):
+    positions = tuple(all_positions(n))
+    rows = [0] * (n + 3)
+    for v, (k, _) in enumerate(positions):
+        rows[k] |= 1 << v
+    return _Layout(
+        n,
+        {p: v for v, p in enumerate(positions)},
+        positions,
+        tuple(rows),
+        tuple(rows[k + 1] for k, _ in positions),
+        tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions)),
+        {rel: kind == RMINUS for rel, kind in _universe(n)},
+    )
+
+
+def _masks(L, rels):
+    """(fwd, rev): the out-mask and the in-mask of every position of G(rels)."""
+    index = L.index
+    fwd = [0] * len(index)
+    rev = [0] * len(index)
     for frm, to in rels:
-        adj.setdefault(frm, set()).add(to)
-    return adj
+        a, b = index[frm], index[to]
+        fwd[a] |= 1 << b
+        rev[b] |= 1 << a
+    return fwd, rev
 
 
-def _reachable_from(adj, start, blocked=(), skip_edge=None):
-    """All vertices reachable from start by a nonempty path.
-
-    Vertices in `blocked` may not be used as intermediate steps (they may
-    still be reached as endpoints).  `skip_edge` removes one arrow.
-    """
-    blocked = set(blocked)
-    seen = set()
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if skip_edge is not None and (v, w) == skip_edge:
-                continue
-            if w not in seen:
-                seen.add(w)
-                if w not in blocked:
-                    stack.append(w)
+def _closure(adj, todo, blocked=0):
+    """All positions reachable by a nonempty path from a position of the
+    mask `todo`.  Positions in `blocked` may be reached but not left."""
+    seen = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new & ~blocked
     return seen
 
 
-def _strict_reachable_from(adj, kinds, start, skip_edge=None):
-    """Vertices reachable from start via a path containing an R- arrow.
-
-    Returns a dict vertex -> True/False (True when some path to it uses a
-    strict arrow).
-    """
-    # state: (vertex, strict_seen); BFS over the doubled graph
-    best = {}
-    stack = [(start, False)]
-    while stack:
-        v, strict = stack.pop()
-        for w in adj.get(v, ()):
-            edge = (v, w)
-            if skip_edge is not None and edge == skip_edge:
-                continue
-            s2 = strict or kinds[edge] == RMINUS
-            if best.get(w) is None or (s2 and not best[w]):
-                best[w] = s2
-                stack.append((w, s2))
-    return best
+def _strict_reach(L, adj, v):
+    """All positions reachable from v by a path through an R- arrow: the
+    heads of the R- arrows leaving v or a position v reaches, and what those
+    heads reach."""
+    todo = (1 << v) | _closure(adj, 1 << v)
+    heads = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        heads |= adj[u] & L.next_row[u]
+    return heads | _closure(adj, heads)
 
 
-def _roots(n, rels):
-    """Union-find root of every position, the arrows taken undirected."""
-    parent = {p: p for p in all_positions(n)}
+def _components(fwd, rev):
+    """The mask of each position's component of the graph, its arrows taken
+    undirected."""
+    und = [f | r for f, r in zip(fwd, rev)]
+    comp = [0] * len(und)
+    todo = (1 << len(und)) - 1
+    while todo:
+        low = todo & -todo
+        group = low | _closure(und, low)
+        todo &= ~group
+        rest = group
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            comp[low.bit_length() - 1] = group
+    return comp
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for frm, to in rels:
-        ra, rb = find(frm), find(to)
-        if ra != rb:
-            parent[ra] = rb
-    return {p: find(p) for p in parent}
+def _forward_ordered(L, fwd):
+    """No position reaches itself or a position of its row left of it."""
+    upto = L.upto
+    return not any(f and _closure(fwd, 1 << v) & upto[v] for v, f in enumerate(fwd))
 
 
-def _adjoining_pairs(adj, rows, skip_edge=None):
-    pairs = []
+def _adjoining(L, fwd, rows):
+    """(k, a, b) for every adjoining pair ((k,i),(k,j)) of the given rows,
+    a and b the pair's flat indices, in the order of adjoining_pairs."""
     for k in rows:
-        row = [(k, t) for t in range(1, k + 1)]
-        for i in range(1, k + 1):
-            reach = _reachable_from(adj, (k, i), blocked=row, skip_edge=skip_edge)
-            pairs.extend(
-                ((k, i), (k, j)) for j in range(i + 1, k + 1) if (k, j) in reach
-            )
-    return pairs
+        row = L.rows[k]
+        last = row.bit_length()
+        for a in range(k * (k - 1) // 2, last):
+            reach = _closure(fwd, 1 << a, row)
+            for b in range(a + 1, last):
+                if reach >> b & 1:
+                    yield k, a, b
 
 
 def adjoining_pairs(C):
@@ -199,7 +238,10 @@ def adjoining_pairs(C):
     t < i, or from some (k,t) with t > j to (k,j).  So one search per
     vertex, with the whole row blocked, finds every pair.
     """
-    return _adjoining_pairs(_adjacency(C.relations), range(1, C.n + 2))
+    L = _layout(C.n)
+    fwd, _ = _masks(L, C.relations)
+    at = L.positions
+    return [(at[a], at[b]) for _, a, b in _adjoining(L, fwd, range(1, C.n + 2))]
 
 
 def reduce_relations(C):
@@ -211,17 +253,20 @@ def reduce_relations(C):
     Equal top-row entries can produce two-cycles of R0 arrows; only the
     column-increasing direction is kept.
 
-    Each arrow is classified once, and one adjacency is kept and updated
-    after each drop; a candidate is tested on it with its own arrow
-    skipped.  Dropping arrows never creates a path, so an arrow found not
-    implied stays so and is not searched again, and a drop keeps forward
-    order and cross-freeness (reachability only shrinks, components only
-    split).
+    One adjacency is kept and updated after each drop; a candidate is
+    tested on it with its own arrow cleared.  Dropping arrows never creates
+    a path, so an arrow found not implied stays so and is not searched
+    again, and a drop keeps forward order and cross-freeness (reachability
+    only shrinks, components only split).  The arrows are sorted once:
+    their order is fixed and their set only shrinks.
 
-    Phase 1 finds the crossing pairs once and, after a drop, only removes
-    the pairs of the dropped arrow.  Whether two arrows cross depends on
-    their endpoints and on the undirected components of the working set,
-    and phase 1 leaves those components as they are.  Let S be the working
+    Phase 1 visits each arrow once, in that order, and drops it when it
+    crosses another arrow and is implied.  That is the same as dropping,
+    again and again, the first implied crossing arrow: an arrow passed
+    over was not implied or crossed nothing, and a drop changes neither.
+    Whether two arrows cross depends on their endpoints and on the
+    undirected components of the working set, and phase 1 leaves those
+    components as they are, so it finds them once.  Let S be the working
     set plus the equal-entry two-cycles: the adjacency holds S.  A dropped
     arrow is implied, so S without it still has a directed path between
     its endpoints, and S loses no other arrow; an arrow of a two-cycle
@@ -233,14 +278,14 @@ def reduce_relations(C):
     lost both arrows, the working set and S have the same undirected
     edges, hence the same components as at the start.  Both arrows of a
     two-cycle between adjacent rows demand contradictory differences, so
-    no tableau satisfies such a set; for it the pairs are found afresh
-    after every drop once both are gone.
+    no tableau satisfies such a set; for it the components are found
+    afresh after every drop once both are gone.
 
     Phase 2 checks the diamond condition only on a forward-ordered,
     cross-free, diamond-ok set.  A drop only removes adjoining pairs, and
     the C1/C2 patterns of row k use only arrows to rows k+-1, so a trial
     drop of an arrow between rows r and r+1 is checked at rows r, r+1 <= n
-    alone (of a top-row arrow, nowhere), on the working set's adjacency.
+    alone (of a top-row arrow, nowhere), on the working set's masks.
     The output is marked reduced, and admissible after such a phase 2.
     """
     return C if C._reduced else _reduce(C)
@@ -248,7 +293,8 @@ def reduce_relations(C):
 
 def _reduce(C):
     n = C.n
-    kinds = {rel: C.kind(rel) for rel in C.relations}
+    L = _layout(n)
+    index = L.index
     # two-cycles (possible only among top-row pairs) mean the entries are
     # equal; keep the column-increasing direction in the output but let
     # implication paths use both directions
@@ -260,8 +306,10 @@ def _reduce(C):
         for frm, to in C.relations
         if not (frm[0] == to[0] and frm[1] > to[1])
     }
-    adj = _adjacency(rels | eq_extra)
-    fwd = _adjacency(rels)
+    fwd, rev = _masks(L, rels)
+    adj = list(fwd)
+    for frm, to in eq_extra:
+        adj[index[frm]] |= 1 << index[to]
     not_implied = set()
 
     def order(rel):
@@ -274,49 +322,50 @@ def _reduce(C):
         if rel in not_implied:
             return False
         frm, to = rel
-        if kinds[rel] == RMINUS:
-            best = _strict_reachable_from(adj, kinds, frm, skip_edge=rel)
-            found = best.get(to) is True
+        a, bit = index[frm], 1 << index[to]
+        adj[a] ^= bit
+        if to[0] > frm[0]:
+            found = _strict_reach(L, adj, a) & bit
         else:
-            found = to in _reachable_from(adj, frm, skip_edge=rel)
+            found = _closure(adj, 1 << a) & bit
+        adj[a] ^= bit
         if not found:
             not_implied.add(rel)
         return found
 
     def drop(rel):
         rels.discard(rel)
-        fwd[rel[0]].discard(rel[1])
+        a, b = index[rel[0]], index[rel[1]]
+        fwd[a] ^= 1 << b
+        rev[b] ^= 1 << a
         if rel not in eq_extra:
-            adj[rel[0]].discard(rel[1])
+            adj[a] ^= 1 << b
 
     # phase 1: repair cross-freeness by dropping implied crossing arrows
-    partners = _crossing_partners(n, rels)
+    candidates = sorted(rels, key=order)
+    comp = _components(fwd, rev)
     split = False
-    while True:
-        rel = next((r for r in sorted(partners, key=order) if implied(r)), None)
-        if rel is None:
-            break
-        drop(rel)
-        split = split or (rel in eq_extra and rel[::-1] not in rels)
-        if split:
-            partners = _crossing_partners(n, rels)
-            continue
-        for other in partners.pop(rel):
-            mates = partners[other]
-            mates.discard(rel)
-            if not mates:
-                del partners[other]
+    for rel in candidates:
+        if _crosses(L, fwd, rev, comp, rel) and implied(rel):
+            drop(rel)
+            split = split or (rel in eq_extra and rel[::-1] not in rels)
+            if split:
+                comp = _components(fwd, rev)
 
     # phase 2: minimize, but never break the structural conditions or an
     # already-holding diamond condition; since a drop keeps the structural
     # conditions, only the diamond condition is checked on a trial
-    keep_diamond = _forward_ordered(rels) and not partners and _diamond_ok(n, rels, fwd)
+    keep_diamond = (
+        _forward_ordered(L, fwd)
+        and _cross_free(L, rels, fwd, rev)
+        and _diamond_ok(n, rels)
+    )
 
     def droppable(rel):
-        return implied(rel) and (not keep_diamond or _diamond_kept(n, rels, fwd, rel))
+        return implied(rel) and (not keep_diamond or _diamond_kept(L, fwd, rev, rel))
 
     while True:
-        rel = next((r for r in sorted(rels, key=order) if droppable(r)), None)
+        rel = next((r for r in candidates if r in rels and droppable(r)), None)
         if rel is None:
             break
         drop(rel)
@@ -327,87 +376,82 @@ def _reduce(C):
     return out
 
 
-def _forward_ordered(rels):
-    adj = _adjacency(rels)
-    for p in adj:
-        reach = _reachable_from(adj, p)
-        if p in reach:
-            return False
-        for q in reach:
-            if q[0] == p[0] and q[1] <= p[1]:
-                return False
-    return True
+def _crosses(L, fwd, rev, comp, rel):
+    """Whether rel joins rows k and k+1 and crosses another arrow between
+    them, in the graph with masks fwd, rev and components comp: an arrow
+    between a position of row k right of rel's and one of row k+1 left of
+    rel's, or the reverse.  Crossing matters only inside one component,
+    since entries of separate components are never integer-linked and
+    their relative column order carries no constraint."""
+    frm, to = rel
+    if frm[0] == to[0]:
+        return False
+    lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
+    a, t = L.index[lo], L.index[hi]
+    up = L.next_row[a]
+    others = comp[a] & L.rows[lo[0]] & ~(1 << a)
+    while others:
+        low = others & -others
+        others ^= low
+        b = low.bit_length() - 1
+        links = (fwd[b] | rev[b]) & up
+        if links & ((1 << t) - 1) if b > a else links >> (t + 1):
+            return True
+    return False
 
 
-def _crossing_partners(n, rels):
-    """Arrow -> the arrows it crosses, over the arrows between adjacent
-    rows that cross another such arrow of the same connected component."""
-    # undirected arrows between rows k and k+1, grouped by k and keyed by
-    # (i, t) with i the row-k column and t the row-(k+1) column;
-    # crossing matters only inside one connected component, since
-    # entries of separate components are never integer-linked and their
-    # relative column order carries no constraint
-    comp = _roots(n, rels)
-    links = {}
-    for frm, to in rels:
-        if abs(frm[0] - to[0]) == 1:
-            lo, hi = (frm, to) if frm[0] < to[0] else (to, frm)
-            row = links.setdefault(lo[0], {})
-            row.setdefault((lo[1], hi[1]), []).append((frm, to))
-    partners = {}
-    for k, row in links.items():
-        for (i, t), a in row.items():
-            for (j, s), b in row.items():
-                if i < j and s < t and comp[(k, i)] == comp[(k, j)]:
-                    for x in a:
-                        partners.setdefault(x, set()).update(b)
-                    for y in b:
-                        partners.setdefault(y, set()).update(a)
-    return partners
+def _cross_free(L, rels, fwd, rev):
+    """No arrow of rels crosses another; fwd and rev are its _masks."""
+    comp = _components(fwd, rev)
+    return not any(_crosses(L, fwd, rev, comp, rel) for rel in rels)
 
 
-def _diamond_ok(n, rels, adj=None, rows=None, skip=None):
-    """The diamond condition at every adjoining pair of rows 1..n, or of
-    `rows` only; G(rels) must be forward-ordered (see adjoining_pairs).
-    adj, when given, is its adjacency plus the arrow `skip`."""
-    adj = _adjacency(rels) if adj is None else adj
-    rows = range(1, n + 1) if rows is None else rows
-    for (k, i), (_, j) in _adjoining_pairs(adj, rows, skip):
-        ok = False
-        # C2 pattern: (k,i) -> (k+1,s), (k+1,t) -> (k,j) with s < t
-        ups = [s for s in range(1, k + 2) if ((k, i), (k + 1, s)) in rels]
-        downs = [t for t in range(1, k + 2) if ((k + 1, t), (k, j)) in rels]
-        if any(s < t for s in ups for t in downs):
-            ok = True
-        # C1 pattern: through (k+1,p) and (k-1,q)
-        if not ok and k >= 2:
-            through_up = any(
-                ((k, i), (k + 1, p)) in rels and ((k + 1, p), (k, j)) in rels
-                for p in range(1, k + 2)
-            )
-            through_down = any(
-                ((k, i), (k - 1, q)) in rels and ((k - 1, q), (k, j)) in rels
-                for q in range(1, k)
-            )
-            if through_up and through_down:
-                ok = True
-        if not ok:
+def _diamond_at(L, fwd, rev, rows):
+    """The diamond condition at every adjoining pair of the given rows of
+    the forward-ordered graph with masks fwd, rev (see adjoining_pairs)."""
+    masks = L.rows
+    for k, a, b in _adjoining(L, fwd, rows):
+        up, down = masks[k + 1], masks[k - 1]
+        # C2 pattern: (k,i) -> (k+1,s), (k+1,t) -> (k,j) with s < t, that
+        # is, the lowest such s lies left of the highest such t
+        ups = fwd[a] & up
+        if ups and (ups & -ups).bit_length() < (rev[b] & up).bit_length():
+            continue
+        # C1 pattern: through some (k+1,p) and through some (k-1,q)
+        both = fwd[a] & rev[b]
+        if not (both & up and both & down):
             return False
     return True
 
 
-def _diamond_kept(n, rels, adj, rel):
-    """_diamond_ok(n, rels - {rel}) on a diamond-ok rels with adjacency adj:
-    only the rows rel joins can lose it (see reduce_relations)."""
-    return _diamond_ok(n, rels - {rel}, adj, [k for k, _ in rel if k <= n], rel)
+def _diamond_ok(n, rels):
+    """The diamond condition at every adjoining pair of rows 1..n; G(rels)
+    must be forward-ordered."""
+    L = _layout(n)
+    return _diamond_at(L, *_masks(L, rels), range(1, n + 1))
+
+
+def _diamond_kept(L, fwd, rev, rel):
+    """_diamond_ok(n, rels - {rel}) on a diamond-ok rels with _masks fwd,
+    rev: only the rows rel joins can lose it (see reduce_relations).  The
+    masks are restored before it returns."""
+    a, b = L.index[rel[0]], L.index[rel[1]]
+    fwd[a] ^= 1 << b
+    rev[b] ^= 1 << a
+    ok = _diamond_at(L, fwd, rev, [k for k, _ in rel if k <= L.n])
+    fwd[a] ^= 1 << b
+    rev[b] ^= 1 << a
+    return ok
 
 
 def check_structure(C):
     """Report the three structural conditions on G(C)."""
+    L = _layout(C.n)
+    fwd, rev = _masks(L, C.relations)
     return {
         "reduced": reduce_relations(C).relations == C.relations,
-        "forward_ordered": _forward_ordered(C.relations),
-        "cross_free": not _crossing_partners(C.n, C.relations),
+        "forward_ordered": _forward_ordered(L, fwd),
+        "cross_free": _cross_free(L, C.relations, fwd, rev),
     }
 
 
@@ -422,13 +466,15 @@ def is_admissible(C):
 
 
 def _check_admissible(n, rels):
-    forward = _forward_ordered(rels)
-    cross = not _crossing_partners(n, rels)
+    L = _layout(n)
+    fwd, rev = _masks(L, rels)
+    forward = _forward_ordered(L, fwd)
+    cross = _cross_free(L, rels, fwd, rev)
     if not (forward and cross):
         raise StructureViolation(
             "forward_ordered=%s cross_free=%s" % (forward, cross)
         )
-    return _diamond_ok(n, rels)
+    return _diamond_at(L, fwd, rev, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +491,8 @@ def _holds(classes, frm, to, strict):
 
 def satisfies(T, C):
     """True when every relation of C holds for T's entries."""
+    if T.n != C.n:
+        raise RankMismatch("tableau has rank %d, relation set %d" % (T.n, C.n))
     # an arrow is R- exactly when it goes down to the next row
     classes = T.classes
     return all(_holds(classes, a, b, b[0] > a[0]) for a, b in C.relations)
@@ -455,40 +503,43 @@ def satisfied_relations(T):
     classes = T.classes
     out = [
         rel
-        for rel, kind in _universe(T.n)
-        if _holds(classes, rel[0], rel[1], kind == RMINUS)
+        for rel, strict in _layout(T.n).universe.items()
+        if _holds(classes, rel[0], rel[1], strict)
     ]
     return RelationSet(T.n, frozenset(out))
 
 
-def _realization_roots(C, T):
-    """The `_roots` of G(C) when T is a C-realization, None otherwise."""
+def _realization_components(C, T):
+    """The _components of G(C) when T is a C-realization, None otherwise."""
     if not satisfies(T, C):
         return None
-    comp = _roots(C.n, C.relations)
+    L = _layout(C.n)
+    comp = _components(*_masks(L, C.relations))
     for k, row in enumerate(T.classes[: C.n], start=1):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                integral = row[i - 1][0] == row[j - 1][0]
-                if integral != (comp[(k, i)] == comp[(k, j)]):
+        first = k * (k - 1) // 2
+        for i in range(k):
+            for j in range(i + 1, k):
+                integral = row[i][0] == row[j][0]
+                if integral != (comp[first + i] == comp[first + j]):
                     return None
     return comp
 
 
 def is_realization(C, T):
     """T satisfies C, and same-row integer differences match components."""
-    return _realization_roots(C, T) is not None
+    return _realization_components(C, T) is not None
 
 
 def is_noncritical_for(C, T):
     """Same-component entries in each row 1..n are pairwise distinct."""
-    comp = _realization_roots(C, T)
+    comp = _realization_components(C, T)
     if comp is None:
         raise NotARealization("tableau is not a C-realization")
     for k, row in enumerate(T.classes[: C.n], start=1):
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                if comp[(k, i)] == comp[(k, j)] and row[i - 1] == row[j - 1]:
+        first = k * (k - 1) // 2
+        for i in range(k):
+            for j in range(i + 1, k):
+                if comp[first + i] == comp[first + j] and row[i] == row[j]:
                     return False
     return True
 

@@ -5,11 +5,13 @@ generator action chained through GTVector arithmetic, the
 nested-commutator ladder for E(m,1), the twisted action written out
 entry by entry, the closed-form count of minimal-orbit representatives,
 empirical
-kernel / image scans for the localization predicates, relation-set
+kernel / image scans for the localization predicates, reachability in
+G(C) by a depth-first search over sets of positions, relation-set
 reduction with one rebuild per candidate arrow, the relation tests
 against a tableau written with Fraction differences, simplicity by
-comparing two Floyd-Warshall closures, and the axiom suite as closures
-over GTVector arithmetic."""
+comparing two Floyd-Warshall closures, the axiom suite as closures
+over GTVector arithmetic, and the highest-weight classifier with every
+pairing summed afresh."""
 
 import random
 from fractions import Fraction
@@ -30,14 +32,13 @@ from gtrel.action import (
     gen_H,
     vector_to_json,
 )
+from gtrel.classify import HWCase, pairing
 from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
 from gtrel.errors import NotARealization
 from gtrel.localization import twist_e21
 from gtrel.relations import (
     RMINUS,
     RelationSet,
-    _reachable_from,
-    _strict_reachable_from,
     all_positions,
     full_relation_universe,
     reduce_relations,
@@ -358,17 +359,60 @@ def same_component_map(C):
 # adjoining pairs one search per pair of a row
 
 
-def _adjacency(C):
+def _adjacency(rels):
     adj = {}
-    for frm, to in C.relations:
+    for frm, to in rels:
         adj.setdefault(frm, set()).add(to)
     return adj
+
+
+def _reachable_from(adj, start, blocked=(), skip_edge=None):
+    """All vertices reachable from start by a nonempty path.
+
+    Vertices in `blocked` may not be used as intermediate steps (they may
+    still be reached as endpoints).  `skip_edge` removes one arrow.
+    """
+    blocked = set(blocked)
+    seen = set()
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in adj.get(v, ()):
+            if skip_edge is not None and (v, w) == skip_edge:
+                continue
+            if w not in seen:
+                seen.add(w)
+                if w not in blocked:
+                    stack.append(w)
+    return seen
+
+
+def _strict_reachable_from(adj, kinds, start, skip_edge=None):
+    """Vertices reachable from start via a path containing an R- arrow.
+
+    Returns a dict vertex -> True/False (True when some path to it uses a
+    strict arrow).
+    """
+    # state: (vertex, strict_seen); BFS over the doubled graph
+    best = {}
+    stack = [(start, False)]
+    while stack:
+        v, strict = stack.pop()
+        for w in adj.get(v, ()):
+            edge = (v, w)
+            if skip_edge is not None and edge == skip_edge:
+                continue
+            s2 = strict or kinds[edge] == RMINUS
+            if best.get(w) is None or (s2 and not best[w]):
+                best[w] = s2
+                stack.append((w, s2))
+    return best
 
 
 def adjoining_pairs_per_pair(C):
     """All same-row pairs {(k,i),(k,j)}, i<j, joined by a directed path
     that avoids the intermediate vertices (k,t), i < t < j."""
-    adj = _adjacency(C)
+    adj = _adjacency(C.relations)
     pairs = []
     for k in range(1, C.n + 2):
         for i in range(1, k + 1):
@@ -408,7 +452,7 @@ def reduce_relations_per_candidate(C):
     def implied(rel, base):
         work = (set(base) | eq_extra) - {rel}
         current = RelationSet(C.n, frozenset(work))
-        adj = _adjacency(current)
+        adj = _adjacency(current.relations)
         if C.kind(rel) == RMINUS:
             kinds = {r: current.kind(r) for r in work}
             best = _strict_reachable_from(adj, kinds, rel[0])
@@ -452,7 +496,7 @@ def reduce_relations_per_candidate(C):
 
 
 def forward_ordered(C):
-    adj = _adjacency(C)
+    adj = _adjacency(C.relations)
     for p in all_positions(C.n):
         reach = _reachable_from(adj, p)
         if p in reach:
@@ -753,3 +797,34 @@ def verify_axioms_by_vectors(M, box=3, samples=200, seed=7, full=False):
         "identities": len(identities),
         "pool": size,
     }
+
+
+# ---------------------------------------------------------------------------
+# the highest-weight classifier as first written: every pairing summed afresh
+
+
+def hw_relation_case_by_pairings(lam):
+    n = len(lam)
+    roots = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+    if all(not diff_in(0, pairing(lam, r, s), ZGEQ0) for r, s in roots if s != n):
+        return HWCase("CaseA")
+    found = []
+    for i in range(1, n):
+        for j in range(i, n):
+            if not all(
+                diff_in(pairing(lam, k, k), 0, ZGT0) for k in range(j + 1, n + 1)
+            ):
+                continue
+            if not diff_in(0, pairing(lam, i, n), ZGEQ0):
+                continue
+            allowed = {(i, k) for k in range(j, n + 1)}
+            if any(
+                diff_in(0, pairing(lam, r, s), ZGEQ0)
+                for r, s in roots
+                if (r, s) not in allowed
+            ):
+                continue
+            found.append((i, j))
+    if len(found) == 1:
+        return HWCase("CaseB", *found[0])
+    return HWCase("NotRelation")

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtrel as g
 from gtrel.classify import Sl2InducedParams
 from gtrel.errors import DegenerateDense, NonSquareGamma
+from oracles import hw_relation_case_by_pairings
 
 
 def test_hw_case_examples():
@@ -13,6 +16,39 @@ def test_hw_case_examples():
     assert (case.tag, case.i, case.j) == ("CaseB", 1, 1)
     # a nonpositive-integer pairing on a last-column root is allowed
     assert g.hw_relation_case((F(0), F(-2))).tag == "CaseA"
+
+
+PAIRINGS = [F(k) for k in range(-3, 4)] + [F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)]
+
+
+@st.composite
+def near_case_b_weights(draw):
+    """A weight whose pairings are positive integers on alpha_k for k > j
+    and a nonpositive integer on alpha_{i,n}, at a drawn i <= j < n; the
+    other pairings are drawn, so it is case b or not a relation weight."""
+    n = draw(st.integers(2, 6))
+    i = draw(st.integers(1, n - 1))
+    j = draw(st.integers(i, n - 1))
+    a = [draw(st.sampled_from(PAIRINGS)) for _ in range(n)]
+    for k in range(j, n):
+        a[k] = F(draw(st.integers(1, 3)))
+    a[i - 1] -= sum(a[i - 1 :]) + draw(st.integers(0, 3))
+    return tuple(x - 1 for x in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.builds(F, st.integers(-8, 8), st.sampled_from((1, 1, 2, 3))),
+            min_size=1,
+            max_size=6,
+        ).map(tuple),
+        near_case_b_weights(),
+    )
+)
+def test_hw_case_matches_one_pairing_sum_per_test(lam):
+    assert g.hw_relation_case(lam) == hw_relation_case_by_pairings(lam)
 
 
 def test_hw_case_not_relation():

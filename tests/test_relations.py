@@ -6,22 +6,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel.errors import NotARealization, StructureViolation
+from gtrel.errors import NotARealization, RankMismatch, StructureViolation
 from gtrel.relations import (
     RMINUS,
     RPLUS,
     RZERO,
-    _adjacency,
     _check_admissible,
+    _closure,
+    _components,
     _diamond_kept,
     _diamond_ok,
     _holds,
+    _layout,
+    _masks,
+    _strict_reach,
     adjoining_pairs,
     full_relation_universe,
     relation_kind,
 )
 from gtrel.tableau import BasisChecker
 from oracles import (
+    _adjacency,
+    _reachable_from,
+    _strict_reachable_from,
     adjoining_pairs_per_pair,
     constraints_by_diff,
     cross_free,
@@ -150,6 +157,39 @@ def test_noncritical_requires_realization():
         g.is_noncritical_for(C, T)
 
 
+def test_rank_mismatch_is_rejected_both_ways():
+    T2 = g.tableau(2, [[F(-1)], [F(-1), F(-1, 2)], [F(-1), F(-1, 2), F(-3, 2)]])
+    T3 = g.tableau(3, [[F(0)], [F(0), F(1, 2)], [F(0), F(1, 2), F(1, 3)], [F(0)] * 4])
+    for C, T in ((chain_c(3), T2), (chain_c(2), T3)):
+        with pytest.raises(RankMismatch):
+            g.satisfies(T, C)
+        with pytest.raises(RankMismatch):
+            g.is_realization(C, T)
+        with pytest.raises(RankMismatch):
+            g.is_noncritical_for(C, T)
+
+
+def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
+    # the universe of rank n has O(n^3) arrows; a rank read from JSON can
+    # be huge, so its arrows are classified one by one
+    from gtrel import relations
+
+    layout = relations._layout
+
+    def small_only(n):
+        assert n <= relations._MAX_CACHED_RANK, n
+        return layout(n)
+
+    monkeypatch.setattr(relations, "_layout", small_only)
+    obj = {"n": 10**9, "relations": [[[2, 1], [1, 1]]]}
+    assert g.relset_from_json(obj).relations == {((2, 1), (1, 1))}
+    obj["relations"].append([[1, 1], [3, 1]])
+    with pytest.raises(ValueError, match="not a legal relation"):
+        g.relset_from_json(obj)
+    with pytest.raises(ValueError, match="not a legal relation for n=3"):
+        g.relation_set(3, [((2, 1), (1, 1)), ((1, 1), (3, 1))])
+
+
 def test_relset_json_round_trip(module_catalog):
     for name, M in module_catalog:
         obj = g.relset_to_json(M.C)
@@ -164,6 +204,53 @@ def test_random_subsets_kind_closed(n, data):
     C = g.relation_set(n, rels)
     for rel in C.relations:
         assert C.kind(rel) in (RPLUS, RMINUS, RZERO)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask kernel against a depth-first search over sets
+
+
+def _positions(L, mask):
+    return {p for v, p in enumerate(L.positions) if mask >> v & 1}
+
+
+def _strictly_reached(adj, kinds, start, skip_edge=None):
+    best = _strict_reachable_from(adj, kinds, start, skip_edge)
+    return {q for q, strict in best.items() if strict}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_mask_kernel_matches_set_search(n, data):
+    universe = full_relation_universe(n)
+    rels = set(data.draw(st.lists(st.sampled_from(universe), max_size=40)))
+    # two-cycles of the top row, as equal top entries give
+    top = [rel for rel in universe if rel[0][0] == rel[1][0]]
+    twins = data.draw(st.lists(st.sampled_from(top), max_size=4))
+    rels |= {rel for a, b in twins for rel in ((a, b), (b, a))}
+    L = _layout(n)
+    fwd, rev = _masks(L, rels)
+    adj = _adjacency(rels)
+    kinds = {rel: relation_kind(n, *rel) for rel in rels}
+    for v, p in enumerate(L.positions):
+        row = L.rows[p[0]]
+        assert _positions(L, _closure(fwd, 1 << v)) == _reachable_from(adj, p)
+        blocked = _reachable_from(adj, p, blocked=_positions(L, row))
+        assert _positions(L, _closure(fwd, 1 << v, row)) == blocked
+        strict = _positions(L, _strict_reach(L, fwd, v))
+        assert strict == _strictly_reached(adj, kinds, p)
+    # one arrow skipped: cleared from its mask, searched, then restored
+    for frm, to in sorted(rels):
+        a, bit = L.index[frm], 1 << L.index[to]
+        fwd[a] ^= bit
+        reach = _positions(L, _closure(fwd, 1 << a))
+        strict = _positions(L, _strict_reach(L, fwd, a))
+        fwd[a] ^= bit
+        assert reach == _reachable_from(adj, frm, skip_edge=(frm, to))
+        assert strict == _strictly_reached(adj, kinds, frm, skip_edge=(frm, to))
+    components = undirected_components(g.relation_set(n, rels))
+    got = {frozenset(_positions(L, c)) for c in _components(fwd, rev)}
+    assert got == set(map(frozenset, components))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +394,10 @@ def test_two_row_diamond_check_matches_the_full_check(n, from_seed, data):
         trial = g.relation_set(n, rels | {rel})
         if forward_ordered(trial) and cross_free(trial) and diamond_ok(trial):
             rels.add(rel)
-    adj = _adjacency(rels)
+    L = _layout(n)
+    fwd, rev = _masks(L, rels)
     for rel in sorted(rels):
-        assert _diamond_kept(n, rels, adj, rel) == _diamond_ok(n, rels - {rel}), rel
+        assert _diamond_kept(L, fwd, rev, rel) == _diamond_ok(n, rels - {rel}), rel
 
 
 # ---------------------------------------------------------------------------
