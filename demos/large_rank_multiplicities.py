@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 import gtrel as g
+from gtrel.tableau import BasisBox
 
 for lam in [
     (F(-1, 2), F(-1, 3), F(-1, 5), F(-1, 7)),
@@ -21,7 +22,7 @@ for lam in [
     print("== sl%d, lambda = (%s)" % (M.n + 1, ", ".join(str(x) for x in lam)))
     for box in (2, 3):
         t0 = time.perf_counter()
-        count = M.checker.count(box)
+        count = len(BasisBox(M.checker, box))
         sweep = g.weight_multiplicity_sweep(M, box)
         print(
             "box %d: %d basis shifts, %d weights, max multiplicity %d (%.2f s)"

@@ -7,6 +7,7 @@ falls outside the basis.
 """
 
 import random
+import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -140,15 +141,7 @@ class GTModule:
         return self.checker.check(z)
 
     def replace(self, **kw):
-        params = dict(
-            n=self.n,
-            seed=self.seed,
-            C=self.C,
-            sigma=self.sigma,
-            normalization=self.normalization,
-        )
-        params.update(kw)
-        return GTModule(**params)
+        return dataclasses.replace(self, **kw)
 
 
 def module(seed, C, sigma=None, normalization="hw"):
@@ -492,7 +485,7 @@ def weight_multiplicity(M, w, box):
         raise ValueError("box must be >= 0, got %d" % box)
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(M.seed))]
     sums = row_sums_of_weight_delta(delta)
-    count = 0 if sums is None else M.checker.sweep(box).get(sums, 0)
+    count = 0 if sums is None else BasisBox(M.checker, box).sweep().get(sums, 0)
     return count, M.checker.in_box(box)
 
 
@@ -505,7 +498,7 @@ def weight_multiplicity_sweep(M, box):
     counts = {}
     # a weight fixes the row sums (the Cartan matrix is invertible), so
     # each row-sum tuple of the sweep is a weight of its own
-    for sums, c in M.checker.sweep(box).items():
+    for sums, c in BasisBox(M.checker, box).sweep().items():
         w = []
         for b, seen, d in zip(base, coords, row_sums_weight_delta(sums)):
             x = seen.get(d)

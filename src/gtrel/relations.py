@@ -91,8 +91,7 @@ def relation_set(n, rels=()):
 
 
 def _universe(n):
-    """(relation, kind) for every relation of R, in the order of
-    full_relation_universe."""
+    """(relation, kind) for every relation of R: R+, then R-, then R0."""
     for i in range(2, n + 2):
         for j in range(1, i + 1):
             for t in range(1, i):
@@ -105,11 +104,6 @@ def _universe(n):
         for j in range(1, n + 2):
             if i != j:
                 yield ((n + 1, i), (n + 1, j)), RZERO
-
-
-def full_relation_universe(n):
-    """All of R = R+ u R- u R0 for the given n."""
-    return list(_layout(n).universe)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +212,15 @@ def _forward_ordered(L, fwd):
 
 def _adjoining(L, fwd, rows):
     """(k, a, b) for every adjoining pair ((k,i),(k,j)) of the given rows,
-    a and b the pair's flat indices, in the order of adjoining_pairs."""
+    a and b the pair's flat indices, row by row and then by a and b: the
+    same-row pairs, i<j, joined by a directed path that avoids the
+    intermediate vertices (k,t), i < t < j.
+
+    G(fwd) must be forward-ordered.  Then no such path passes through its
+    own row: it would lead from (k,i) back to (k,i) or to some (k,t) with
+    t < i, or from some (k,t) with t > j to (k,j).  So one search per
+    vertex, with the whole row blocked, finds every pair.
+    """
     for k in rows:
         row = L.rows[k]
         last = row.bit_length()
@@ -227,21 +229,6 @@ def _adjoining(L, fwd, rows):
             for b in range(a + 1, last):
                 if reach >> b & 1:
                     yield k, a, b
-
-
-def adjoining_pairs(C):
-    """All same-row pairs {(k,i),(k,j)}, i<j, joined by a directed path
-    that avoids the intermediate vertices (k,t), i < t < j.
-
-    G(C) must be forward-ordered.  Then no such path passes through its
-    own row: it would lead from (k,i) back to (k,i) or to some (k,t) with
-    t < i, or from some (k,t) with t > j to (k,j).  So one search per
-    vertex, with the whole row blocked, finds every pair.
-    """
-    L = _layout(C.n)
-    fwd, _ = _masks(L, C.relations)
-    at = L.positions
-    return [(at[a], at[b]) for _, a, b in _adjoining(L, fwd, range(1, C.n + 2))]
 
 
 def reduce_relations(C):
@@ -408,7 +395,7 @@ def _cross_free(L, rels, fwd, rev):
 
 def _diamond_at(L, fwd, rev, rows):
     """The diamond condition at every adjoining pair of the given rows of
-    the forward-ordered graph with masks fwd, rev (see adjoining_pairs)."""
+    the forward-ordered graph with masks fwd, rev (see _adjoining)."""
     masks = L.rows
     for k, a, b in _adjoining(L, fwd, rows):
         up, down = masks[k + 1], masks[k - 1]
@@ -509,39 +496,41 @@ def satisfied_relations(T):
     return RelationSet(T.n, frozenset(out))
 
 
-def _realization_components(C, T):
-    """The _components of G(C) when T is a C-realization, None otherwise."""
+def _realization(C, T):
+    """None when T is not a C-realization, else whether T is noncritical
+    for C.
+
+    Once T satisfies C, every arrow of G(C) joins entries of one class, so
+    a component never spans two classes.  Only same-row pairs of one class
+    need a look: in different components T is not a realization, and in
+    one component with equal entries it is critical.
+    """
     if not satisfies(T, C):
         return None
-    L = _layout(C.n)
-    comp = _components(*_masks(L, C.relations))
+    comp = _components(*_masks(_layout(C.n), C.relations))
+    noncritical = True
     for k, row in enumerate(T.classes[: C.n], start=1):
         first = k * (k - 1) // 2
         for i in range(k):
             for j in range(i + 1, k):
-                integral = row[i][0] == row[j][0]
-                if integral != (comp[first + i] == comp[first + j]):
-                    return None
-    return comp
+                if row[i][0] == row[j][0]:
+                    if comp[first + i] != comp[first + j]:
+                        return None
+                    noncritical = noncritical and row[i] != row[j]
+    return noncritical
 
 
 def is_realization(C, T):
     """T satisfies C, and same-row integer differences match components."""
-    return _realization_components(C, T) is not None
+    return _realization(C, T) is not None
 
 
 def is_noncritical_for(C, T):
     """Same-component entries in each row 1..n are pairwise distinct."""
-    comp = _realization_components(C, T)
-    if comp is None:
+    noncritical = _realization(C, T)
+    if noncritical is None:
         raise NotARealization("tableau is not a C-realization")
-    for k, row in enumerate(T.classes[: C.n], start=1):
-        first = k * (k - 1) // 2
-        for i in range(k):
-            for j in range(i + 1, k):
-                if comp[first + i] == comp[first + j] and row[i] == row[j]:
-                    return False
-    return True
+    return noncritical
 
 
 # ---------------------------------------------------------------------------

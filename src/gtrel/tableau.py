@@ -10,7 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, inf
 
 from . import classify
@@ -24,12 +24,11 @@ from .errors import (
     SeedViolatesRelations,
 )
 from .relations import (
-    RMINUS,
     RelationSet,
+    _layout,
     is_admissible,
     is_noncritical_for,
     reduce_relations,
-    relation_kind,
     satisfied_relations,
     satisfies,
 )
@@ -166,10 +165,11 @@ def row_sums_of_weight_delta(delta):
 class BasisChecker:
     """The basis B_C(seed) as a system of difference constraints.
 
-    Each relation reduces to z_a - z_b >= t with a fixed integer t, where
-    z of a top-row position is 0.  Nodes 0..size-1 are the positions of
-    rows 1..n in flat order (row by row, left to right); node `size` stands
-    for the whole top row.
+    Each relation reduces to a triple (u, v, t), read z_u - z_v >= t with a
+    fixed integer t, where z of a top-row position is 0.  Nodes 0..size-1
+    are the positions of rows 1..n in flat order (row by row, left to
+    right, as `relations._layout` numbers them); node `size` stands for
+    the whole top row.
     """
 
     def __init__(self, C, seed):
@@ -181,28 +181,22 @@ class BasisChecker:
         self.seed = seed
         self.n = C.n
         self.size = self.n * (self.n + 1) // 2
-        self.constraints = [(a, b, self._bound((a, b))) for a, b in C.sorted()]
+        self._index = _layout(self.n).index
+        self._floors = [x for row in seed.classes for _, x in row]
+        self.constraints = [self._triple(rel) for rel in C.sorted()]
 
-    def _bound(self, rel):
-        """The t of rel read as z_a - z_b >= t; rel must hold at the seed,
-        so its entries share a class and differ by their floors."""
-        (k, i), (r, s) = rel
-        classes = self.seed.classes
-        need = 1 if relation_kind(self.n, rel[0], rel[1]) == RMINUS else 0
-        return need - (classes[k - 1][i - 1][1] - classes[r - 1][s - 1][1])
-
-    def _node(self, pos):
-        k, i = pos
-        return self.size if k == self.n + 1 else k * (k - 1) // 2 + i - 1
-
-    @staticmethod
-    def _z(z, pos, n):
-        k, i = pos
-        return 0 if k == n + 1 else z[k - 1][i - 1]
+    def _triple(self, rel):
+        """(u, v, t) of rel, a relation the seed satisfies: its entries share
+        a class and differ by their floors, and it is strict (R-) exactly
+        when it enters the next row."""
+        a, b = self._index[rel[0]], self._index[rel[1]]
+        t = (rel[1][0] > rel[0][0]) - (self._floors[a] - self._floors[b])
+        return min(a, self.size), min(b, self.size), t
 
     def check(self, z):
-        for a, b, t in self.constraints:
-            if self._z(z, a, self.n) - self._z(z, b, self.n) < t:
+        x = [*chain.from_iterable(z), 0]
+        for u, v, t in self.constraints:
+            if x[u] - x[v] < t:
                 return False
         return True
 
@@ -215,8 +209,7 @@ class BasisChecker:
         d = [[-inf] * size for _ in range(size)]
         for u in range(size):
             d[u][u] = 0
-        for a, b, t in self.constraints:
-            u, v = self._node(a), self._node(b)
+        for u, v, t in self.constraints:
             if u != v:
                 d[u][v] = max(d[u][v], t)
         for m in range(size):
@@ -242,32 +235,19 @@ class BasisChecker:
     def implies(self, rel):
         """Whether C already forces the constraint of rel, a relation the
         seed satisfies."""
-        u, v = self._node(rel[0]), self._node(rel[1])
-        return u == v or self.closure[u][v] >= self._bound(rel)
+        u, v, t = self._triple(rel)
+        return u == v or self.closure[u][v] >= t
 
     def in_box(self, box):
         """Whether every basis shift has |z_{ki}| <= box, so that the box
         holds the whole basis."""
         return all(-box <= lo and hi <= box for lo, hi in self.ranges)
 
-    def count(self, box):
-        """The number of basis shifts with |z_{ki}| <= box."""
-        return len(BasisBox(self, box))
-
-    def sweep(self, box):
-        """Row-sum tuple (sum of z's row 1, ..., row n) -> number of basis
-        shifts with |z_{ki}| <= box and those row sums."""
-        return BasisBox(self, box).sweep()
-
-    def enumerate(self, box):
-        """All basis shifts with |z_{ki}| <= box, ascending in flat order."""
-        return BasisBox(self, box).shifts()
-
 
 class BasisBox:
-    """The basis shifts with |z_{ki}| <= box, in `BasisChecker.enumerate`
-    order (ascending in flat order), as a sequence: `len` counts them and
-    indexing unranks one, neither by listing them.
+    """The basis shifts of a `BasisChecker` with |z_{ki}| <= box, ascending
+    in flat order, as a sequence: `len` counts them and indexing unranks
+    one, neither by listing them.
 
     Every relation of C links row k with row k+-1 or lies in the pinned
     top row, so the ways to complete rows k+1..n of a shift depend on rows
@@ -418,13 +398,16 @@ class BasisBox:
 
 
 def in_basis(C, seed, z):
-    """True iff T(seed+z) still satisfies C."""
+    """True iff T(seed+z) still satisfies C; z must have rows of lengths
+    1..n."""
+    if [len(row) for row in z] != list(range(1, C.n + 1)):
+        raise ValueError("shift must have rows of lengths 1..%d" % C.n)
     return BasisChecker(C, seed).check(z)
 
 
 def enumerate_basis_box(C, seed, box):
     """All shifts z with |z_{ki}| <= box whose tableau satisfies C."""
-    return BasisChecker(C, seed).enumerate(box)
+    return BasisBox(BasisChecker(C, seed), box).shifts()
 
 
 def enumerate_weight_space(C, seed, w, box):
@@ -439,7 +422,7 @@ def enumerate_weight_space(C, seed, w, box):
     sums = row_sums_of_weight_delta(delta)
     if sums is None:
         return [], checker.in_box(box)
-    hits = [z for z in checker.enumerate(box) if tuple(map(sum, z)) == sums]
+    hits = [z for z in BasisBox(checker, box).shifts() if tuple(map(sum, z)) == sums]
     return hits, checker.in_box(box)
 
 

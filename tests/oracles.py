@@ -11,7 +11,8 @@ reduction with one rebuild per candidate arrow, the relation tests
 against a tableau written with Fraction differences, simplicity by
 comparing two Floyd-Warshall closures, the axiom suite as closures
 over GTVector arithmetic, and the highest-weight classifier with every
-pairing summed afresh."""
+pairing summed afresh.  Two helpers of the relation tests live here too:
+the universe R as a list and the kernel's adjoining pairs as positions."""
 
 import random
 from fractions import Fraction
@@ -39,8 +40,10 @@ from gtrel.localization import twist_e21
 from gtrel.relations import (
     RMINUS,
     RelationSet,
+    _adjoining,
+    _layout,
+    _masks,
     all_positions,
-    full_relation_universe,
     reduce_relations,
     relation_kind,
     satisfied_relations,
@@ -319,6 +322,24 @@ def empirical_images_distinct(M, m, box):
             return False
         seen[key] = z
     return True
+
+
+# ---------------------------------------------------------------------------
+# the relation kernel's answers as lists of relations and positions
+
+
+def full_relation_universe(n):
+    """All of R = R+ u R- u R0 for the given n."""
+    return list(_layout(n).universe)
+
+
+def adjoining_pairs(C):
+    """The adjoining pairs of the forward-ordered G(C), as the kernel's
+    `_adjoining` finds them (see adjoining_pairs_per_pair)."""
+    L = _layout(C.n)
+    fwd, _ = _masks(L, C.relations)
+    at = L.positions
+    return [(at[a], at[b]) for _, a, b in _adjoining(L, fwd, range(1, C.n + 2))]
 
 
 # ---------------------------------------------------------------------------

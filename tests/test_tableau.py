@@ -86,13 +86,27 @@ def test_row_sums_of_weight_delta_inverts_the_cartan_map(sums, data):
     assert row_sums_of_weight_delta(delta) is None
 
 
-@settings(max_examples=50)
-@given(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
-def test_basis_checker_matches_satisfies(flat):
-    T, C = g.hw_tableau_case_a((F(-3, 2), F(0)))
-    z = ((flat[0],), (flat[1], flat[2]))
-    checker = BasisChecker(C, T)
-    assert checker.check(z) == g.satisfies(g.apply_shift(T, z), C)
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_basis_checker_matches_satisfies(module_catalog, data):
+    # every catalog module, so the node of each position is checked at
+    # n = 3 and on sets with top-row arrows
+    for name, M in module_catalog:
+        size = M.n * (M.n + 1) // 2
+        flat = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+        z = tuple(
+            tuple(flat[k * (k - 1) // 2 : k * (k + 1) // 2]) for k in range(1, M.n + 1)
+        )
+        assert M.checker.check(z) == g.satisfies(g.apply_shift(M.seed, z), M.C), name
+
+
+def test_in_basis_rejects_shifts_of_the_wrong_shape():
+    M = g.hw_module_of((F(-3, 2), F(0)))
+    assert g.in_basis(M.C, M.seed, g.zero_shift(2))
+    # an extra row, a long row, and rows of lengths 2 and 1
+    for z in (((0,), (0, 0), (0,)), ((0,), (0, 0, 0)), ((0, 0), (0,))):
+        with pytest.raises(ValueError):
+            g.in_basis(M.C, M.seed, z)
 
 
 def test_enumerate_basis_box_subset(hw_module):
@@ -114,12 +128,12 @@ def _row_sums(pool):
 
 
 def _assert_walks_match(M, box, pool):
-    """count, unranking, sweep and enumerate of M's checker against a
-    reference list of the box's basis shifts."""
+    """count, unranking, sweep and listing of M's box against a reference
+    list of the box's basis shifts."""
     checker = M.checker
-    assert checker.enumerate(box) == pool
-    assert checker.count(box) == len(pool)
-    assert checker.sweep(box) == _row_sums(pool)
+    assert BasisBox(checker, box).shifts() == pool
+    assert len(BasisBox(checker, box)) == len(pool)
+    assert BasisBox(checker, box).sweep() == _row_sums(pool)
     for i in (0, len(pool) // 2, len(pool) - 1) if pool else ():
         assert BasisBox(checker, box)[i] == pool[i], i
     ranked = BasisBox(checker, box)
@@ -216,15 +230,17 @@ def test_mutating_a_walk_result_does_not_change_the_next(module_catalog):
     for name, M in module_catalog:
         checker = M.replace().checker
         for box in (1, 2):
-            sweep, shifts = checker.sweep(box), checker.enumerate(box)
+            walks = BasisBox(checker, box)
+            sweep, shifts = walks.sweep(), walks.shifts()
             want_sweep, want_shifts = dict(sweep), list(shifts)
             sweep.clear()
             sweep[(0,) * M.n] = 7
             shifts.reverse()
             shifts.append(g.zero_shift(M.n))
-            assert checker.sweep(box) == want_sweep, (name, box)
-            assert checker.enumerate(box) == want_shifts, (name, box)
-            assert checker.count(box) == len(want_shifts), (name, box)
+            for again in (walks, BasisBox(checker, box)):
+                assert again.sweep() == want_sweep, (name, box)
+                assert again.shifts() == want_shifts, (name, box)
+                assert len(again) == len(want_shifts), (name, box)
 
 
 def test_kernel_ranges_are_exact(module_catalog):
@@ -247,13 +263,12 @@ def test_kernel_rejects_bad_input(hw_module):
     with pytest.raises(ValueError):
         g.enumerate_basis_box(hw_module.C, hw_module.seed, -1)
     checker = hw_module.checker
-    for walk in (checker.count, checker.sweep, checker.enumerate):
-        with pytest.raises(ValueError):
-            walk(-1)
+    with pytest.raises(ValueError):
+        g.weight_multiplicity_sweep(hw_module, -1)
     with pytest.raises(ValueError):
         BasisBox(checker, -1)
-    size = checker.count(2)
-    assert BasisBox(checker, 2)[size - 1] == checker.enumerate(2)[-1]
+    size = len(BasisBox(checker, 2))
+    assert BasisBox(checker, 2)[size - 1] == BasisBox(checker, 2).shifts()[-1]
     for i in (-1, size, size + 5):
         with pytest.raises(IndexError):
             BasisBox(checker, 2)[i]
@@ -269,7 +284,7 @@ def test_enumerate_weight_space(hw_module):
 def test_weight_space_is_the_shifts_of_that_weight(module_catalog):
     for name, M in module_catalog:
         by_weight = {}
-        for z in M.checker.enumerate(2):
+        for z in BasisBox(M.checker, 2).shifts():
             by_weight.setdefault(g.weight_of(M.entries(z)), []).append(z)
         for w in sorted(by_weight)[:4]:
             hits, _ = g.enumerate_weight_space(M.C, M.seed, w, 2)
