@@ -329,7 +329,13 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # argparse up to CPython 3.11 reads "--opt=--" as an empty list,
+    # whatever the option's type; no gtrel option takes a list
+    empty = sorted(dest for dest, value in vars(args).items() if value == [])
+    if empty:
+        parser.error("argument %s: expected one argument, got '--'" % empty[0])
     try:
         return args.fn(args)
     except (GtrelError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -325,6 +325,19 @@ def test_bad_verb_exits_argparse():
         main(["no-such-verb"])
 
 
+def test_an_option_given_dashes_exits_2(tmp_path):
+    # argparse up to CPython 3.11 reads "--gen=--" as [], which act split
+    # and exited 1 as an internal error
+    for argv in (
+        ["act", "--module", str(tmp_path / "m.json"), "--gen=--", "--shift=[[0]]"],
+        ["classify-hw", "--n=--", "--lambda=1"],
+        ["classify-hw", "--n", "1", "--lambda=--"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the exit-code contract: 0 for success, 2 for bad input, never 1
 
