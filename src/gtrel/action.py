@@ -10,6 +10,8 @@ import random
 import dataclasses
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from .core import format_rational, json_int, json_list, json_object, parse_rational
 from .errors import CriticalDenominator, NotInBasis, RankMismatch, UnsupportedGenerator
@@ -24,6 +26,7 @@ from .relations import (
 from .tableau import (
     BasisBox,
     BasisChecker,
+    _check_shape,
     apply_shift,
     row_sums_of_weight_delta,
     row_sums_weight_delta,
@@ -100,10 +103,13 @@ def ELower(k):
 class GTModule:
     """A computable description of the relation module V_C(seed).
 
-    `memo` maps (unpermuted generator, basis shift) to the nonzero
-    (target, coefficient) pairs of that generator on that basis vector.
-    The module is frozen, so an entry never goes stale; every transform
-    builds a new module with an empty memo.
+    `memo` maps (unpermuted generator, basis shift) to the terms of that
+    generator on that basis vector, each a triple (target, num, den): the
+    coefficient num/den in lowest terms, den > 0 and num != 0.  The
+    coefficients come from integer arithmetic on the seed's entries times
+    their common denominator (`Tableau.scaled`).  The module is frozen, so
+    an entry never goes stale; every transform builds a new module with an
+    empty memo.
     """
 
     n: int
@@ -138,6 +144,9 @@ class GTModule:
         return apply_shift(self.seed, z)
 
     def in_basis(self, z):
+        """Whether z is a basis shift; raises ValueError unless z has rows
+        of lengths 1..n."""
+        _check_shape(self.n, z)
         return self.checker.check(z)
 
     def replace(self, **kw):
@@ -152,23 +161,32 @@ def module(seed, C, sigma=None, normalization="hw"):
 # primitive actions on one basis tableau
 
 
-def _ratio(T, k, i, k2, skip=None):
-    """prod_{j != skip} (l_ki - l_{k2,j}) / prod_{j != i} (l_ki - l_kj) on
-    the entries of T; row 0 is empty."""
-    row = T.rows[k - 1]
+def _ratio(rows, d, k, i, k2, skip=None):
+    """(num, den), not reduced, of prod_{j != skip} (l_ki - l_{k2,j}) /
+    prod_{j != i} (l_ki - l_kj), where rows holds the entries times d as
+    ints; row 0 is empty.  Each integer difference is d times the true one,
+    so the quotient is corrected by d^(denominator factors - numerator
+    factors)."""
+    row = rows[k - 1]
     x = row[i - 1]
-    num = Fraction(1)
+    num = 1
     if k2 >= 1:
-        for j, y in enumerate(T.rows[k2 - 1], start=1):
+        for j, y in enumerate(rows[k2 - 1], start=1):
             if j != skip:
                 num *= x - y
-    den = Fraction(1)
+    den = 1
     for j, y in enumerate(row, start=1):
         if j != i:
             den *= x - y
     if den == 0:
         raise CriticalDenominator("zero denominator in row %d" % k)
-    return num / den
+    # k - 1 denominator factors, k2 numerator factors less the skipped one
+    e = k - 1 - k2 + (skip is not None)
+    if e > 0:
+        num *= d**e
+    elif e < 0:
+        den *= d**-e
+    return num, den
 
 
 def _moved(z, boxes, sign):
@@ -188,10 +206,11 @@ def _em1_tuples(m):
 
 
 def _terms(M, g, z):
-    """(target, coefficient) pairs of a raise E(k,k+1), a lower E(k+1,k)
-    or an E(m,1), m >= 3, on T(seed+z); targets outside the basis are
-    dropped before their coefficient is computed, and T is built only once
-    a target is kept.
+    """(target, num, den) triples, not reduced, of a raise E(k,k+1), a
+    lower E(k+1,k) or an E(m,1), m >= 3, on T(seed+z); targets outside the
+    basis are dropped before their coefficient is computed, and the integer
+    rows of T (`Tableau.scaled` shifted by d z) are built only once a
+    target is kept.
 
     A raise moves one box of row k up, with coefficient -ratio(k, i, k+1).
     A lower or E(m,1) moves one box (s, i_s) down in each row s of a
@@ -204,28 +223,34 @@ def _terms(M, g, z):
         paths, sign = [((j, a),) for a in range(1, j + 1)], -1
     else:
         paths, sign = [tuple(enumerate(t, start=1)) for t in _em1_tuples(i)], -1
-    T = None
+    check, rows = M.checker.check, None
     for boxes in paths:
         target = _moved(z, boxes, sign)
-        if not M.in_basis(target):
+        if not check(target):
             continue
-        if T is None:
-            T = M.entries(z)
+        if rows is None:
+            d, seed_rows = M.seed.scaled
+            rows = [
+                tuple(e + d * s for e, s in zip(row, zrow))
+                for row, zrow in zip(seed_rows, z)
+            ]
+            rows.append(seed_rows[-1])
         if sign > 0:
             ((k, a),) = boxes
-            yield target, -_ratio(T, k, a, k + 1)
+            num, den = _ratio(rows, d, k, a, k + 1)
+            yield target, -num, den
             continue
-        coeff, prev = Fraction(1), None
+        num, den, prev = 1, 1, None
         for k, a in boxes:
-            coeff *= _ratio(T, k, a, k - 1, prev)
-            prev = a
-        yield target, coeff
+            p, q = _ratio(rows, d, k, a, k - 1, prev)
+            num, den, prev = num * p, den * q, a
+        yield target, num, den
 
 
-def _resolve_sigma(M, g):
-    """Push the flag permutation into the generator; returns a list of
-    (sign, generator) over the E/H basis."""
-    sigma, n = M.sigma, M.n
+def _resolve_sigma(sigma, g):
+    """Push the flag permutation sigma into the generator; returns a list
+    of (sign, generator) over the E/H basis."""
+    n = len(sigma) - 1
     if g[0] == "H":
         k = g[1]
         if not 1 <= k <= n:
@@ -243,29 +268,36 @@ def _resolve_sigma(M, g):
 
 
 def _basis_terms(M, g, z):
-    """The memoized (target, coefficient) pairs of an unpermuted, in-range
-    generator on the basis vector of z; raises NotInBasis when z is not a
-    basis shift.  A long-root E(i,j) that is not an E(m,1) is the bracket
-    of two generators one step nearer the diagonal."""
+    """The memoized (target, num, den) triples of an unpermuted, in-range
+    generator on the basis vector of z, each reduced with den > 0 and
+    num != 0; raises NotInBasis when z is not a basis shift.  A long-root
+    E(i,j) that is not an E(m,1) is the bracket of two generators one step
+    nearer the diagonal."""
     key = (g, z)
     terms = M.memo.get(key)
     if terms is not None:
         return terms
-    if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.in_basis(z):
+    if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.checker.check(z):
         raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
     if g[0] == "H":
         k = g[1]
         delta = row_sums_weight_delta([sum(row) for row in z])
-        pairs = ((z, weight_of(M.seed)[k - 1] + delta[k - 1]),)
+        w = weight_of(M.seed)[k - 1] + delta[k - 1]
+        triples = ((z, w.numerator, w.denominator),)
     elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
-        pairs = _terms(M, g, z)
+        triples = _terms(M, g, z)
     else:
         _, i, j = g
         step = i + 1 if j > i + 1 else i - 1
         a, b = [(1, ("E", i, step))], [(1, ("E", step, j))]
         sums = _combination_sums(M, [(1, [b, a]), (-1, [a, b])], z)
-        pairs = ((t, Fraction(p, q)) for t, (p, q) in sums.items())
-    terms = M.memo[key] = tuple((t, c) for t, c in pairs if c)
+        triples = ((t, p, q) for t, (p, q) in sums.items())
+    reduced = []
+    for t, p, q in triples:
+        if p:
+            r = gcd(p, q) if q > 0 else -gcd(p, q)
+            reduced.append((t, p // r, q // r))
+    terms = M.memo[key] = tuple(reduced)
     return terms
 
 
@@ -275,7 +307,7 @@ def _apply(M, combination, v):
     through the flag and each basis term of v summed by
     `_combination_sums`."""
     words = [
-        (coef, [_resolve_sigma(M, x) for x in reversed(word)])
+        (coef, [_resolve_sigma(M.sigma, x) for x in reversed(word)])
         for coef, word in combination
     ]
     out = GTVector()
@@ -344,24 +376,28 @@ def axiom_identities(n):
 
 def _combination_sums(M, combination, z):
     """target -> (num, den) of a combination of resolved words on the basis
-    vector of z, read from the memo.  The pairs are not reduced: a product
-    is (n1 n2, d1 d2), a sum is cross-multiplied, every den is > 0."""
-    memo = M.memo
+    vector of z, read from the memo's integer triples.  The pairs are not
+    reduced: a product is (n1 n2, d1 d2), a sum is cross-multiplied, every
+    den is > 0."""
+    lookup = M.memo.get
     acc = {}
+    get = acc.get
     for coef, letters in combination:
         layer = [(z, coef, 1)]
         for letter in letters:
             step = []
+            append = step.append
             for y, p, q in layer:
                 for sign, h in letter:
-                    terms = memo.get((h, y))
+                    terms = lookup((h, y))
                     if terms is None:
                         terms = _basis_terms(M, h, y)
-                    for t, c in terms:
-                        step.append((t, sign * p * c.numerator, q * c.denominator))
+                    sp = sign * p
+                    for t, a, b in terms:
+                        append((t, sp * a, q * b))
             layer = step
         for t, p, q in layer:
-            old = acc.get(t)
+            old = get(t)
             if old is None:
                 acc[t] = (p, q)
             elif old[1] == q:
@@ -369,6 +405,27 @@ def _combination_sums(M, combination, z):
             else:
                 acc[t] = (old[0] * q + p * old[1], old[1] * q)
     return acc
+
+
+@lru_cache(maxsize=None)
+def _compiled_identities(n, sigma):
+    """(name, resolved words) of each of `axiom_identities(n)`, built once
+    per rank and flag: each letter resolved through sigma once, and each
+    word listed in the order its letters act.  Tuples throughout, as every
+    module of this rank and flag shares them."""
+    identities = axiom_identities(n)
+    letters = {x for _, _, comb in identities for _, word in comb for x in word}
+    resolved = {x: tuple(_resolve_sigma(sigma, x)) for x in letters}
+    return tuple(
+        (
+            name,
+            tuple(
+                (coef, tuple(resolved[x] for x in reversed(word)))
+                for coef, word in comb
+            ),
+        )
+        for name, _, comb in identities
+    )
 
 
 def verify_axioms(M, box=3, samples=200, seed=7, full=False):
@@ -389,37 +446,32 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     # the enumerated list
     pool = BasisBox(M.checker, box)
     size = len(pool)
-    identities = axiom_identities(M.n)
-    # each letter resolved through the flag once; words listed in the order
-    # their letters act
-    letters = {x for _, _, comb in identities for _, word in comb for x in word}
-    resolved = {x: _resolve_sigma(M, x) for x in letters}
-    checks = [
-        (name, [(coef, [resolved[x] for x in reversed(word)]) for coef, word in comb])
-        for name, _, comb in identities
-    ]
+    checks = _compiled_identities(M.n, M.sigma)
+    count = len(checks)
     failures = []
     checked = 0
     while checked < samples:
         z = pool[rng.randrange(size)]
-        batch = checks if full else [checks[checked % len(checks)]]
+        batch = checks if full else (checks[checked % count],)
         for name, words in batch:
             sums = _combination_sums(M, words, z)
-            if any(p for p, _ in sums.values()):
-                residual = GTVector((t, Fraction(*pq)) for t, pq in sums.items())
-                failures.append(
-                    {
-                        "identity": name,
-                        "shift": shift_to_json(z),
-                        "residual": vector_to_json(residual),
-                    }
-                )
+            for p, _ in sums.values():
+                if p:
+                    residual = GTVector((t, Fraction(*pq)) for t, pq in sums.items())
+                    failures.append(
+                        {
+                            "identity": name,
+                            "shift": shift_to_json(z),
+                            "residual": vector_to_json(residual),
+                        }
+                    )
+                    break
         checked += len(batch)
     return {
         "failures": failures,
         "samples": checked,
         "seed": seed,
-        "identities": len(identities),
+        "identities": count,
         "pool": size,
     }
 

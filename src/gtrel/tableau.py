@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import comb, inf
+from math import comb, inf, lcm
 
 from . import classify
 from .core import format_rational, json_int, json_list, json_object, parse_rational
@@ -72,6 +72,16 @@ class Tableau:
         sums = [sum(row) for row in self.rows]
         return tuple(
             Fraction(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1])
+        )
+
+    @cached_property
+    def scaled(self):
+        """(d, rows): the least common denominator d of the entries, and
+        each entry times d as an int, computed once.  A difference of two
+        entries is a difference of these ints over d."""
+        d = lcm(*(x.denominator for row in self.rows for x in row))
+        return d, tuple(
+            tuple(x.numerator * (d // x.denominator) for x in row) for row in self.rows
         )
 
     @cached_property
@@ -397,11 +407,15 @@ class BasisBox:
         return out
 
 
+def _check_shape(n, z):
+    if [len(row) for row in z] != list(range(1, n + 1)):
+        raise ValueError("shift must have rows of lengths 1..%d" % n)
+
+
 def in_basis(C, seed, z):
     """True iff T(seed+z) still satisfies C; z must have rows of lengths
     1..n."""
-    if [len(row) for row in z] != list(range(1, C.n + 1)):
-        raise ValueError("shift must have rows of lengths 1..%d" % C.n)
+    _check_shape(C.n, z)
     return BasisChecker(C, seed).check(z)
 
 

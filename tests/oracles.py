@@ -10,8 +10,9 @@ G(C) by a depth-first search over sets of positions, relation-set
 reduction with one rebuild per candidate arrow, the relation tests
 against a tableau written with Fraction differences, simplicity by
 comparing two Floyd-Warshall closures, the axiom suite as closures
-over GTVector arithmetic, and the highest-weight classifier with every
-pairing summed afresh.  Two helpers of the relation tests live here too:
+over GTVector arithmetic, the Gelfand-Tsetlin coefficient formula in
+Fraction arithmetic on the entries of T(seed+z), and the highest-weight
+classifier with every pairing summed afresh.  Two helpers of the relation tests live here too:
 the universe R as a list and the kernel's adjoining pairs as positions."""
 
 import random
@@ -27,6 +28,7 @@ from gtrel.action import (
     _basis_terms,
     _cartan,
     _em1_tuples,
+    _moved,
     _resolve_sigma,
     basis_vector,
     gen_E,
@@ -35,7 +37,7 @@ from gtrel.action import (
 )
 from gtrel.classify import HWCase, pairing
 from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
-from gtrel.errors import NotARealization
+from gtrel.errors import CriticalDenominator, NotARealization
 from gtrel.localization import twist_e21
 from gtrel.relations import (
     RMINUS,
@@ -117,11 +119,68 @@ def sweep_by_enumeration(M, box):
     return counts
 
 
-def _primitive_by_vectors(M, g, v):
+def _ratio_by_fractions(T, k, i, k2, skip=None):
+    """prod_{j != skip} (l_ki - l_{k2,j}) / prod_{j != i} (l_ki - l_kj) on
+    the entries of T; row 0 is empty."""
+    row = T.rows[k - 1]
+    x = row[i - 1]
+    num = Fraction(1)
+    if k2 >= 1:
+        for j, y in enumerate(T.rows[k2 - 1], start=1):
+            if j != skip:
+                num *= x - y
+    den = Fraction(1)
+    for j, y in enumerate(row, start=1):
+        if j != i:
+            den *= x - y
+    if den == 0:
+        raise CriticalDenominator("zero denominator in row %d" % k)
+    return num / den
+
+
+def terms_by_fractions(M, g, z):
+    """(target, coefficient) pairs, zero coefficients kept, of a raise
+    E(k,k+1), a lower E(k+1,k) or an E(m,1), m >= 3, on the basis vector
+    of z, in Fraction arithmetic on T = M.entries(z).  A raise moves one box
+    of row k up, with coefficient -ratio(k, i, k+1); a lower or E(m,1)
+    moves one box (s, i_s) down in each row s of a path, with coefficient
+    prod_s ratio(s, i_s, s-1, skip=i_{s-1})."""
+    _, i, j = g
+    if j == i + 1:
+        paths, sign = [((i, a),) for a in range(1, i + 1)], 1
+    elif i == j + 1:
+        paths, sign = [((j, a),) for a in range(1, j + 1)], -1
+    else:
+        paths, sign = [tuple(enumerate(t, start=1)) for t in _em1_tuples(i)], -1
+    T = M.entries(z)
+    out = []
+    for boxes in paths:
+        target = _moved(z, boxes, sign)
+        if not M.in_basis(target):
+            continue
+        if sign > 0:
+            ((k, a),) = boxes
+            out.append((target, -_ratio_by_fractions(T, k, a, k + 1)))
+            continue
+        coeff, prev = Fraction(1), None
+        for k, a in boxes:
+            coeff *= _ratio_by_fractions(T, k, a, k - 1, prev)
+            prev = a
+        out.append((target, coeff))
+    return out
+
+
+def _memo_terms(M, g, z):
+    """The library's memoized terms of g on z as (target, Fraction)."""
+    return [(t, Fraction(num, den)) for t, num, den in _basis_terms(M, g, z)]
+
+
+def _primitive_by_vectors(M, g, v, terms=_memo_terms):
     """Action of an unpermuted, in-range generator on a vector, chained
     through GTVector: H from the weight of each tableau, a long-root E(i,j)
     that is not an E(m,1) as the vector bracket of two generators one step
-    nearer the diagonal, every other E from the library's formula terms."""
+    nearer the diagonal, every other E from `terms` (by default the
+    library's memoized terms)."""
     if g[0] == "E" and abs(g[1] - g[2]) > 1 and not (g[2] == 1 and g[1] >= 3):
         _, i, j = g
         if j > i + 1:
@@ -129,23 +188,29 @@ def _primitive_by_vectors(M, g, v):
         else:
             a, b = ("E", i, i - 1), ("E", i - 1, j)
         return _primitive_by_vectors(
-            M, a, _primitive_by_vectors(M, b, v)
-        ) - _primitive_by_vectors(M, b, _primitive_by_vectors(M, a, v))
+            M, a, _primitive_by_vectors(M, b, v, terms), terms
+        ) - _primitive_by_vectors(M, b, _primitive_by_vectors(M, a, v, terms), terms)
     out = GTVector()
     for z, c in v.items():
         if g[0] == "H":
             out.iadd(z, c * weight_of(M.entries(z))[g[1] - 1])
             continue
-        for target, a in _basis_terms(M, g, z):
+        for target, a in terms(M, g, z):
             out.iadd(target, c * a)
     return out
+
+
+def primitive_by_fractions(M, g, z):
+    """An unpermuted, in-range generator on the basis vector of z with no
+    memo read: `terms_by_fractions` for every E that is not long-root."""
+    return _primitive_by_vectors(M, g, basis_vector(z), terms_by_fractions)
 
 
 def act_by_vectors(M, g, v):
     """The generator action resolved through the flag twist, one signed
     primitive action per resolved generator, summed as GTVectors."""
     out = GTVector()
-    for sign, g2 in _resolve_sigma(M, g):
+    for sign, g2 in _resolve_sigma(M.sigma, g):
         part = _primitive_by_vectors(M, g2, v)
         for z, c in part.items():
             out.iadd(z, sign * c)

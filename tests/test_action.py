@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ import gtrel as g
 from gtrel import action
 from gtrel.action import GTVector, _cartan, axiom_identities
 from gtrel.errors import (
+    CriticalDenominator,
     GtrelError,
     NotInBasis,
     RankMismatch,
@@ -22,6 +24,7 @@ from oracles import (
     commutator_by_vectors,
     em1_bracket,
     is_simple_by_closure,
+    primitive_by_fractions,
     verify_axioms_by_vectors,
 )
 
@@ -190,8 +193,8 @@ def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):
     M = hw_module.replace()
     z = g.zero_shift(2)
     assert g.verify_axioms(M, box=0, samples=1, full=True)["failures"] == []
-    (target, c), *rest = M.memo[(g.gen_E(2, 1), z)]
-    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * c), *rest)
+    (target, num, den), *rest = M.memo[(g.gen_E(2, 1), z)]
+    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * num, den), *rest)
     for full in (False, True):
         args = dict(box=0, samples=40, seed=5, full=full)
         report = g.verify_axioms(M, **args)
@@ -200,6 +203,43 @@ def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):
         for failure in report["failures"]:
             assert failure["shift"] == [[0], [0, 0]]
             assert g.vector_from_json(failure["residual"])
+
+
+def _with_doubled_e21(M):
+    """A fresh copy of M whose memo holds E21 on the zero shift with its
+    first coefficient doubled, entered before any bracket is built from it."""
+    M = M.replace()
+    z = g.zero_shift(M.n)
+    (target, num, den), *rest = action._basis_terms(M, g.gen_E(2, 1), z)
+    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * num, den), *rest)
+    return M
+
+
+def test_identity_tables_follow_the_flag():
+    # 1 and 2 sit side by side in every flag, so some resolved letter is
+    # E21 and the doubled coefficient fails identities that depend on sigma
+    M = g.hw_module_of((F(-1, 2), F(-1, 3), F(-1, 5)))
+    flags = [_with_doubled_e21(M)] + [
+        _with_doubled_e21(g.permute_flag(M, sigma))
+        for sigma in ((2, 1, 3, 4), (4, 3, 1, 2))
+    ]
+    reports = []
+    for full in (False, True, False):
+        for X in flags:
+            args = dict(box=0, samples=60, seed=3, full=full)
+            report = g.verify_axioms(X, **args)
+            assert report["failures"], (X.sigma, full)
+            assert report == verify_axioms_by_vectors(X, **args), (X.sigma, full)
+            reports.append(json.dumps(report))
+    assert len(set(reports)) == 6
+    # the tables are the library's own: changing what axiom_identities
+    # returned changes no later report
+    args = dict(box=0, samples=60, seed=3, full=True)
+    before = g.verify_axioms(flags[1], **args)
+    ids = axiom_identities(3)
+    ids[0][2].append((1, (g.gen_H(1),)))
+    del ids[1:]
+    assert g.verify_axioms(flags[1], **args) == before
 
 
 def test_verify_axioms_rejects_negative_samples(hw_module):
@@ -215,6 +255,14 @@ def test_critical_denominator_raises():
     with pytest.raises(Exception):
         M = g.module(T, C)
         g.act(M, g.gen_E(1, 2), g.basis_vector(g.zero_shift(1)))
+    # a seed the module accepts whose basis holds a shift with row 2 (0, 0)
+    T = g.tableau(2, [[4], [4, -4], [4, -4, -3]])
+    M = g.module(T, g.relation_set(2, [((3, 1), (2, 1)), ((3, 1), (2, 2))]))
+    v = g.basis_vector(((-4,), (-4, 4)))
+    for gen in (g.gen_E(1, 3), g.gen_E(3, 1), g.gen_E(2, 3), g.gen_E(3, 2)):
+        with pytest.raises(CriticalDenominator):
+            g.act(M.replace(), gen, v)
+    assert g.act(M, g.gen_E(2, 1), v) == vec((((-5,), (-4, 4)), 1))
 
 
 def test_unsupported_generator(hw_module):
@@ -227,6 +275,16 @@ def test_unsupported_generator(hw_module):
     for gen in (g.gen_E(0, 1), g.gen_E(1, 7), g.gen_H(0), g.gen_H(3)):
         with pytest.raises(UnsupportedGenerator):
             g.act(hw_module, gen, g.basis_vector(g.zero_shift(2)))
+
+
+def test_module_in_basis_rejects_shifts_of_the_wrong_shape():
+    M = g.hw_module_of((F(-3, 2), F(0)))
+    assert M.in_basis(g.zero_shift(2))
+    for z in (((0,), (0, 0), (5,)), ((0,), (0, 0, -9)), ((0, 0), (0,))):
+        with pytest.raises(ValueError):
+            M.in_basis(z)
+        with pytest.raises(NotInBasis):
+            g.act(M, g.gen_E(2, 1), g.basis_vector(z))
 
 
 def test_act_rejects_shifts_outside_the_basis(hw_module):
@@ -595,3 +653,65 @@ def test_is_simple_matches_the_closure_oracle():
 
     check()
     assert outcomes == {(True, True), (False, False)}
+
+
+def _assert_memo_matches_the_fraction_formula(M):
+    """Every memo entry is reduced and equals the Gelfand-Tsetlin formula
+    in Fraction arithmetic on the entries of T(seed+z)."""
+    assert M.memo
+    for (gen, z), terms in M.memo.items():
+        targets = [t for t, _, _ in terms]
+        assert len(set(targets)) == len(targets), (gen, z)
+        for _, num, den in terms:
+            assert type(num) is int and type(den) is int, (gen, z)
+            assert den > 0 and num != 0 and gcd(num, den) == 1, (gen, z, num, den)
+        got = GTVector((t, F(num, den)) for t, num, den in terms)
+        assert got == primitive_by_fractions(M, gen, z), (gen, z)
+
+
+@st.composite
+def mixed_denominator_modules(draw):
+    """hw modules of rank <= 3 whose weights hold an entry over 2 and one
+    over 3, so that the common denominator of the seed is a multiple of 6."""
+    n = draw(st.integers(1, 3))
+    third = F(3 * draw(st.integers(-4, 3)) + draw(st.sampled_from((1, 2))), 3)
+    if n == 1:
+        lam = (third,)
+    else:
+        half = F(2 * draw(st.integers(-6, 5)) + 1, 2)
+        rest = [draw(_coord) for _ in range(n - 2)]
+        lam = tuple(draw(st.permutations([half, third, *rest])))
+    try:
+        M = g.hw_module_of(lam)
+    except GtrelError:
+        assume(False)
+    assume(M.seed.scaled[0] % 6 == 0)
+    return M
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_denominator_modules(), st.data())
+def test_memo_entries_equal_the_fraction_formula(M, data):
+    seed = data.draw(st.integers(0, 99))
+    for X in _reshaped(M, data):
+        X = X.replace()
+        g.verify_axioms(X, box=1, samples=1, seed=seed, full=True)
+        _assert_memo_matches_the_fraction_formula(X)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_memo_entries_equal_the_fraction_formula_on_sl2_induced_modules(data):
+    lvl = g.Level(*data.draw(st.sampled_from(((2, 3, 2), (2, 5, 2), (3, 5, 2)))))
+    rep = data.draw(st.sampled_from([r for r, _ in g.minimal_orbit_reps(lvl)]))
+    branch = data.draw(st.sampled_from([w for w, _ in g.hw_orbit_list(lvl, rep)]))
+    x = data.draw(st.sampled_from((F(1, 3), F(1, 2), F(-2, 5))))
+    try:
+        M = g.build_sl2_induced_minimal(lvl, rep, branch, x).module
+    except GtrelError:
+        assume(False)
+    seed = data.draw(st.integers(0, 99))
+    for X in _reshaped(M, data):
+        X = X.replace()
+        g.verify_axioms(X, box=1, samples=1, seed=seed, full=True)
+        _assert_memo_matches_the_fraction_formula(X)
