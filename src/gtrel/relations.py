@@ -91,19 +91,19 @@ def relation_set(n, rels=()):
 
 
 def _universe(n):
-    """(relation, kind) for every relation of R: R+, then R-, then R0."""
+    """Every relation of R: R+, then R-, then R0."""
     for i in range(2, n + 2):
         for j in range(1, i + 1):
             for t in range(1, i):
-                yield ((i, j), (i - 1, t)), RPLUS
+                yield ((i, j), (i - 1, t))
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for s in range(1, i + 2):
-                yield ((i, j), (i + 1, s)), RMINUS
+                yield ((i, j), (i + 1, s))
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if i != j:
-                yield ((n + 1, i), (n + 1, j)), RZERO
+                yield ((n + 1, i), (n + 1, j))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ class _Layout(NamedTuple):
     rows: tuple  # rows[k]: the mask of row k, 0 for k = 0 and k = n+2
     next_row: tuple  # next_row[v]: the mask of the row an R- arrow from v enters
     upto: tuple  # upto[v]: the mask of v's row at or left of v
-    universe: dict  # every relation of R -> whether it is strict (R-)
+    universe: dict  # every relation of R, in _universe order (values None)
 
 
 @cache
@@ -143,7 +143,7 @@ def _layout(n):
         tuple(rows),
         tuple(rows[k + 1] for k, _ in positions),
         tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions)),
-        {rel: kind == RMINUS for rel, kind in _universe(n)},
+        dict.fromkeys(_universe(n)),
     )
 
 
@@ -468,30 +468,34 @@ def _check_admissible(n, rels):
 # satisfaction against tableaux
 
 
-def _holds(classes, frm, to, strict):
-    """Whether entry frm - entry to lies in Z_{>0} (strict) or Z_{>=0};
-    `classes` is the tableau's Tableau.classes."""
-    ca, xa = classes[frm[0] - 1][frm[1] - 1]
-    cb, xb = classes[to[0] - 1][to[1] - 1]
-    return ca == cb and (xa > xb if strict else xa >= xb)
+def _bound(scaled, frm, to):
+    """The t with z_frm - z_to >= t that the arrow frm -> to asks of the
+    shifts z of a tableau with `Tableau.scaled` (d, rows), or None when its
+    two scaled entries a, b have no integer gap: d does not divide a - b.
+    t is the arrow's strictness (1 when it enters the next row, R-, else 0)
+    less the gap (a - b) // d, so the tableau satisfies the arrow iff
+    t <= 0; on a same-row pair t is 0 iff the entries are equal."""
+    d, rows = scaled
+    (i, j), (r, s) = frm, to
+    gap = rows[i - 1][j - 1] - rows[r - 1][s - 1]
+    return None if gap % d else (r > i) - gap // d
 
 
 def satisfies(T, C):
     """True when every relation of C holds for T's entries."""
     if T.n != C.n:
         raise RankMismatch("tableau has rank %d, relation set %d" % (T.n, C.n))
-    # an arrow is R- exactly when it goes down to the next row
-    classes = T.classes
-    return all(_holds(classes, a, b, b[0] > a[0]) for a, b in C.relations)
+    scaled = T.scaled
+    return all((t := _bound(scaled, *r)) is not None and t <= 0 for r in C.relations)
 
 
 def satisfied_relations(T):
     """The maximal set of relations of R that T's entries satisfy."""
-    classes = T.classes
+    scaled = T.scaled
     out = [
         rel
-        for rel, strict in _layout(T.n).universe.items()
-        if _holds(classes, rel[0], rel[1], strict)
+        for rel in _layout(T.n).universe
+        if (t := _bound(scaled, *rel)) is not None and t <= 0
     ]
     return RelationSet(T.n, frozenset(out))
 
@@ -500,23 +504,24 @@ def _realization(C, T):
     """None when T is not a C-realization, else whether T is noncritical
     for C.
 
-    Once T satisfies C, every arrow of G(C) joins entries of one class, so
-    a component never spans two classes.  Only same-row pairs of one class
-    need a look: in different components T is not a realization, and in
-    one component with equal entries it is critical.
+    Once T satisfies C, every arrow of G(C) joins entries with an integer
+    gap, so no component holds two entries without one.  Only same-row
+    pairs with a gap need a look: in different components T is not a
+    realization, and in one component with gap 0 it is critical.
     """
     if not satisfies(T, C):
         return None
     comp = _components(*_masks(_layout(C.n), C.relations))
-    noncritical = True
-    for k, row in enumerate(T.classes[: C.n], start=1):
+    scaled, noncritical = T.scaled, True
+    for k in range(1, C.n + 1):
         first = k * (k - 1) // 2
         for i in range(k):
             for j in range(i + 1, k):
-                if row[i][0] == row[j][0]:
+                t = _bound(scaled, (k, i + 1), (k, j + 1))
+                if t is not None:
                     if comp[first + i] != comp[first + j]:
                         return None
-                    noncritical = noncritical and row[i] != row[j]
+                    noncritical = noncritical and t != 0
     return noncritical
 
 

@@ -25,12 +25,12 @@ from .errors import (
 )
 from .relations import (
     RelationSet,
+    _bound,
     _layout,
     is_admissible,
     is_noncritical_for,
     reduce_relations,
     satisfied_relations,
-    satisfies,
 )
 
 
@@ -50,22 +50,6 @@ class Tableau:
         return self.rows[k - 1][i - 1]
 
     @cached_property
-    def classes(self):
-        """classes[k - 1][i - 1] is the (class, floor) of entry (k, i) = p/q
-        in lowest terms: two entries differ by an integer iff their classes
-        are equal, and then by the difference of their floors.  The class
-        numbers the residue (p % q, q) within this tableau, the floor is
-        p // q, and equal entries share one pair."""
-        ids, pairs = {}, {}
-
-        def classify(x):
-            p, q = x.numerator, x.denominator
-            pair = (ids.setdefault((p % q, q), len(ids)), p // q)
-            return pairs.setdefault(pair, pair)
-
-        return tuple(tuple(map(classify, row)) for row in self.rows)
-
-    @cached_property
     def weight(self):
         """H-eigenvalue coordinates of this tableau, computed once: the
         Cartan matrix on its row sums, less 1."""
@@ -77,8 +61,9 @@ class Tableau:
     @cached_property
     def scaled(self):
         """(d, rows): the least common denominator d of the entries, and
-        each entry times d as an int, computed once.  A difference of two
-        entries is a difference of these ints over d."""
+        each entry times d as an int, computed once; the one integer view
+        of the entries.  Entries a/d and b/d differ by an integer iff d
+        divides a - b, by (a - b) // d, and are equal iff a == b."""
         d = lcm(*(x.denominator for row in self.rows for x in row))
         return d, tuple(
             tuple(x.numerator * (d // x.denominator) for x in row) for row in self.rows
@@ -185,22 +170,23 @@ class BasisChecker:
     def __init__(self, C, seed):
         if seed.n != C.n:
             raise RankMismatch("seed has rank %d, relation set %d" % (seed.n, C.n))
-        if not satisfies(seed, C):
-            raise SeedViolatesRelations("seed does not satisfy the relation set")
+        if C.n < 1:
+            raise ValueError("rank must be >= 1, got %d" % C.n)
         self.C = C
         self.seed = seed
         self.n = C.n
         self.size = self.n * (self.n + 1) // 2
         self._index = _layout(self.n).index
-        self._floors = [x for row in seed.classes for _, x in row]
+        # building each triple decides whether the seed satisfies its arrow
         self.constraints = [self._triple(rel) for rel in C.sorted()]
 
     def _triple(self, rel):
-        """(u, v, t) of rel, a relation the seed satisfies: its entries share
-        a class and differ by their floors, and it is strict (R-) exactly
-        when it enters the next row."""
+        """(u, v, t) of rel, with t from `relations._bound` on the seed;
+        raises SeedViolatesRelations unless the seed satisfies rel."""
+        t = _bound(self.seed.scaled, *rel)
+        if t is None or t > 0:
+            raise SeedViolatesRelations("seed does not satisfy the relation set")
         a, b = self._index[rel[0]], self._index[rel[1]]
-        t = (rel[1][0] > rel[0][0]) - (self._floors[a] - self._floors[b])
         return min(a, self.size), min(b, self.size), t
 
     def check(self, z):
@@ -375,36 +361,39 @@ class BasisBox:
     def sweep(self):
         """Row-sum tuple -> number of shifts; merged row by row, so each
         row k's table of completion row sums is built once."""
-        memo, leaf = {}, {(): 1}
+        return self._sweep((), {})
 
-        def walk(row):
-            if len(row) == self.n:
-                return leaf
-            hit = memo.get(row)
-            if hit is None:
-                hit = memo[row] = {}
-                for r in self._rows(row):
-                    s = sum(r)
-                    for key, c in walk(r).items():
-                        key = (s,) + key
-                        hit[key] = hit.get(key, 0) + c
-            return hit
-
-        return walk(())
+    # the walks recurse through methods: a closure calling itself would
+    # leave itself and the whole memo in a cycle for the cyclic collector
+    def _sweep(self, row, memo):
+        if len(row) == self.n:
+            return _LEAF
+        hit = memo.get(row)
+        if hit is None:
+            hit = memo[row] = {}
+            for r in self._rows(row):
+                s = sum(r)
+                for key, c in self._sweep(r, memo).items():
+                    key = (s,) + key
+                    hit[key] = hit.get(key, 0) + c
+        return hit
 
     def shifts(self):
         """Every shift, in order."""
         out = []
-
-        def walk(prefix, row):
-            if len(row) == self.n:
-                out.append(prefix)
-                return
-            for r in self._rows(row):
-                walk(prefix + (r,), r)
-
-        walk((), ())
+        self._list((), (), out)
         return out
+
+    def _list(self, prefix, row, out):
+        if len(row) == self.n:
+            out.append(prefix)
+            return
+        for r in self._rows(row):
+            self._list(prefix + (r,), r, out)
+
+
+# the row sums of the one (empty) completion of rows n+1..n; read only
+_LEAF = {(): 1}
 
 
 def _check_shape(n, z):
@@ -444,12 +433,21 @@ def enumerate_weight_space(C, seed, w, box):
 # seed constructors
 
 
+def _top_total(n, normalization):
+    """The top-row sum of a seed of rank n under the given normalization."""
+    if normalization == "hw":
+        return Fraction(-comb(n + 1, 2))
+    if normalization == "sl2":
+        return Fraction(-(n + 1))
+    raise ValueError('normalization must be "hw" or "sl2", got %r' % (normalization,))
+
+
 def _hw_top_values(lam, n, normalization):
     """Column values v_1..v_{n+1} with v_s - v_{s+1} = <lam+rho, alpha_s>
     and the chosen top-row sum normalization."""
     lam = tuple(Fraction(x) for x in lam)
     diffs = [lam[s - 1] + 1 for s in range(1, n + 1)]
-    total = Fraction(-(n + 1)) if normalization == "sl2" else Fraction(-comb(n + 1, 2))
+    total = _top_total(n, normalization)
     tails = []
     for s in range(1, n + 2):
         tails.append(sum(diffs[s - 1 : n], Fraction(0)))
@@ -571,8 +569,7 @@ def lem_key_tableau(lam, i, normalization="hw"):
         off[i + 2] = off[2] - p[i + 1]
         for k in range(i + 2, n + 1):
             off[k + 1] = off[k] - p[k]
-    total = Fraction(-(n + 1)) if normalization == "sl2" else Fraction(-comb(n + 1, 2))
-    v1 = (total - sum(off[1 : n + 2], Fraction(0))) / (n + 1)
+    v1 = (_top_total(n, normalization) - sum(off[1 : n + 2], Fraction(0))) / (n + 1)
     v = [None] + [v1 + off[t] for t in range(1, n + 2)]
 
     def ent(r, s):

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -518,8 +519,8 @@ def _reshaped(M, data):
     permutation (a permuted H resolves to several H), each kept when it
     can be built."""
     x = data.draw(st.sampled_from((F(1, 3), F(1, 2), F(-2, 5))))
-    ids = tuple(range(1, M.n + 2))
-    sigma = data.draw(st.permutations(ids).filter(lambda s: tuple(s) != ids))
+    # the identity comes first in lex order
+    sigma = data.draw(st.sampled_from(list(permutations(range(1, M.n + 2)))[1:]))
     out = [M]
     for make in (g.localize_e21, lambda M: g.twist_e21(M, x)):
         try:

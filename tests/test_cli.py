@@ -310,6 +310,20 @@ def test_minimal_orbit_rejects_small_rank(capsys):
         assert (code, out["error"]) == (2, "ValueError"), argv
 
 
+def test_a_module_of_rank_below_1_exits_2(tmp_path, capsys):
+    # a rank below 1 is bad input, rejected when the module is loaded
+    mod = tmp_path / "m.json"
+    for payload in SMALL_RANK_MODULES:
+        mod.write_text(json.dumps(payload))
+        for verb, *rest in (
+            ["verify"],
+            ["mults", "--weight=0"],
+            ["act", "--gen", "H,1", "--shift", "[]"],
+        ):
+            code, out = run(capsys, verb, "--module", str(mod), *rest)
+            assert (code, out["error"]) == (2, "ValueError"), (payload["n"], verb)
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, out = run(capsys, "build", "--type", "hw", "--lambda=-2,3")
     assert code == 2
@@ -397,11 +411,24 @@ def _good_modules():
 
 GOOD_MODULES = _good_modules()
 
+# modules of rank 0 and -1, which every verb must reject at load
+SMALL_RANK_MODULES = [
+    {
+        "n": n,
+        "seed": {"n": n, "rows": [["0"]] if n == 0 else []},
+        "relations": {"n": n, "relations": []},
+        "sigma": list(range(1, n + 2)),
+        "normalization": "hw",
+    }
+    for n in (0, -1)
+]
+
 
 @st.composite
 def module_payloads(draw):
-    """A catalog module's JSON, possibly with some fields replaced."""
-    obj = dict(draw(st.sampled_from(GOOD_MODULES)))
+    """A catalog or small-rank module's JSON, possibly with some fields
+    replaced."""
+    obj = dict(draw(st.sampled_from(GOOD_MODULES + SMALL_RANK_MODULES)))
     if draw(st.sampled_from((False, False, False, True))):
         keys = draw(st.lists(st.sampled_from(MODULE_KEYS), max_size=2, unique=True))
         for key in keys:

@@ -6,17 +6,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel.errors import NotARealization, RankMismatch, StructureViolation
+from gtrel.errors import (
+    NotARealization,
+    RankMismatch,
+    SeedViolatesRelations,
+    StructureViolation,
+)
 from gtrel.relations import (
     RMINUS,
     RPLUS,
     RZERO,
+    _bound,
     _check_admissible,
     _closure,
     _components,
     _diamond_kept,
     _diamond_ok,
-    _holds,
     _layout,
     _masks,
     _strict_reach,
@@ -401,7 +406,7 @@ def test_two_row_diamond_check_matches_the_full_check(n, from_seed, data):
 
 
 # ---------------------------------------------------------------------------
-# integer entry classes against Fraction differences
+# the scaled integer entries against Fraction differences
 
 # residues mod Z with negative numerators and mixed denominators; -1/2 and
 # 1/2 share a class, and so do -2/3 and 1/3
@@ -433,8 +438,12 @@ def test_integer_classes_match_fraction_differences(T, data):
     sat = satisfied_relations_by_diff(T)
     assert g.satisfied_relations(T).relations == sat
     for rel in universe:
-        holds = _holds(T.classes, rel[0], rel[1], relation_kind(n, *rel) == RMINUS)
-        assert holds == (rel in sat)
+        # the bound is the strictness less the integer gap, if there is one
+        t = _bound(T.scaled, *rel)
+        gap = T.entry(*rel[0]) - T.entry(*rel[1])
+        strict = relation_kind(n, *rel) == RMINUS
+        assert t == (strict - gap if gap.denominator == 1 else None)
+        assert (t is not None and t <= 0) == (rel in sat)
     drawn = data.draw(st.lists(st.sampled_from(universe), max_size=10))
     held = data.draw(st.lists(st.sampled_from(sorted(sat) or [None]), max_size=10))
     sets = [
@@ -449,13 +458,36 @@ def test_integer_classes_match_fraction_differences(T, data):
         assert _noncritical_or_error(g.is_noncritical_for, C, T) == (
             _noncritical_or_error(is_noncritical_by_diff, C, T)
         )
-    # a position's node is its flat index, every top-row position the one
-    # node after rows 1..n
+    for C in sets[1:]:
+        assert BasisChecker(C, T).constraints == _node_constraints_by_diff(C, T)
+
+
+def _node_constraints_by_diff(C, T):
+    """constraints_by_diff on nodes: a position's node is its flat index,
+    every top-row position the one node after rows 1..n."""
+    n = C.n
     index, size = _layout(n).index, n * (n + 1) // 2
 
     def node(pos):
         return size if pos[0] == n + 1 else index[pos]
 
-    for C in sets[1:]:
-        want = [(node(a), node(b), t) for a, b, t in constraints_by_diff(C, T)]
-        assert BasisChecker(C, T).constraints == want
+    return [(node(a), node(b), t) for a, b, t in constraints_by_diff(C, T)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_tableaux(), st.data())
+def test_basis_checker_raises_exactly_when_the_seed_violates_the_set(T, data):
+    n = T.n
+    universe = full_relation_universe(n)
+    sat = sorted(satisfied_relations_by_diff(T))
+    # arrows of the whole universe, or arrows the seed satisfies and at most
+    # one more
+    pool = data.draw(st.sampled_from([universe, sat])) if sat else universe
+    rels = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    rels += data.draw(st.lists(st.sampled_from(universe), max_size=1))
+    C = g.relation_set(n, rels)
+    if not satisfies_by_diff(T, C):
+        with pytest.raises(SeedViolatesRelations):
+            BasisChecker(C, T)
+    else:
+        assert BasisChecker(C, T).constraints == _node_constraints_by_diff(C, T)

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -54,6 +55,22 @@ def test_normalization_knob():
     assert sum(T2.rows[2]) == F(-3)  # binom(3,2) happens to equal n+1 here
     T3, _ = g.hw_tableau_case_a((F(-5, 2), F(0), F(1)), normalization="sl2")
     assert sum(T3.rows[3]) == F(-4)
+
+
+def test_seed_constructors_reject_an_unknown_normalization():
+    makers = (
+        lambda norm: g.hw_tableau_case_a((F(-5, 2), F(0), F(1)), normalization=norm),
+        lambda norm: g.hw_tableau_case_b((F(-3), F(0), F(0)), 1, 1, normalization=norm),
+        lambda norm: g.lem_key_tableau((0, F(-1, 2), F(-1, 2)), 2, normalization=norm),
+    )
+    for make in makers:
+        # the top row sums to -C(n+1, 2) under "hw", to -(n+1) under "sl2"
+        for norm, total in (("hw", -6), ("sl2", -4)):
+            T, _ = make(norm)
+            assert sum(T.rows[3]) == total, norm
+        for norm in ("bogus", "HW", None):
+            with pytest.raises(ValueError):
+                make(norm)
 
 
 def test_family_preconditions():
@@ -241,6 +258,21 @@ def test_mutating_a_walk_result_does_not_change_the_next(module_catalog):
                 assert again.sweep() == want_sweep, (name, box)
                 assert again.shifts() == want_shifts, (name, box)
                 assert len(again) == len(want_shifts), (name, box)
+
+
+def test_walks_leave_no_reference_cycles(module_catalog):
+    # a walk recursing through a closure that calls itself would leave the
+    # closure and its whole memo for the cyclic collector
+    for name, M in module_catalog:
+        walks = BasisBox(M.checker, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            walks.sweep()
+            walks.shifts()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 def test_kernel_ranges_are_exact(module_catalog):
