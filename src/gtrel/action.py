@@ -21,12 +21,12 @@ from .relations import (
     reduce_relations,
     relset_from_json,
     relset_to_json,
-    satisfied_relations,
 )
 from .tableau import (
     BasisBox,
     BasisChecker,
     _check_shape,
+    _top_total,
     apply_shift,
     row_sums_of_weight_delta,
     row_sums_weight_delta,
@@ -121,10 +121,7 @@ class GTModule:
     memo: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.normalization not in ("hw", "sl2"):
-            raise ValueError(
-                'normalization must be "hw" or "sl2", got %r' % (self.normalization,)
-            )
+        _top_total(self.n, self.normalization)  # rejects an unknown normalization
         if self.C.n != self.n:
             raise RankMismatch(
                 "module has rank %d, relation set %d" % (self.n, self.C.n)
@@ -482,7 +479,11 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
 
 def is_highest_weight_vector(M, v):
     """The weight when v is killed by all raisings and is an
-    H-eigenvector; None otherwise."""
+    H-eigenvector; None otherwise.
+
+    H is diagonal on the basis, so v is an eigenvector iff every shift of
+    its support has the same eigenvalue, read off the memo's integer
+    triples."""
     if v.is_zero():
         return None
     for k in range(1, M.n + 1):
@@ -490,12 +491,16 @@ def is_highest_weight_vector(M, v):
             return None
     coords = []
     for k in range(1, M.n + 1):
-        hv = act(M, gen_H(k), v)
-        ref_z, ref_c = next(iter(v.items()))
-        lam = hv.get(ref_z, Fraction(0)) / ref_c
-        if hv - v.scale(lam):
-            return None
-        coords.append(lam)
+        word = [(1, [_resolve_sigma(M.sigma, gen_H(k))])]
+        seen = None
+        for z in v:
+            p, q = _combination_sums(M, word, z).get(z, (0, 1))
+            lam = Fraction(p, q)
+            if seen is None:
+                seen = lam
+            elif lam != seen:
+                return None
+        coords.append(seen)
     return tuple(coords)
 
 
@@ -507,16 +512,21 @@ def is_simple(M):
     sat, and the closure of sat is at least that of C entrywise.  The two
     are equal iff C implies every arrow of sat, as C's closure obeys the
     triangle inequality; `witness` is the first arrow of sat it does not.
-    A C equal to the seed's reduced maximal set needs no reduction of its
+    A C equal to the seed's reduced maximal set is both, with no closure:
+    the reduction drops only arrows the rest implies (through a strict
+    arrow when the dropped one is strict), seed gaps add along a path, and
+    a top-row arrow is a (size, size, t) triple of the checker, so C
+    implies every arrow of sat.  Nor does such a C need a reduction of its
     own: a reduced set reduces to itself.
     """
-    sat = satisfied_relations(M.seed).sorted()
-    witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
     maximal = M.seed.maximal_set.relations
+    if M.C.relations == maximal:
+        return {"maximal_eq": True, "strict_eq": True, "witness": None}
+    sat = M.seed.satisfied.sorted()
+    witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
     return {
         "maximal_eq": witness is None,
-        "strict_eq": M.C.relations == maximal
-        or reduce_relations(M.C).relations == maximal,
+        "strict_eq": reduce_relations(M.C).relations == maximal,
         "witness": witness,
     }
 

@@ -35,6 +35,17 @@ def parse_rational(s):
     if not isinstance(s, str):
         raise ValueError("expected a rational string, got %r" % (s,))
     s = s.strip()
+    # plain ASCII "a", "-a", "a/b", "-a/b" with b > 0: integers straight into
+    # Fraction; anything else takes the checks below and Fraction's parser
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit() and (
+        not slash or (den.isascii() and den.isdigit())
+    ):
+        b = int(den) if slash else 1
+        if b > 0:
+            a = int(digits)
+            return Fraction(-a if num[0] == "-" else a, b)
     if "/" in s:
         den = s.split("/")[1].strip()
         if not den.lstrip("+").isdigit() or int(den) <= 0:

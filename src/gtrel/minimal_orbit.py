@@ -9,7 +9,7 @@ from .action import module
 from .classify import hw_relation_case, pairing
 from .errors import BadTwist, BranchNotLocalizable
 from .localization import twist_e21
-from .tableau import hw_tableau_case_a, hw_tableau_case_b
+from .tableau import _hw_seed
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,10 @@ class MinOrbitWeight:
 
 
 def admissible_level(n, k):
-    """(p, q) with k + n + 1 = p/q in lowest terms, if admissible."""
+    """(p, q) with k + n + 1 = p/q in lowest terms, if admissible; the
+    rank n must be >= 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     f = Fraction(k) + n + 1
     p, q = f.numerator, f.denominator
     if p >= n + 1 and q >= 1:
@@ -128,15 +131,14 @@ class InducedModule:
 
 
 def hw_module_of(lam, normalization="hw"):
-    """Module of the highest-weight constructor matching the case of lam."""
+    """Module of the highest-weight constructor matching the case of lam:
+    the weight is classified once, and the seed and its maximal set are
+    validated once, by the module."""
     case = hw_relation_case(lam)
-    if case.tag == "CaseA":
-        T, C = hw_tableau_case_a(lam, normalization=normalization)
-    elif case.tag == "CaseB":
-        T, C = hw_tableau_case_b(lam, case.i, case.j, normalization=normalization)
-    else:
+    if case.tag == "NotRelation":
         raise BranchNotLocalizable("weight admits no relation realization")
-    return module(T, C, normalization=normalization)
+    T = _hw_seed(lam, case, normalization)
+    return module(T, T.maximal_set, normalization=normalization)
 
 
 def build_sl2_induced_minimal(lvl, rep, branch, x):

@@ -85,6 +85,12 @@ class RelationSet:
         StructureViolation is not stored, so it is raised on every call."""
         return _check_admissible(self.n, self.relations)
 
+    @cached_property
+    def _component_masks(self):
+        """The mask of each position's component of G(self), its arrows
+        taken undirected, computed once: the set is frozen."""
+        return _components(*_masks(_layout(self.n), self.relations))
+
 
 def relation_set(n, rels=()):
     return RelationSet(n, frozenset(tuple(map(tuple, r)) for r in rels))
@@ -511,7 +517,7 @@ def _realization(C, T):
     """
     if not satisfies(T, C):
         return None
-    comp = _components(*_masks(_layout(C.n), C.relations))
+    comp = C._component_masks
     scaled, noncritical = T.scaled, True
     for k in range(1, C.n + 1):
         first = k * (k - 1) // 2

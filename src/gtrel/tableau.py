@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from math import comb, inf, lcm
+from math import inf, lcm
 
 from . import classify
 from .core import format_rational, json_int, json_list, json_object, parse_rational
@@ -52,10 +52,12 @@ class Tableau:
     @cached_property
     def weight(self):
         """H-eigenvalue coordinates of this tableau, computed once: the
-        Cartan matrix on its row sums, less 1."""
-        sums = [sum(row) for row in self.rows]
+        Cartan matrix on its row sums, less 1, summed on the integer rows of
+        `scaled` and divided by d once per coordinate."""
+        d, rows = self.scaled
+        sums = [sum(row) for row in rows]
         return tuple(
-            Fraction(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1])
+            Fraction(x - d, d) for x in row_sums_weight_delta(sums[:-1], sums[-1])
         )
 
     @cached_property
@@ -70,9 +72,14 @@ class Tableau:
         )
 
     @cached_property
+    def satisfied(self):
+        """The maximal relation set this tableau satisfies, computed once."""
+        return satisfied_relations(self)
+
+    @cached_property
     def maximal_set(self):
         """The reduced maximal relation set of this seed, computed once."""
-        return reduce_relations(satisfied_relations(self))
+        return reduce_relations(self.satisfied)
 
 
 def tableau(n, rows):
@@ -436,7 +443,7 @@ def enumerate_weight_space(C, seed, w, box):
 def _top_total(n, normalization):
     """The top-row sum of a seed of rank n under the given normalization."""
     if normalization == "hw":
-        return Fraction(-comb(n + 1, 2))
+        return Fraction(-n * (n + 1) // 2)
     if normalization == "sl2":
         return Fraction(-(n + 1))
     raise ValueError('normalization must be "hw" or "sl2", got %r' % (normalization,))
@@ -469,27 +476,16 @@ def _validated(T, C):
     return T, C
 
 
-def hw_tableau_case_a(lam, normalization="hw"):
-    """Constant-column highest weight seed plus its maximal relation set."""
+def _hw_seed(lam, case, normalization):
+    """The highest weight seed of lam in its case of
+    `classify.hw_relation_case`, a or b, not validated: constant columns in
+    case a, columns shuffled by (i, j) in case b."""
     n = len(lam)
-    case = classify.hw_relation_case(lam)
-    if case.tag != "CaseA":
-        raise NotCaseA("weight is not in case a: %r" % (case,))
     v = _hw_top_values(lam, n, normalization)
-    T = tableau(n, [[v[s - 1] for s in range(1, r + 1)] for r in range(1, n + 2)])
-    return _validated(T, T.maximal_set)
-
-
-def hw_tableau_case_b(lam, i, j, normalization="hw"):
-    """Case-b highest weight seed (shuffled columns) and its maximal set."""
-    n = len(lam)
-    case = classify.hw_relation_case(lam)
-    if case.tag != "CaseB" or (case.i, case.j) != (i, j):
-        raise NotCaseB("weight is not in case b with (i,j)=(%d,%d): %r" % (i, j, case))
-    v = _hw_top_values(lam, n, normalization)
+    i, j = case.i, case.j
 
     def ent(r, s):
-        if s < i or (i <= r <= j):
+        if case.tag == "CaseA" or s < i or (i <= r <= j):
             return v[s - 1]
         if i <= s < r + i - j:
             return v[s + j - i]
@@ -497,7 +493,24 @@ def hw_tableau_case_b(lam, i, j, normalization="hw"):
             return v[s - r + j - 1]
         raise AssertionError("uncovered entry (%d,%d)" % (r, s))
 
-    T = tableau(n, [[ent(r, s) for s in range(1, r + 1)] for r in range(1, n + 2)])
+    return tableau(n, [[ent(r, s) for s in range(1, r + 1)] for r in range(1, n + 2)])
+
+
+def hw_tableau_case_a(lam, normalization="hw"):
+    """Constant-column highest weight seed plus its maximal relation set."""
+    case = classify.hw_relation_case(lam)
+    if case.tag != "CaseA":
+        raise NotCaseA("weight is not in case a: %r" % (case,))
+    T = _hw_seed(lam, case, normalization)
+    return _validated(T, T.maximal_set)
+
+
+def hw_tableau_case_b(lam, i, j, normalization="hw"):
+    """Case-b highest weight seed (shuffled columns) and its maximal set."""
+    case = classify.hw_relation_case(lam)
+    if case.tag != "CaseB" or (case.i, case.j) != (i, j):
+        raise NotCaseB("weight is not in case b with (i,j)=(%d,%d): %r" % (i, j, case))
+    T = _hw_seed(lam, case, normalization)
     return _validated(T, T.maximal_set)
 
 

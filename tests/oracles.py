@@ -11,8 +11,9 @@ reduction with one rebuild per candidate arrow, the relation tests
 against a tableau written with Fraction differences, simplicity by
 comparing two Floyd-Warshall closures, the axiom suite as closures
 over GTVector arithmetic, the Gelfand-Tsetlin coefficient formula in
-Fraction arithmetic on the entries of T(seed+z), and the highest-weight
-classifier with every pairing summed afresh.  Two helpers of the relation tests live here too:
+Fraction arithmetic on the entries of T(seed+z), the highest-weight
+classifier with every pairing summed afresh, highest-weight detection on
+GTVector arithmetic, and rational parsing by Fraction's own parser.  Two helpers of the relation tests live here too:
 the universe R as a list and the kernel's adjoining pairs as positions."""
 
 import random
@@ -215,6 +216,25 @@ def act_by_vectors(M, g, v):
         for z, c in part.items():
             out.iadd(z, sign * c)
     return out
+
+
+def highest_weight_by_vectors(M, v):
+    """`is_highest_weight_vector` with every action summed as GTVectors by
+    `act_by_vectors` and the H eigenvalue tested on the whole vector."""
+    if v.is_zero():
+        return None
+    for k in range(1, M.n + 1):
+        if not act_by_vectors(M, ERaise(k), v).is_zero():
+            return None
+    coords = []
+    ref_z, ref_c = next(iter(v.items()))
+    for k in range(1, M.n + 1):
+        hv = act_by_vectors(M, gen_H(k), v)
+        lam = hv.get(ref_z, Fraction(0)) / ref_c
+        if hv - v.scale(lam):
+            return None
+        coords.append(lam)
+    return tuple(coords)
 
 
 def commutator_by_vectors(M, g1, g2, v):
@@ -914,3 +934,16 @@ def hw_relation_case_by_pairings(lam):
     if len(found) == 1:
         return HWCase("CaseB", *found[0])
     return HWCase("NotRelation")
+
+
+def parse_rational_by_fraction(s):
+    """`parse_rational` as Fraction's own parser behind the check that a
+    denominator is a positive integer."""
+    if not isinstance(s, str):
+        raise ValueError("expected a rational string, got %r" % (s,))
+    s = s.strip()
+    if "/" in s:
+        den = s.split("/")[1].strip()
+        if not den.lstrip("+").isdigit() or int(den) <= 0:
+            raise ValueError("denominator must be positive: %r" % s)
+    return Fraction(s)

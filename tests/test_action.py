@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 from itertools import permutations
@@ -24,6 +25,7 @@ from oracles import (
     act_by_vectors,
     commutator_by_vectors,
     em1_bracket,
+    highest_weight_by_vectors,
     is_simple_by_closure,
     primitive_by_fractions,
     verify_axioms_by_vectors,
@@ -61,6 +63,37 @@ def test_highest_weight_detection(hw_module):
     shifted = g.basis_vector(g.unit_shift(2, 2, 1))
     if hw_module.in_basis(g.unit_shift(2, 2, 1)):
         assert g.is_highest_weight_vector(hw_module, shifted) is None
+
+
+def test_highest_weight_detection_matches_the_vector_oracle(module_catalog):
+    # sl2 on the seed (0), (0, -1) with no relation: E12 kills the shifts
+    # (0,) and (-1,), whose H eigenvalues differ, so their sum is killed by
+    # every raising and is no H-eigenvector
+    dense = g.module(g.tableau(1, [[0], [0, -1]]), g.relation_set(1, []))
+    modules = module_catalog + [
+        ("dense-sl2", dense),
+        ("dense-sl2-flipped", g.permute_flag(dense, (2, 1))),
+    ]
+    rng = random.Random(16)
+    for name, M in modules:
+        pool = g.enumerate_basis_box(M.C, M.seed, 1)
+        singular = [
+            z
+            for z in pool
+            if all(act_by_vectors(M, g.ERaise(k), g.basis_vector(z)).is_zero()
+                   for k in range(1, M.n + 1))
+        ]
+        vectors = [vec((z, rng.choice((1, -2, F(1, 3))))) for z in singular]
+        vectors += [vec(*((z, 1) for z in singular))] if len(singular) > 1 else []
+        for _ in range(20):
+            shifts = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            vectors.append(vec(*((z, rng.randint(1, 3)) for z in shifts)))
+        for v in vectors:
+            got = g.is_highest_weight_vector(M, v)
+            assert got == highest_weight_by_vectors(M, v), (name, v)
+        if name == "dense-sl2":
+            assert len(singular) == 2
+            assert g.is_highest_weight_vector(M, vectors[2]) is None
 
 
 def test_raising_kills_seed(hw_module):
@@ -115,9 +148,10 @@ def test_module_rejects_unknown_normalization(hw_module):
         M = g.module_from_json(dict(data, normalization=norm))
         assert g.module_to_json(M)["normalization"] == norm
     for norm in (7, "SL2", None, ""):
-        with pytest.raises(ValueError):
+        message = 'normalization must be "hw" or "sl2", got %r' % (norm,)
+        with pytest.raises(ValueError, match=re.escape(message)):
             g.module_from_json(dict(data, normalization=norm))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             g.module(hw_module.seed, hw_module.C, normalization=norm)
 
 
@@ -654,6 +688,30 @@ def test_is_simple_matches_the_closure_oracle():
 
     check()
     assert outcomes == {(True, True), (False, False)}
+
+
+def test_is_simple_on_the_seeds_maximal_set_reads_it_once(monkeypatch):
+    # the seed's satisfied set is derived once, for its maximal set, and
+    # is_simple on that set builds no closure of the checker
+    tableau = sys.modules["gtrel.tableau"]
+    satisfied = tableau.satisfied_relations
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return satisfied(T)
+
+    monkeypatch.setattr(tableau, "satisfied_relations", counted)
+    for lam in ((F(-3, 2), F(0)), (F(-4), F(0), F(1)), (F(1, 3), F(-7, 3))):
+        M = g.hw_module_of(lam)
+        back = g.module_from_json(g.module_to_json(M))
+        for X in (M, back):
+            report = g.is_simple(X)
+            assert report == {"maximal_eq": True, "strict_eq": True, "witness": None}
+            assert "closure" not in vars(X.checker), lam
+            assert report == is_simple_by_closure(X)
+        assert calls == [M.seed, back.seed], lam
+        calls.clear()
 
 
 def _assert_memo_matches_the_fraction_formula(M):

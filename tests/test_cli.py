@@ -26,6 +26,12 @@ def test_admissible(capsys):
     assert (code, out) == (0, {"admissible": False})
 
 
+def test_admissible_rejects_a_rank_below_1(capsys):
+    for n in ("0", "-1"):
+        code, out = run(capsys, "admissible", "--n", n, "--k", "1/2")
+        assert (code, out["error"]) == (2, "ValueError"), n
+
+
 def test_build_hw_and_act(tmp_path, capsys):
     mod = tmp_path / "m.json"
     code, out = run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtrel.core import (
@@ -13,6 +13,7 @@ from gtrel.core import (
     parse_rational,
     rational_sqrt,
 )
+from oracles import parse_rational_by_fraction
 
 
 class NotInZ:
@@ -72,6 +73,40 @@ def test_parse_rational_examples():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+def _parsed(parse, s):
+    """The value of parse(s), or the type and message of its error."""
+    try:
+        return parse(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# every character the fast path could see, in every order: digits, signs,
+# slashes, spaces, underscores, a decimal point and an exponent
+RATIONAL_TEXT = st.text(alphabet="0123456789+-/ _.e", max_size=12) | st.builds(
+    "{}{}/{}{}".format,
+    st.sampled_from(("", "-", "+", "--", " ")),
+    st.integers(0, 10**6),
+    st.sampled_from(("", "-", "+", " ")),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=1000)
+@given(RATIONAL_TEXT)
+def test_parse_rational_matches_fraction_behind_the_denominator_check(s):
+    assert _parsed(parse_rational, s) == _parsed(parse_rational_by_fraction, s)
+
+
+def test_parse_rational_keeps_fractions_errors():
+    for s in ("--3", "1/2/3", "-", "", "1/0", "1/-2", "٣", "3/٣"):
+        assert _parsed(parse_rational, s) == _parsed(parse_rational_by_fraction, s), s
+    assert _parsed(parse_rational, "--3") == (
+        ValueError,
+        "Invalid literal for Fraction: '--3'",
+    )
 
 
 @given(rationals, rationals)

@@ -1,9 +1,13 @@
 from fractions import Fraction as F
 
+import importlib
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel.errors import BadTwist, BranchNotLocalizable
+from gtrel.errors import BadTwist, BranchNotLocalizable, StructureViolation
 from gtrel.minimal_orbit import (
     Level,
     MinOrbitWeight,
@@ -15,6 +19,10 @@ from gtrel.minimal_orbit import (
     sl2_dense_admissible,
 )
 from oracles import count_minimal_orbit_reps
+
+classify = importlib.import_module("gtrel.classify")
+minimal_orbit = importlib.import_module("gtrel.minimal_orbit")
+classify_hw_relation_case = classify.hw_relation_case
 
 
 def test_level_arithmetic():
@@ -91,6 +99,77 @@ def test_hw_module_of_dispatch():
     assert g.weight_of(M.seed) == (F(-2), F(0))
     with pytest.raises(BranchNotLocalizable):
         g.hw_module_of((F(-2), F(3)))
+
+
+def test_admissible_level_rejects_a_rank_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            admissible_level(n, F(1, 2))
+
+
+@pytest.mark.parametrize("lam", [(F(-3, 2), F(0)), (F(-2), F(0)), (F(1, 3), F(-7, 3))])
+def test_hw_module_of_classifies_the_weight_once(monkeypatch, lam):
+    calls = []
+
+    def counted(weight):
+        calls.append(weight)
+        return classify_hw_relation_case(weight)
+
+    # the tableau constructors read it off the classify module
+    monkeypatch.setattr(classify, "hw_relation_case", counted)
+    monkeypatch.setattr(minimal_orbit, "hw_relation_case", counted)
+    g.hw_module_of(lam)
+    assert calls == [lam]
+
+
+def _public_route(lam):
+    """The module of the public constructor of lam's case, or the type of
+    what it raises."""
+    case = classify_hw_relation_case(lam)
+    try:
+        if case.tag == "CaseA":
+            T, C = g.hw_tableau_case_a(lam)
+        else:
+            T, C = g.hw_tableau_case_b(lam, case.i, case.j)
+        return g.module(T, C)
+    except Exception as exc:
+        return type(exc)
+
+
+def _hw_module_of_route(lam):
+    try:
+        return g.hw_module_of(lam)
+    except Exception as exc:
+        return type(exc)
+
+
+# the case-a weights of ROADMAP item 3, on which both routes raise
+ITEM_3_WEIGHTS = [
+    (F(7), F(-2)),
+    (F(-3, 2), F(2), F(-2)),
+    (F(7, 3), F(-1, 2), F(5, 2), F(-2)),
+]
+
+
+@pytest.mark.parametrize("lam", ITEM_3_WEIGHTS)
+def test_hw_module_of_raises_as_the_public_constructor_on_item_3(lam):
+    assert _hw_module_of_route(lam) is _public_route(lam) is StructureViolation
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_hw_module_of_matches_the_public_constructor_on_the_defect_family(n, data):
+    # a case-a weight with <lam + rho, alpha_{r,n}> = -p, p >= 0: the family
+    # where the reduced maximal set can fail to be cross-free
+    lam = [
+        F(data.draw(st.integers(-8, 8)), data.draw(st.sampled_from((1, 2, 3))))
+        for _ in range(n)
+    ]
+    r, p = data.draw(st.integers(1, n)), data.draw(st.integers(0, 4))
+    lam[n - 1] = -p - sum(lam[k - 1] + 1 for k in range(r, n)) - 1
+    lam = tuple(lam)
+    assume(classify_hw_relation_case(lam).tag == "CaseA")
+    assert _hw_module_of_route(lam) == _public_route(lam)
 
 
 def test_build_induced_values():

@@ -90,6 +90,26 @@ def test_components_and_satisfaction():
     assert g.is_admissible(red)
 
 
+def test_realization_finds_the_components_of_a_set_once(monkeypatch):
+    relations = sys.modules["gtrel.relations"]
+    components = relations._components
+    calls = []
+
+    def counted(fwd, rev):
+        calls.append(1)
+        return components(fwd, rev)
+
+    monkeypatch.setattr(relations, "_components", counted)
+    T = g.tableau(2, [[F(-1)], [F(-1), F(-1, 2)], [F(-1), F(-1, 2), F(-3, 2)]])
+    C = chain_c(2)
+    assert g.is_realization(C, T) and g.is_noncritical_for(C, T)
+    assert g.is_noncritical_for(g.relation_set(2, C.relations), T)
+    assert len(calls) == 2
+    L = relations._layout(2)
+    assert {frozenset(L.positions[v] for v in range(len(L.positions)) if c >> v & 1)
+            for c in C._component_masks} == set(map(frozenset, undirected_components(C)))
+
+
 def test_reduce_keeps_constraint_closure(hw_module):
     sat = g.satisfied_relations(hw_module.seed)
     red = g.reduce_relations(sat)

@@ -91,6 +91,19 @@ def test_weight_of_seed_matches_delta():
     assert g.weight_of(shifted) == tuple(b + d for b, d in zip(base, delta))
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_weight_matches_the_cartan_map_on_fraction_row_sums(n, data):
+    # entries over 1, 2, 3, 4 and 6 with either sign, so the common
+    # denominator d of `Tableau.scaled` varies and exceeds every entry's
+    entry = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6)))
+    T = g.tableau(n, [data.draw(st.lists(entry, min_size=k, max_size=k)) for k in range(1, n + 2)])
+    sums = [sum(row, F(0)) for row in T.rows]
+    want = tuple(F(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1]))
+    assert T.weight == want
+    assert all(type(x) is F for x in T.weight)
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.data())
 def test_row_sums_of_weight_delta_inverts_the_cartan_map(sums, data):
