@@ -492,15 +492,10 @@ def is_highest_weight_vector(M, v):
     coords = []
     for k in range(1, M.n + 1):
         word = [(1, [_resolve_sigma(M.sigma, gen_H(k))])]
-        seen = None
-        for z in v:
-            p, q = _combination_sums(M, word, z).get(z, (0, 1))
-            lam = Fraction(p, q)
-            if seen is None:
-                seen = lam
-            elif lam != seen:
-                return None
-        coords.append(seen)
+        lams = {Fraction(*_combination_sums(M, word, z).get(z, (0, 1))) for z in v}
+        if len(lams) > 1:
+            return None
+        coords.append(lams.pop())
     return tuple(coords)
 
 

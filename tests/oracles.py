@@ -13,8 +13,9 @@ comparing two Floyd-Warshall closures, the axiom suite as closures
 over GTVector arithmetic, the Gelfand-Tsetlin coefficient formula in
 Fraction arithmetic on the entries of T(seed+z), the highest-weight
 classifier with every pairing summed afresh, highest-weight detection on
-GTVector arithmetic, and rational parsing by Fraction's own parser.  Two helpers of the relation tests live here too:
-the universe R as a list and the kernel's adjoining pairs as positions."""
+GTVector arithmetic, and rational parsing by Fraction's own parser.  Two
+helpers of the relation tests live here too: the universe R as a list
+and the kernel's adjoining pairs as positions."""
 
 import random
 from fractions import Fraction

@@ -80,8 +80,10 @@ def test_highest_weight_detection_matches_the_vector_oracle(module_catalog):
         singular = [
             z
             for z in pool
-            if all(act_by_vectors(M, g.ERaise(k), g.basis_vector(z)).is_zero()
-                   for k in range(1, M.n + 1))
+            if all(
+                act_by_vectors(M, g.ERaise(k), g.basis_vector(z)).is_zero()
+                for k in range(1, M.n + 1)
+            )
         ]
         vectors = [vec((z, rng.choice((1, -2, F(1, 3))))) for z in singular]
         vectors += [vec(*((z, 1) for z in singular))] if len(singular) > 1 else []

@@ -105,9 +105,12 @@ def test_realization_finds_the_components_of_a_set_once(monkeypatch):
     assert g.is_realization(C, T) and g.is_noncritical_for(C, T)
     assert g.is_noncritical_for(g.relation_set(2, C.relations), T)
     assert len(calls) == 2
-    L = relations._layout(2)
-    assert {frozenset(L.positions[v] for v in range(len(L.positions)) if c >> v & 1)
-            for c in C._component_masks} == set(map(frozenset, undirected_components(C)))
+    positions = relations._layout(2).positions
+    got = {
+        frozenset(p for v, p in enumerate(positions) if c >> v & 1)
+        for c in C._component_masks
+    }
+    assert got == set(map(frozenset, undirected_components(C)))
 
 
 def test_reduce_keeps_constraint_closure(hw_module):

@@ -97,7 +97,8 @@ def test_weight_matches_the_cartan_map_on_fraction_row_sums(n, data):
     # entries over 1, 2, 3, 4 and 6 with either sign, so the common
     # denominator d of `Tableau.scaled` varies and exceeds every entry's
     entry = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6)))
-    T = g.tableau(n, [data.draw(st.lists(entry, min_size=k, max_size=k)) for k in range(1, n + 2)])
+    rows = [data.draw(st.lists(entry, min_size=k, max_size=k)) for k in range(1, n + 2)]
+    T = g.tableau(n, rows)
     sums = [sum(row, F(0)) for row in T.rows]
     want = tuple(F(d) - 1 for d in row_sums_weight_delta(sums[:-1], sums[-1]))
     assert T.weight == want
