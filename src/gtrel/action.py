@@ -16,8 +16,9 @@ from math import gcd
 from .core import format_rational, json_int, json_list, json_object, parse_rational
 from .errors import CriticalDenominator, NotInBasis, RankMismatch, UnsupportedGenerator
 from .relations import (
+    _noncritical,
+    _satisfied_realization,
     is_admissible,
-    is_noncritical_for,
     reduce_relations,
     relset_from_json,
     relset_to_json,
@@ -103,13 +104,18 @@ def ELower(k):
 class GTModule:
     """A computable description of the relation module V_C(seed).
 
-    `memo` maps (unpermuted generator, basis shift) to the terms of that
-    generator on that basis vector, each a triple (target, num, den): the
-    coefficient num/den in lowest terms, den > 0 and num != 0.  The
-    coefficients come from integer arithmetic on the seed's entries times
-    their common denominator (`Tableau.scaled`).  The module is frozen, so
-    an entry never goes stale; every transform builds a new module with an
-    empty memo.
+    The action kernel runs on small ints, not shift tuples: `ids` interns
+    each basis shift the module has met (shift -> id) and `shifts` maps the
+    id back.  Ids are multiples of the rank's generator count, so the memo
+    key of an unpermuted generator on a shift is the shift's id plus the
+    generator's index in `_generators`, one addition.  `memo` maps that key
+    to the terms of the generator on the basis vector, each a triple
+    (target id, num, den): the coefficient num/den in lowest terms, den > 0
+    and num != 0.  The coefficients come from integer arithmetic on the
+    seed's entries times their common denominator (`Tableau.scaled`).  Only
+    basis shifts are interned, so no id ever names a shift outside the
+    basis.  The module is frozen, so an entry never goes stale; every
+    transform builds a new module with empty tables.
     """
 
     n: int
@@ -119,6 +125,8 @@ class GTModule:
     normalization: str = "hw"
     checker: object = field(default=None, compare=False, repr=False)
     memo: dict = field(default=None, compare=False, repr=False)
+    ids: dict = field(default=None, compare=False, repr=False)
+    shifts: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _top_total(self.n, self.normalization)  # rejects an unknown normalization
@@ -130,11 +138,15 @@ class GTModule:
         if sorted(sigma) != list(range(1, self.n + 2)):
             raise ValueError("sigma must be a permutation of 1..n+1")
         object.__setattr__(self, "sigma", tuple(sigma))
+        # building the checker decides, arrow by arrow, that the seed
+        # satisfies C (SeedViolatesRelations otherwise)
         object.__setattr__(self, "checker", BasisChecker(self.C, self.seed))
         object.__setattr__(self, "memo", {})
+        object.__setattr__(self, "ids", {})
+        object.__setattr__(self, "shifts", {})
         if not is_admissible(self.C):
             raise ValueError("relation set is not admissible")
-        if not is_noncritical_for(self.C, self.seed):
+        if not _noncritical(_satisfied_realization(self.C, self.seed)):
             raise ValueError("seed is critical for the relation set")
 
     def entries(self, z):
@@ -264,30 +276,69 @@ def _resolve_sigma(sigma, g):
     return [(1, ("E", sigma[i - 1], sigma[j - 1]))]
 
 
-def _basis_terms(M, g, z):
-    """The memoized (target, num, den) triples of an unpermuted, in-range
-    generator on the basis vector of z, each reduced with den > 0 and
-    num != 0; raises NotInBasis when z is not a basis shift.  A long-root
-    E(i,j) that is not an E(m,1) is the bracket of two generators one step
-    nearer the diagonal."""
-    key = (g, z)
+@lru_cache(maxsize=None)
+def _generators(n):
+    """The n(n+2) unpermuted generators of sl(n+1), H_1..H_n then every
+    E(i,j), and the index of each: the offset of its memo key from the id
+    of a shift."""
+    gens = [gen_H(k) for k in range(1, n + 1)]
+    gens += [gen_E(i, j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+    return tuple(gens), {x: k for k, x in enumerate(gens)}
+
+
+def _letter(n, sigma, g):
+    """g resolved through the flag sigma, as (sign, generator index)
+    pairs."""
+    index = _generators(n)[1]
+    return tuple((sign, index[h]) for sign, h in _resolve_sigma(sigma, g))
+
+
+def _intern(M, z):
+    """The id of the shift z in M, interned on first sight; z is taken to
+    be a basis shift, unchecked."""
+    y = M.ids.get(z)
+    if y is None:
+        y = M.ids[z] = len(M.shifts) * len(_generators(M.n)[0])
+        M.shifts[y] = z
+    return y
+
+
+def _basis_id(M, z):
+    """`_intern` behind the check, made when z is first interned, that z
+    has rows of lengths 1..n and lies in the basis; raises NotInBasis
+    otherwise."""
+    y = M.ids.get(z)
+    if y is None:
+        if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.checker.check(z):
+            raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
+        y = _intern(M, z)
+    return y
+
+
+def _basis_terms(M, gi, y):
+    """The memoized (target id, num, den) triples of the unpermuted
+    generator of index gi on the basis vector of the shift of id y, each
+    reduced with den > 0 and num != 0.  A long-root E(i,j) that is not an
+    E(m,1) is the bracket of two generators one step nearer the
+    diagonal."""
+    key = y + gi
     terms = M.memo.get(key)
     if terms is not None:
         return terms
-    if [len(row) for row in z] != list(range(1, M.n + 1)) or not M.checker.check(z):
-        raise NotInBasis("shift %s is not in the basis" % (shift_to_json(z),))
+    gens, index = _generators(M.n)
+    g, z = gens[gi], M.shifts[y]
     if g[0] == "H":
         k = g[1]
         delta = row_sums_weight_delta([sum(row) for row in z])
         w = weight_of(M.seed)[k - 1] + delta[k - 1]
-        triples = ((z, w.numerator, w.denominator),)
+        triples = ((y, w.numerator, w.denominator),)
     elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
-        triples = _terms(M, g, z)
+        triples = ((_intern(M, t), p, q) for t, p, q in _terms(M, g, z))
     else:
         _, i, j = g
         step = i + 1 if j > i + 1 else i - 1
-        a, b = [(1, ("E", i, step))], [(1, ("E", step, j))]
-        sums = _combination_sums(M, [(1, [b, a]), (-1, [a, b])], z)
+        a, b = ((1, index[("E", i, step)]),), ((1, index[("E", step, j)]),)
+        sums = _combination_sums(M, [(1, [b, a]), (-1, [a, b])], y)
         triples = ((t, p, q) for t, (p, q) in sums.items())
     reduced = []
     for t, p, q in triples:
@@ -302,15 +353,16 @@ def _apply(M, combination, v):
     """A combination of (integer coefficient, word) in the form of
     `axiom_identities`, applied to the vector v: each letter is resolved
     through the flag and each basis term of v summed by
-    `_combination_sums`."""
+    `_combination_sums`, its shift checked when first interned."""
     words = [
-        (coef, [_resolve_sigma(M.sigma, x) for x in reversed(word)])
+        (coef, [_letter(M.n, M.sigma, x) for x in reversed(word)])
         for coef, word in combination
     ]
+    shifts = M.shifts
     out = GTVector()
     for z, c in v.items():
-        for t, (p, q) in _combination_sums(M, words, z).items():
-            out.iadd(t, Fraction(c.numerator * p, c.denominator * q))
+        for t, (p, q) in _combination_sums(M, words, _basis_id(M, z)).items():
+            out.iadd(shifts[t], Fraction(c.numerator * p, c.denominator * q))
     return out
 
 
@@ -371,24 +423,25 @@ def axiom_identities(n):
     return ids
 
 
-def _combination_sums(M, combination, z):
-    """target -> (num, den) of a combination of resolved words on the basis
-    vector of z, read from the memo's integer triples.  The pairs are not
-    reduced: a product is (n1 n2, d1 d2), a sum is cross-multiplied, every
-    den is > 0."""
+def _combination_sums(M, combination, y):
+    """target id -> (num, den) of a combination of resolved words on the
+    basis vector of the shift of id y, read from the memo's integer
+    triples.  A letter is a tuple of (sign, generator index).  The pairs
+    are not reduced: a product is (n1 n2, d1 d2), a sum is
+    cross-multiplied, every den is > 0."""
     lookup = M.memo.get
     acc = {}
     get = acc.get
     for coef, letters in combination:
-        layer = [(z, coef, 1)]
+        layer = [(y, coef, 1)]
         for letter in letters:
             step = []
             append = step.append
-            for y, p, q in layer:
-                for sign, h in letter:
-                    terms = lookup((h, y))
+            for x, p, q in layer:
+                for sign, gi in letter:
+                    terms = lookup(x + gi)
                     if terms is None:
-                        terms = _basis_terms(M, h, y)
+                        terms = _basis_terms(M, gi, x)
                     sp = sign * p
                     for t, a, b in terms:
                         append((t, sp * a, q * b))
@@ -407,12 +460,12 @@ def _combination_sums(M, combination, z):
 @lru_cache(maxsize=None)
 def _compiled_identities(n, sigma):
     """(name, resolved words) of each of `axiom_identities(n)`, built once
-    per rank and flag: each letter resolved through sigma once, and each
-    word listed in the order its letters act.  Tuples throughout, as every
-    module of this rank and flag shares them."""
+    per rank and flag: each letter resolved through sigma once, to
+    generator indices, and each word listed in the order its letters act.
+    Tuples throughout, as every module of this rank and flag shares them."""
     identities = axiom_identities(n)
     letters = {x for _, _, comb in identities for _, word in comb for x in word}
-    resolved = {x: tuple(_resolve_sigma(sigma, x)) for x in letters}
+    resolved = {x: _letter(n, sigma, x) for x in letters}
     return tuple(
         (
             name,
@@ -434,7 +487,8 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     s-th sample checks one identity, cycling through them; with full=True
     every sampled shift is checked against every identity until at least
     `samples` checks are done (slower, used at acceptance).  A failure
-    carries its nonzero residual as a JSON vector.
+    carries its nonzero residual as a JSON vector.  The drawn shifts are
+    basis shifts, so they are interned unchecked.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
@@ -445,16 +499,20 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     size = len(pool)
     checks = _compiled_identities(M.n, M.sigma)
     count = len(checks)
+    shifts = M.shifts
     failures = []
     checked = 0
     while checked < samples:
         z = pool[rng.randrange(size)]
         batch = checks if full else (checks[checked % count],)
+        y = _intern(M, z)
         for name, words in batch:
-            sums = _combination_sums(M, words, z)
+            sums = _combination_sums(M, words, y)
             for p, _ in sums.values():
                 if p:
-                    residual = GTVector((t, Fraction(*pq)) for t, pq in sums.items())
+                    residual = GTVector(
+                        (shifts[t], Fraction(*pq)) for t, pq in sums.items()
+                    )
                     failures.append(
                         {
                             "identity": name,
@@ -489,10 +547,12 @@ def is_highest_weight_vector(M, v):
     for k in range(1, M.n + 1):
         if not act(M, ERaise(k), v).is_zero():
             return None
+    # the raisings interned and checked every shift of v
+    ys = [M.ids[z] for z in v]
     coords = []
     for k in range(1, M.n + 1):
-        word = [(1, [_resolve_sigma(M.sigma, gen_H(k))])]
-        lams = {Fraction(*_combination_sums(M, word, z).get(z, (0, 1))) for z in v}
+        word = [(1, [_letter(M.n, M.sigma, gen_H(k))])]
+        lams = {Fraction(*_combination_sums(M, word, y).get(y, (0, 1))) for y in ys}
         if len(lams) > 1:
             return None
         coords.append(lams.pop())

@@ -5,6 +5,7 @@ Every tableau entry, coefficient and twist parameter is a
 fractions.Fraction; there is no floating point anywhere in the package.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -12,6 +13,9 @@ from math import isqrt
 ZGEQ0 = "ZGeq0"
 ZGT0 = "ZGt0"
 Z = "Z"
+
+# an exponent as Fraction's parser reads one: "e" or "E", a sign, a digit
+_EXPONENT = re.compile(r"[eE][-+]?\d")
 
 
 def diff_in(a, b, cls):
@@ -31,7 +35,9 @@ def diff_in(a, b, cls):
 
 
 def parse_rational(s):
-    """Parse "a" or "a/b" into a Fraction; b must be positive."""
+    """Parse "a" or "a/b" into a Fraction; b must be positive.  Text with
+    an exponent is rejected: Fraction("1e9999999999") would build
+    10**9999999999."""
     if not isinstance(s, str):
         raise ValueError("expected a rational string, got %r" % (s,))
     s = s.strip()
@@ -50,6 +56,8 @@ def parse_rational(s):
         den = s.split("/")[1].strip()
         if not den.lstrip("+").isdigit() or int(den) <= 0:
             raise ValueError("denominator must be positive: %r" % s)
+    if _EXPONENT.search(s):
+        raise ValueError("exponents are not accepted: %r" % s)
     return Fraction(s)
 
 

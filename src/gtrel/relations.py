@@ -508,15 +508,19 @@ def satisfied_relations(T):
 
 def _realization(C, T):
     """None when T is not a C-realization, else whether T is noncritical
-    for C.
+    for C."""
+    return _satisfied_realization(C, T) if satisfies(T, C) else None
+
+
+def _satisfied_realization(C, T):
+    """`_realization` for a T known to satisfy C, as a module's seed is
+    once its `BasisChecker` is built.
 
     Once T satisfies C, every arrow of G(C) joins entries with an integer
     gap, so no component holds two entries without one.  Only same-row
     pairs with a gap need a look: in different components T is not a
     realization, and in one component with gap 0 it is critical.
     """
-    if not satisfies(T, C):
-        return None
     comp = C._component_masks
     scaled, noncritical = T.scaled, True
     for k in range(1, C.n + 1):
@@ -538,10 +542,15 @@ def is_realization(C, T):
 
 def is_noncritical_for(C, T):
     """Same-component entries in each row 1..n are pairwise distinct."""
-    noncritical = _realization(C, T)
-    if noncritical is None:
+    return _noncritical(_realization(C, T))
+
+
+def _noncritical(realization):
+    """The answer of `is_noncritical_for` from that of `_realization`:
+    NotARealization when T is not a C-realization."""
+    if realization is None:
         raise NotARealization("tableau is not a C-realization")
-    return noncritical
+    return realization
 
 
 # ---------------------------------------------------------------------------

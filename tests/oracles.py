@@ -18,6 +18,7 @@ helpers of the relation tests live here too: the universe R as a list
 and the kernel's adjoining pairs as positions."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -27,9 +28,11 @@ from gtrel.action import (
     ELower,
     ERaise,
     GTVector,
+    _basis_id,
     _basis_terms,
     _cartan,
     _em1_tuples,
+    _generators,
     _moved,
     _resolve_sigma,
     basis_vector,
@@ -173,8 +176,24 @@ def terms_by_fractions(M, g, z):
 
 
 def _memo_terms(M, g, z):
-    """The library's memoized terms of g on z as (target, Fraction)."""
-    return [(t, Fraction(num, den)) for t, num, den in _basis_terms(M, g, z)]
+    """The library's memoized terms of g on z as (target, Fraction), each
+    id translated back to its shift through `M.shifts`."""
+    gi = _generators(M.n)[1][g]
+    return [
+        (M.shifts[t], Fraction(num, den))
+        for t, num, den in _basis_terms(M, gi, _basis_id(M, z))
+    ]
+
+
+def memo_entries(M):
+    """(generator, shift, terms) of each entry of M's memo, its terms as
+    (target, num, den): the key split into shift id and generator index,
+    and every id translated back through `M.shifts`."""
+    gens = _generators(M.n)[0]
+    for key, terms in M.memo.items():
+        gi = key % len(gens)
+        targets = [(M.shifts[t], num, den) for t, num, den in terms]
+        yield gens[gi], M.shifts[key - gi], targets
 
 
 def _primitive_by_vectors(M, g, v, terms=_memo_terms):
@@ -939,7 +958,7 @@ def hw_relation_case_by_pairings(lam):
 
 def parse_rational_by_fraction(s):
     """`parse_rational` as Fraction's own parser behind the check that a
-    denominator is a positive integer."""
+    denominator is a positive integer and the rejection of any exponent."""
     if not isinstance(s, str):
         raise ValueError("expected a rational string, got %r" % (s,))
     s = s.strip()
@@ -947,4 +966,6 @@ def parse_rational_by_fraction(s):
         den = s.split("/")[1].strip()
         if not den.lstrip("+").isdigit() or int(den) <= 0:
             raise ValueError("denominator must be positive: %r" % s)
+    if re.search(r"[eE][-+]?\d", s):
+        raise ValueError("exponents are not accepted: %r" % s)
     return Fraction(s)

@@ -11,13 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel import action
+from gtrel import action, relations
 from gtrel.action import GTVector, _cartan, axiom_identities
 from gtrel.errors import (
     CriticalDenominator,
     GtrelError,
+    NotARealization,
     NotInBasis,
     RankMismatch,
+    SeedViolatesRelations,
     UnsupportedGenerator,
 )
 from gtrel.tableau import BasisBox
@@ -27,6 +29,7 @@ from oracles import (
     em1_bracket,
     highest_weight_by_vectors,
     is_simple_by_closure,
+    memo_entries,
     primitive_by_fractions,
     verify_axioms_by_vectors,
 )
@@ -34,6 +37,12 @@ from oracles import (
 
 def vec(*pairs):
     return GTVector({z: F(c) for z, c in pairs})
+
+
+def _memo_key(M, gen, z):
+    """The memo key of an unpermuted generator on the basis shift z: the
+    shift's id plus the generator's index."""
+    return action._basis_id(M, z) + action._generators(M.n)[1][gen]
 
 
 def test_vector_algebra():
@@ -157,6 +166,38 @@ def test_module_rejects_unknown_normalization(hw_module):
             g.module(hw_module.seed, hw_module.C, normalization=norm)
 
 
+def test_module_construction_reads_the_seed_against_c_once(hw_module, monkeypatch):
+    # the checker decides satisfaction arrow by arrow; construction then
+    # reads only the components, with the same errors as before
+    calls = []
+    satisfies = relations.satisfies
+
+    def counted(T, C):
+        calls.append(C)
+        return satisfies(T, C)
+
+    monkeypatch.setattr(relations, "satisfies", counted)
+    T = g.tableau(2, [[F(-1)], [F(0), F(0)], [F(3), F(1), F(-2)]])
+    cases = (
+        ([((2, 1), (1, 1)), ((2, 2), (1, 1))], ValueError, "seed is critical for the relation set"),
+        ([((1, 1), (2, 1))], SeedViolatesRelations, "seed does not satisfy the relation set"),
+        ([((2, 1), (1, 1))], NotARealization, "tableau is not a C-realization"),
+    )
+    for rels, error, message in cases:
+        C = g.relation_set(2, rels)
+        with pytest.raises(error) as info:
+            g.module(T, C)
+        assert type(info.value) is error and str(info.value) == message, rels
+    assert g.module(hw_module.seed, hw_module.C) == hw_module
+    assert calls == []
+    # the public predicates keep their own full check
+    C = g.relation_set(2, cases[1][0])
+    assert not g.is_realization(C, T)
+    with pytest.raises(NotARealization):
+        g.is_noncritical_for(C, T)
+    assert len(calls) == 2
+
+
 def test_cartan_matrix():
     assert _cartan(1, 1) == 2
     assert _cartan(1, 2) == -1
@@ -230,8 +271,9 @@ def test_failures_carry_the_residual_the_vector_oracle_computes(hw_module):
     M = hw_module.replace()
     z = g.zero_shift(2)
     assert g.verify_axioms(M, box=0, samples=1, full=True)["failures"] == []
-    (target, num, den), *rest = M.memo[(g.gen_E(2, 1), z)]
-    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * num, den), *rest)
+    key = _memo_key(M, g.gen_E(2, 1), z)
+    (target, num, den), *rest = M.memo[key]
+    M.memo[key] = ((target, 2 * num, den), *rest)
     for full in (False, True):
         args = dict(box=0, samples=40, seed=5, full=full)
         report = g.verify_axioms(M, **args)
@@ -247,8 +289,9 @@ def _with_doubled_e21(M):
     first coefficient doubled, entered before any bracket is built from it."""
     M = M.replace()
     z = g.zero_shift(M.n)
-    (target, num, den), *rest = action._basis_terms(M, g.gen_E(2, 1), z)
-    M.memo[(g.gen_E(2, 1), z)] = ((target, 2 * num, den), *rest)
+    y, gi = action._basis_id(M, z), action._generators(M.n)[1][g.gen_E(2, 1)]
+    (target, num, den), *rest = action._basis_terms(M, gi, y)
+    M.memo[y + gi] = ((target, 2 * num, den), *rest)
     return M
 
 
@@ -349,6 +392,50 @@ def test_memo_is_invisible_to_equality_and_hash(hw_module):
     assert M.memo and not other.memo
     assert M == other and hash(M) == hash(other)
     assert "memo" not in repr(M)
+
+
+def test_intern_tables_are_invisible_to_equality_and_hash(hw_module):
+    # the same module, its shifts interned in two different orders
+    M, other = hw_module.replace(), hw_module.replace()
+    zs = g.enumerate_basis_box(M.C, M.seed, 1)
+    for X, order in ((M, zs), (other, zs[::-1])):
+        for z in order:
+            g.act(X, g.gen_H(1), g.basis_vector(z))
+    assert M.ids.keys() == other.ids.keys() and M.ids != other.ids
+    assert M == other and hash(M) == hash(other)
+    assert "ids" not in repr(M) and "shifts" not in repr(M)
+
+
+def test_replace_and_transforms_start_with_empty_intern_tables(module_catalog):
+    hw = g.hw_module_of((F(-3, 2), F(0)))
+    g.verify_axioms(hw, box=1, samples=20)
+    M = dict(module_catalog)["lem-key-n3"].replace()
+    g.act(M, g.gen_E(3, 1), g.basis_vector(g.zero_shift(3)))
+    for X, Y in (
+        (hw, hw.replace()),
+        (hw, g.localize_e21(hw)),
+        (hw, g.twist_e21(hw, F(1, 3))),
+        (M, g.permute_flag(M, (3, 1, 2, 4))),
+    ):
+        assert X.ids and X.shifts
+        assert Y.ids == {} and Y.shifts == {} and Y.memo == {}
+        assert Y.ids is not X.ids and Y.shifts is not X.shifts
+
+
+def test_rejected_shifts_do_not_enter_the_intern_table(hw_module):
+    M = hw_module.replace()
+    g.act(M, g.gen_E(2, 1), g.basis_vector(g.zero_shift(2)))
+    ids, shifts = dict(M.ids), dict(M.shifts)
+    # outside the basis, then of the wrong shape
+    for z in (((5,), (0, 0)), ((0,), (0,)), ((0,), (0, 0), (5,)), ((0, 0), (0,))):
+        for gen in (g.gen_E(2, 1), g.gen_H(1), g.gen_E(1, 3)):
+            with pytest.raises(NotInBasis):
+                g.act(M, gen, g.basis_vector(z))
+            with pytest.raises(NotInBasis):
+                g.commutator(M, gen, g.gen_E(1, 2), g.basis_vector(z))
+        with pytest.raises(NotInBasis):
+            g.is_highest_weight_vector(M, g.basis_vector(z))
+    assert M.ids == ids and M.shifts == shifts
 
 
 def test_transforms_start_with_their_own_memo(module_catalog):
@@ -518,6 +605,26 @@ def test_memo_gives_what_a_fresh_module_gives(lam, data):
         for gen in all_generators(M.n):
             fresh = M.replace()
             assert g.act(M, gen, v) == g.act(fresh, gen, v), (lam, gen, z)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(*[_coord] * n)), st.data())
+def test_every_interned_id_names_a_basis_shift(lam, data):
+    try:
+        M = g.hw_module_of(lam)
+    except GtrelError:
+        assume(False)
+    seed = data.draw(st.integers(0, 99))
+    g.verify_axioms(M, box=1, samples=40, seed=seed, full=True)
+    stride = len(action._generators(M.n)[0])
+    assert sorted(M.shifts) == [stride * k for k in range(len(M.shifts))]
+    assert {y: z for z, y in M.ids.items()} == M.shifts
+    for z in M.shifts.values():
+        assert M.in_basis(z), (lam, z)
+    for key, terms in M.memo.items():
+        assert key - key % stride in M.shifts
+        for t, _, _ in terms:
+            assert t in M.shifts, (lam, key, t)
 
 
 @st.composite
@@ -720,7 +827,7 @@ def _assert_memo_matches_the_fraction_formula(M):
     """Every memo entry is reduced and equals the Gelfand-Tsetlin formula
     in Fraction arithmetic on the entries of T(seed+z)."""
     assert M.memo
-    for (gen, z), terms in M.memo.items():
+    for gen, z, terms in memo_entries(M):
         targets = [t for t, _, _ in terms]
         assert len(set(targets)) == len(targets), (gen, z)
         for _, num, den in terms:

@@ -340,6 +340,18 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_an_exponent_in_a_rational_exits_2_at_once(capsys):
+    # Fraction would build 10**9999999999 before any check could run
+    for argv in (
+        ("build", "--type", "hw", "--lambda=1e9999999999"),
+        ("build", "--type", "hw", "--lambda=-3/2,1E9999999999"),
+        ("admissible", "--n", "2", "--k=1e9999999999"),
+    ):
+        code, out = run(capsys, *argv)
+        assert (code, out["error"]) == (2, "ValueError"), argv
+        assert "exponents are not accepted" in out["detail"], argv
+
+
 def test_bad_verb_exits_argparse():
     with pytest.raises(SystemExit):
         main(["no-such-verb"])
