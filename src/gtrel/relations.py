@@ -60,7 +60,7 @@ class RelationSet:
 
     def __post_init__(self):
         n, rels = self.n, self.relations
-        if n > _MAX_CACHED_RANK or not _layout(n).universe.keys() >= rels:
+        if n > _MAX_CACHED_RANK or not _universe(n).keys() >= rels:
             for frm, to in rels:
                 relation_kind(n, frm, to)  # raises on the first illegal arrow
 
@@ -80,36 +80,50 @@ class RelationSet:
         return sorted(self.relations)
 
     @cached_property
+    def _graph(self):
+        """(fwd, rev, comp): the out- and in-mask of every position of
+        G(self) and the mask of each position's component, its arrows taken
+        undirected, computed once: the set is frozen.  Read only."""
+        fwd, rev = _masks(_layout(self.n), self.relations)
+        return fwd, rev, _components(fwd, rev)
+
+    @cached_property
     def _admissible(self):
         """is_admissible(self), computed once: the set is frozen.  A
         StructureViolation is not stored, so it is raised on every call."""
-        return _check_admissible(self.n, self.relations)
-
-    @cached_property
-    def _component_masks(self):
-        """The mask of each position's component of G(self), its arrows
-        taken undirected, computed once: the set is frozen."""
-        return _components(*_masks(_layout(self.n), self.relations))
+        L = _layout(self.n)
+        fwd, rev, comp = self._graph
+        forward, cross = _structure(L, self.relations, fwd, rev, comp)
+        if not (forward and cross):
+            raise StructureViolation(
+                "forward_ordered=%s cross_free=%s" % (forward, cross)
+            )
+        return _diamond_at(L, fwd, rev, range(1, self.n + 1))
 
 
 def relation_set(n, rels=()):
     return RelationSet(n, frozenset(tuple(map(tuple, r)) for r in rels))
 
 
+@cache
 def _universe(n):
-    """Every relation of R: R+, then R-, then R0."""
+    """Every relation of R, R+ then R- then R0, as the keys of a dict
+    (values None).  Cached apart from `_layout`: it has O(n^3) arrows, and
+    only RelationSet validation and satisfied_relations read it."""
+    out = {}
     for i in range(2, n + 2):
         for j in range(1, i + 1):
             for t in range(1, i):
-                yield ((i, j), (i - 1, t))
+                out[(i, j), (i - 1, t)] = None
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for s in range(1, i + 2):
-                yield ((i, j), (i + 1, s))
+                out[(i, j), (i + 1, s)] = None
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if i != j:
-                yield ((n + 1, i), (n + 1, j))
+                out[(n + 1, i), (n + 1, j)] = None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +147,6 @@ class _Layout(NamedTuple):
     rows: tuple  # rows[k]: the mask of row k, 0 for k = 0 and k = n+2
     next_row: tuple  # next_row[v]: the mask of the row an R- arrow from v enters
     upto: tuple  # upto[v]: the mask of v's row at or left of v
-    universe: dict  # every relation of R, in _universe order (values None)
 
 
 @cache
@@ -149,7 +162,6 @@ def _layout(n):
         tuple(rows),
         tuple(rows[k + 1] for k, _ in positions),
         tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions)),
-        dict.fromkeys(_universe(n)),
     )
 
 
@@ -208,12 +220,6 @@ def _components(fwd, rev):
             rest ^= low
             comp[low.bit_length() - 1] = group
     return comp
-
-
-def _forward_ordered(L, fwd):
-    """No position reaches itself or a position of its row left of it."""
-    upto = L.upto
-    return not any(f and _closure(fwd, 1 << v) & upto[v] for v, f in enumerate(fwd))
 
 
 def _adjoining(L, fwd, rows):
@@ -347,12 +353,10 @@ def _reduce(C):
 
     # phase 2: minimize, but never break the structural conditions or an
     # already-holding diamond condition; since a drop keeps the structural
-    # conditions, only the diamond condition is checked on a trial
-    keep_diamond = (
-        _forward_ordered(L, fwd)
-        and _cross_free(L, rels, fwd, rev)
-        and _diamond_ok(n, rels)
-    )
+    # conditions, only the diamond condition is checked on a trial.  comp
+    # is current: phase 1 kept it so (see above)
+    forward, cross = _structure(L, rels, fwd, rev, comp)
+    keep_diamond = forward and cross and _diamond_at(L, fwd, rev, range(1, n + 1))
 
     def droppable(rel):
         return implied(rel) and (not keep_diamond or _diamond_kept(L, fwd, rev, rel))
@@ -393,10 +397,15 @@ def _crosses(L, fwd, rev, comp, rel):
     return False
 
 
-def _cross_free(L, rels, fwd, rev):
-    """No arrow of rels crosses another; fwd and rev are its _masks."""
-    comp = _components(fwd, rev)
-    return not any(_crosses(L, fwd, rev, comp, rel) for rel in rels)
+def _structure(L, rels, fwd, rev, comp):
+    """(forward-ordered, cross-free) of G(rels), whose _masks are fwd, rev
+    and whose _components are comp.  Forward-ordered: no position reaches
+    itself or a position of its row left of it."""
+    upto = L.upto
+    return (
+        not any(f and _closure(fwd, 1 << v) & upto[v] for v, f in enumerate(fwd)),
+        not any(_crosses(L, fwd, rev, comp, rel) for rel in rels),
+    )
 
 
 def _diamond_at(L, fwd, rev, rows):
@@ -417,17 +426,10 @@ def _diamond_at(L, fwd, rev, rows):
     return True
 
 
-def _diamond_ok(n, rels):
-    """The diamond condition at every adjoining pair of rows 1..n; G(rels)
-    must be forward-ordered."""
-    L = _layout(n)
-    return _diamond_at(L, *_masks(L, rels), range(1, n + 1))
-
-
 def _diamond_kept(L, fwd, rev, rel):
-    """_diamond_ok(n, rels - {rel}) on a diamond-ok rels with _masks fwd,
-    rev: only the rows rel joins can lose it (see reduce_relations).  The
-    masks are restored before it returns."""
+    """The diamond condition at rows 1..n of rels - {rel}, for a diamond-ok
+    rels with _masks fwd, rev: only the rows rel joins can lose it (see
+    reduce_relations).  The masks are restored before it returns."""
     a, b = L.index[rel[0]], L.index[rel[1]]
     fwd[a] ^= 1 << b
     rev[b] ^= 1 << a
@@ -439,12 +441,11 @@ def _diamond_kept(L, fwd, rev, rel):
 
 def check_structure(C):
     """Report the three structural conditions on G(C)."""
-    L = _layout(C.n)
-    fwd, rev = _masks(L, C.relations)
+    forward, cross = _structure(_layout(C.n), C.relations, *C._graph)
     return {
         "reduced": reduce_relations(C).relations == C.relations,
-        "forward_ordered": _forward_ordered(L, fwd),
-        "cross_free": _cross_free(L, C.relations, fwd, rev),
+        "forward_ordered": forward,
+        "cross_free": cross,
     }
 
 
@@ -456,18 +457,6 @@ def is_admissible(C):
     kept on C, so a second call on the same set costs nothing.
     """
     return C._admissible
-
-
-def _check_admissible(n, rels):
-    L = _layout(n)
-    fwd, rev = _masks(L, rels)
-    forward = _forward_ordered(L, fwd)
-    cross = _cross_free(L, rels, fwd, rev)
-    if not (forward and cross):
-        raise StructureViolation(
-            "forward_ordered=%s cross_free=%s" % (forward, cross)
-        )
-    return _diamond_at(L, fwd, rev, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +489,7 @@ def satisfied_relations(T):
     scaled = T.scaled
     out = [
         rel
-        for rel in _layout(T.n).universe
+        for rel in _universe(T.n)
         if (t := _bound(scaled, *rel)) is not None and t <= 0
     ]
     return RelationSet(T.n, frozenset(out))
@@ -521,7 +510,7 @@ def _satisfied_realization(C, T):
     pairs with a gap need a look: in different components T is not a
     realization, and in one component with gap 0 it is critical.
     """
-    comp = C._component_masks
+    comp = C._graph[2]
     scaled, noncritical = T.scaled, True
     for k in range(1, C.n + 1):
         first = k * (k - 1) // 2

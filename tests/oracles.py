@@ -50,6 +50,7 @@ from gtrel.relations import (
     _adjoining,
     _layout,
     _masks,
+    _universe,
     all_positions,
     reduce_relations,
     relation_kind,
@@ -435,7 +436,7 @@ def empirical_images_distinct(M, m, box):
 
 def full_relation_universe(n):
     """All of R = R+ u R- u R0 for the given n."""
-    return list(_layout(n).universe)
+    return list(_universe(n))
 
 
 def adjoining_pairs(C):

@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction as F
 
@@ -17,11 +18,10 @@ from gtrel.relations import (
     RPLUS,
     RZERO,
     _bound,
-    _check_admissible,
     _closure,
     _components,
+    _diamond_at,
     _diamond_kept,
-    _diamond_ok,
     _layout,
     _masks,
     _strict_reach,
@@ -108,9 +108,57 @@ def test_realization_finds_the_components_of_a_set_once(monkeypatch):
     positions = relations._layout(2).positions
     got = {
         frozenset(p for v, p in enumerate(positions) if c >> v & 1)
-        for c in C._component_masks
+        for c in C._graph[2]
     }
     assert got == set(map(frozenset, undirected_components(C)))
+
+
+def _count_calls(mp, *names):
+    """Count the calls of the named functions of gtrel.relations."""
+    relations = sys.modules["gtrel.relations"]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in names:
+        mp.setattr(relations, name, counted(name, getattr(relations, name)))
+    return calls
+
+
+def test_a_set_builds_its_graph_once(monkeypatch):
+    # admissibility, the structure report, noncriticality and a module on
+    # the set all read its one graph; the reduction that made the set
+    # searched its own working masks before the count starts
+    T = g.tableau(2, [[F(-1)], [F(-1), F(-1, 2)], [F(-1), F(-1, 2), F(-3, 2)]])
+    C = g.reduce_relations(chain_c(2))
+    assert "_graph" not in vars(C)
+    calls = _count_calls(monkeypatch, "_masks", "_components")
+    assert g.is_admissible(C)
+    assert g.check_structure(C) == {
+        "reduced": True,
+        "forward_ordered": True,
+        "cross_free": True,
+    }
+    assert g.is_noncritical_for(C, T)
+    assert g.module(T, C).C is C
+    assert calls == {"_masks": 1, "_components": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_a_reduction_without_two_cycles_finds_the_components_once(n, data):
+    universe = full_relation_universe(n)
+    rels = set(data.draw(st.lists(st.sampled_from(universe), max_size=30)))
+    C = g.relation_set(n, {(a, b) for a, b in rels if (b, a) not in rels})
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_calls(mp, "_components")
+        g.reduce_relations(C)
+    assert calls == {"_components": 1}
 
 
 def test_reduce_keeps_constraint_closure(hw_module):
@@ -139,13 +187,13 @@ def test_admissibility_is_checked_once_per_set(monkeypatch):
     from gtrel import relations
 
     calls = []
-    check = relations._check_admissible
+    structure = relations._structure
 
-    def counted(n, rels):
+    def counted(L, rels, fwd, rev, comp):
         calls.append(rels)
-        return check(n, rels)
+        return structure(L, rels, fwd, rev, comp)
 
-    monkeypatch.setattr(relations, "_check_admissible", counted)
+    monkeypatch.setattr(relations, "_structure", counted)
     C = chain_c(2)
     assert g.is_admissible(C) and g.is_admissible(C)
     assert len(calls) == 1
@@ -158,6 +206,32 @@ def test_admissibility_is_checked_once_per_set(monkeypatch):
         with pytest.raises(StructureViolation):
             g.is_admissible(bad)
     assert len(calls) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_admissibility_matches_the_oracles_on_random_subsets_with_two_cycles(
+    n, forward_first, data
+):
+    universe = full_relation_universe(n)
+    rels = data.draw(st.lists(st.sampled_from(universe), max_size=12))
+    if forward_first:
+        # keep each arrow that leaves the set forward-ordered, so that the
+        # diamond condition decides more often
+        kept = set()
+        for rel in rels:
+            if forward_ordered(g.relation_set(n, kept | {rel})):
+                kept.add(rel)
+        rels = sorted(kept)
+    twins = data.draw(st.lists(st.sampled_from(rels), max_size=4)) if rels else []
+    C = g.relation_set(n, rels + [(b, a) for a, b in twins])
+    forward, cross = forward_ordered(C), cross_free(C)
+    if forward and cross:
+        assert g.is_admissible(C) == diamond_ok(C)
+    else:
+        message = "^forward_ordered=%s cross_free=%s$" % (forward, cross)
+        with pytest.raises(StructureViolation, match=message):
+            g.is_admissible(C)
 
 
 def test_empty_set_admissible():
@@ -197,18 +271,26 @@ def test_rank_mismatch_is_rejected_both_ways():
             g.is_noncritical_for(C, T)
 
 
+def _fail_above_the_cached_rank(monkeypatch, *names):
+    """Make the named functions of gtrel.relations, each taking a rank,
+    fail above _MAX_CACHED_RANK."""
+    from gtrel import relations
+
+    def small_only(fn):
+        def checked(n):
+            assert n <= relations._MAX_CACHED_RANK, n
+            return fn(n)
+
+        return checked
+
+    for name in names:
+        monkeypatch.setattr(relations, name, small_only(getattr(relations, name)))
+
+
 def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
     # the universe of rank n has O(n^3) arrows; a rank read from JSON can
     # be huge, so its arrows are classified one by one
-    from gtrel import relations
-
-    layout = relations._layout
-
-    def small_only(n):
-        assert n <= relations._MAX_CACHED_RANK, n
-        return layout(n)
-
-    monkeypatch.setattr(relations, "_layout", small_only)
+    _fail_above_the_cached_rank(monkeypatch, "_layout", "_universe")
     obj = {"n": 10**9, "relations": [[[2, 1], [1, 1]]]}
     assert g.relset_from_json(obj).relations == {((2, 1), (1, 1))}
     obj["relations"].append([[1, 1], [3, 1]])
@@ -216,6 +298,21 @@ def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
         g.relset_from_json(obj)
     with pytest.raises(ValueError, match="not a legal relation for n=3"):
         g.relation_set(3, [((2, 1), (1, 1)), ((1, 1), (3, 1))])
+
+
+def test_a_module_above_the_cached_rank_is_read_and_verified_without_its_universe(
+    monkeypatch,
+):
+    # the layout that BasisChecker and the graph read holds no universe
+    from gtrel import relations
+
+    M = g.hw_module_of(tuple(F(1, 2) for _ in range(20)))
+    obj = json.loads(json.dumps(g.module_to_json(M)))
+    _fail_above_the_cached_rank(monkeypatch, "_universe")
+    relations._layout.cache_clear()  # rank 20's layout is built afresh
+    M2 = g.module_from_json(obj)
+    assert M2 == M
+    assert g.verify_axioms(M2, box=0, samples=20)["failures"] == []
 
 
 def test_relset_json_round_trip(module_catalog):
@@ -337,12 +434,12 @@ def test_reduce_matches_reference_on_hw_weights(lam):
 
 def _assert_marks_hold(C):
     """A reduced set is returned as it is and is a fixed point of the
-    reference; a stored admissibility is what a fresh check computes."""
+    reference; a stored admissibility is the verdict on a fresh equal set."""
     R = g.reduce_relations(C)
     assert g.reduce_relations(R) is R
     assert R == reduce_relations_per_candidate(R)
     if "_admissible" in vars(R):
-        assert R._admissible == _check_admissible(R.n, R.relations)
+        assert R._admissible == g.is_admissible(g.relation_set(R.n, R.relations))
 
 
 @settings(max_examples=150, deadline=None)
@@ -380,7 +477,8 @@ def test_adjoining_pairs_match_reference_on_forward_ordered_sets(n, data):
             rels.add(rel)
     C = g.relation_set(n, rels)
     assert adjoining_pairs(C) == adjoining_pairs_per_pair(C)
-    assert _diamond_ok(C.n, C.relations) == diamond_ok(C)
+    L = _layout(n)
+    assert _diamond_at(L, *_masks(L, C.relations), range(1, n + 1)) == diamond_ok(C)
 
 
 def test_reduction_checks_the_diamond_without_the_two_cycle_arrows():
@@ -425,7 +523,8 @@ def test_two_row_diamond_check_matches_the_full_check(n, from_seed, data):
     L = _layout(n)
     fwd, rev = _masks(L, rels)
     for rel in sorted(rels):
-        assert _diamond_kept(L, fwd, rev, rel) == _diamond_ok(n, rels - {rel}), rel
+        full = _diamond_at(L, *_masks(L, rels - {rel}), range(1, n + 1))
+        assert _diamond_kept(L, fwd, rev, rel) == full, rel
 
 
 # ---------------------------------------------------------------------------
