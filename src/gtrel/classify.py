@@ -8,14 +8,43 @@ of alpha_{r,s} = alpha_r + ... + alpha_s is sum_{k=r..s}(coords[k] + 1).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
-from .core import ZGEQ0, ZGT0, Z, diff_in, rational_sqrt
+from .core import ZGEQ0, Z, diff_in, rational_sqrt
 from .errors import DegenerateDense, NonSquareGamma
 
 
+def _scaled_prefix(lam):
+    """(d, prefix): the least common denominator d of the coordinates and
+    prefix[s] = d * sum_{k<=s}(lam_k + 1) as ints, so that
+    d * <lam + rho, alpha_{r,s}^vee> = prefix[s] - prefix[r-1] and a
+    pairing is an integer iff d divides that difference.  Coordinates may
+    be Fractions, ints or "a/b" strings; an empty weight is rejected."""
+    if not lam:
+        raise ValueError("rank must be >= 1, got 0")
+    lam = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in lam]
+    d = lcm(*[x.denominator for x in lam])
+    scaled = (x.numerator * d // x.denominator + d for x in lam)
+    return d, list(accumulate(scaled, initial=0))
+
+
+def _positive(p, d):
+    """Whether p / d is a positive integer."""
+    return p > 0 and p % d == 0
+
+
+def _nonpositive(p, d):
+    """Whether p / d is a nonpositive integer."""
+    return p <= 0 and p % d == 0
+
+
 def pairing(lam, r, s):
-    """<lam + rho, alpha_{r,s}^vee> as a Fraction."""
-    return sum((Fraction(lam[k - 1]) + 1 for k in range(r, s + 1)), Fraction(0))
+    """<lam + rho, alpha_{r,s}^vee> as a Fraction, for 1 <= r <= s <= n."""
+    if not 1 <= r <= s <= len(lam):
+        raise ValueError("no root alpha_{%r,%r} for rank %d" % (r, s, len(lam)))
+    d, prefix = _scaled_prefix(lam)
+    return Fraction(prefix[s] - prefix[r - 1], d)
 
 
 @dataclass(frozen=True)
@@ -26,91 +55,86 @@ class HWCase:
 
 
 def hw_relation_case(lam):
-    """Classify a weight per the highest-weight realization criterion."""
-    n = len(lam)
-    # prefix[s] - prefix[r-1] is pairing(lam, r, s)
-    prefix = [Fraction(0)]
-    for x in lam:
-        prefix.append(prefix[-1] + Fraction(x) + 1)
+    """Classify a weight per the highest-weight realization criterion.
 
-    def nonpositive(r, s):
-        return diff_in(0, prefix[s] - prefix[r - 1], ZGEQ0)
-
-    def positive(k):
-        return diff_in(prefix[k] - prefix[k - 1], 0, ZGT0)
-
-    roots = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
-    # case a: no nonpositive-integer pairing outside the last-column roots
-    if not any(nonpositive(r, s) for r, s in roots if s != n):
+    Let bad be the roots alpha_{r,s} with a nonpositive-integer pairing.
+    Case a: every bad root is a last-column root (s = n).  Case b with
+    (i, j): bad lies in {alpha_{i,k} : k >= j} and holds alpha_{i,n}, and
+    alpha_k pairs to a positive integer for every k > j; the criterion
+    asks for exactly one such j.  Each such j is at most the least s of
+    bad, m, and m is one whenever any j is; a smaller one would need
+    alpha_m to pair to a positive integer, which makes alpha_{i,m-1} bad.
+    So m is the only candidate."""
+    d, prefix = _scaled_prefix(lam)
+    n = len(prefix) - 1
+    bad = [
+        (r, s)
+        for r in range(1, n + 1)
+        for s in range(r, n + 1)
+        if _nonpositive(prefix[s] - prefix[r - 1], d)
+    ]
+    if all(s == n for _, s in bad):
         return HWCase("CaseA")
-    bad = {root for root in roots if nonpositive(*root)}
-    found = []
-    for i in range(1, n):
-        if (i, n) not in bad:
-            continue
-        for j in range(i, n):
-            allowed = {(i, k) for k in range(j, n + 1)}
-            if bad <= allowed and all(positive(k) for k in range(j + 1, n + 1)):
-                found.append((i, j))
-    if len(found) == 1:
-        return HWCase("CaseB", *found[0])
+    # bad is listed by r, then s: the first root has the least r, and the
+    # least s if every root shares that r
+    i, j = bad[0]
+    if (
+        all(r == i for r, _ in bad)
+        and bad[-1][1] == n
+        and all(_positive(prefix[k] - prefix[k - 1], d) for k in range(j + 1, n + 1))
+    ):
+        return HWCase("CaseB", i, j)
     return HWCase("NotRelation")
 
 
 def bounded_case(lam):
     """Matching clause (a-e) of the bounded infinite-dimensional
-    criterion, or None."""
-    n = len(lam)
-    a = [None] + [pairing(lam, k, k) for k in range(1, n + 1)]
+    criterion, or None.
 
-    def positive(k):
-        return diff_in(a[k], 0, ZGT0)
+    Every clause asks alpha_k to pair to a positive integer for all k but
+    one or two, which it names, so the clause is read off the list of the
+    other k.  Given that list, some of a clause's conditions follow from
+    the rest and are not tested: in d, <lam + rho, alpha_{i,n}> in Z_{<=0}
+    makes alpha_i pair to a negative integer; in c, alpha_1 pairs to an
+    integer < 0 once it is an integer and alpha_{1,n} pairs to one <= 0;
+    in e, alpha_i and alpha_{i+1} pair to non-integers once their sum is a
+    positive integer."""
+    d, prefix = _scaled_prefix(lam)
+    n = len(prefix) - 1
 
-    if not positive(n) and all(positive(k) for k in range(1, n)):
+    def pair(r, s):
+        return prefix[s] - prefix[r - 1]
+
+    others = [k for k in range(1, n + 1) if not _positive(pair(k, k), d)]
+    if others == [n]:
         return "a"
-    if not diff_in(a[1], 0, Z) and all(positive(k) for k in range(2, n + 1)):
-        return "b"
-    if (
-        diff_in(0, a[1], ZGT0)
-        and diff_in(0, pairing(lam, 1, n), ZGEQ0)
-        and all(positive(k) for k in range(2, n + 1))
-    ):
-        return "c"
-    d_hits = [
-        i
-        for i in range(2, n)
-        if diff_in(0, a[i], ZGT0)
-        and diff_in(pairing(lam, i - 1, i), 0, ZGT0)
-        and diff_in(0, pairing(lam, i, n), ZGEQ0)
-        and all(positive(k) for k in range(1, n + 1) if k != i)
-    ]
-    if len(d_hits) == 1:
-        return ("d", d_hits[0])
-    e_hits = [
-        i
-        for i in range(1, n)
-        if not diff_in(a[i], 0, Z)
-        and not diff_in(a[i + 1], 0, Z)
-        and diff_in(pairing(lam, i, i + 1), 0, ZGT0)
-        and all(positive(k) for k in range(1, n + 1) if k not in (i, i + 1))
-    ]
-    if len(e_hits) == 1:
-        return ("e", e_hits[0])
+    if others == [1]:
+        if pair(1, 1) % d:
+            return "b"
+        if _nonpositive(pair(1, n), d):
+            return "c"
+    elif len(others) == 1:
+        i = others[0]  # 1 < i < n
+        if _positive(pair(i - 1, i), d) and _nonpositive(pair(i, n), d):
+            return ("d", i)
+    elif len(others) == 2:
+        i, k = others
+        if k == i + 1 and _positive(pair(i, k), d):
+            return ("e", i)
     return None
 
 
 def verma_simple_relation(lam):
     """True when the Verma module of lam is itself a simple relation
     module (fully generic off the last-column roots)."""
-    n = len(lam)
+    d, prefix = _scaled_prefix(lam)
+    n = len(prefix) - 1
     for r in range(1, n + 1):
-        for s in range(r, n + 1):
-            p = pairing(lam, r, s)
-            if s == n:
-                if diff_in(p, 0, ZGT0):
-                    return False
-            elif diff_in(p, 0, Z):
-                return False
+        low = prefix[r - 1]
+        if _positive(prefix[n] - low, d):
+            return False
+        if any((prefix[s] - low) % d == 0 for s in range(r, n)):
+            return False
     return True
 
 

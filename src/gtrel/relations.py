@@ -252,12 +252,19 @@ def reduce_relations(C):
     Equal top-row entries can produce two-cycles of R0 arrows; only the
     column-increasing direction is kept.
 
-    One adjacency is kept and updated after each drop; a candidate is
-    tested on it with its own arrow cleared.  Dropping arrows never creates
-    a path, so an arrow found not implied stays so and is not searched
-    again, and a drop keeps forward order and cross-freeness (reachability
-    only shrinks, components only split).  The arrows are sorted once:
+    One adjacency is kept and updated after each drop.  Dropping arrows
+    never creates a path, so an arrow found not implied stays so and is not
+    searched again, and a drop keeps forward order and cross-freeness
+    (reachability only shrinks, components only split).  The arrows are sorted once:
     their order is fixed and their set only shrinks.
+
+    A dropped arrow is implied: a walk of the same strength joins its
+    endpoints without it and can stand in for it in any other walk.  So
+    drops change no position's reach or strict reach, and each is searched
+    at most once per reduction.  A candidate a -> b is implied when b lies
+    in the reach (strict reach, unless the first arrow is R-) of another
+    head of a; when a lies on a cycle, a walk from a head may come back
+    through the candidate, and it is searched with its own arrow cleared.
 
     Phase 1 visits each arrow once, in that order, and drops it when it
     crosses another arrow and is implied.  That is the same as dropping,
@@ -310,6 +317,20 @@ def _reduce(C):
     for frm, to in eq_extra:
         adj[index[frm]] |= 1 << index[to]
     not_implied = set()
+    # each position's reach and strict reach in adj, found when first read;
+    # a drop keeps them current (see reduce_relations)
+    reach = [None] * len(index)
+    strict_reach = [None] * len(index)
+
+    def reach_of(v):
+        if reach[v] is None:
+            reach[v] = _closure(adj, 1 << v)
+        return reach[v]
+
+    def strict_reach_of(v):
+        if strict_reach[v] is None:
+            strict_reach[v] = _strict_reach(L, adj, v)
+        return strict_reach[v]
 
     def order(rel):
         # try to drop skewed arrows first so straight column chains
@@ -322,12 +343,29 @@ def _reduce(C):
             return False
         frm, to = rel
         a, bit = index[frm], 1 << index[to]
-        adj[a] ^= bit
-        if to[0] > frm[0]:
-            found = _strict_reach(L, adj, a) & bit
+        strict = to[0] > frm[0]
+        if reach_of(a) >> a & 1:
+            # a lies on a cycle, so a walk from one of its heads may come
+            # back through the arrow itself: search without it
+            adj[a] ^= bit
+            if strict:
+                found = _strict_reach(L, adj, a) & bit
+            else:
+                found = _closure(adj, 1 << a) & bit
+            adj[a] ^= bit
         else:
-            found = _closure(adj, 1 << a) & bit
-        adj[a] ^= bit
+            # a walk from a to `to` without the arrow leaves a by another
+            # arrow a -> w, and goes on from w (w is not `to`); it is strict
+            # if that arrow is (R-) or the rest is
+            found, heads = 0, adj[a] & ~bit
+            while heads and not found:
+                low = heads & -heads
+                heads ^= low
+                w = low.bit_length() - 1
+                if strict and not low & L.next_row[a]:
+                    found = strict_reach_of(w) & bit
+                else:
+                    found = reach_of(w) & bit
         if not found:
             not_implied.add(rel)
         return found

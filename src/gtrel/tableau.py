@@ -443,23 +443,24 @@ def enumerate_weight_space(C, seed, w, box):
 def _top_total(n, normalization):
     """The top-row sum of a seed of rank n under the given normalization."""
     if normalization == "hw":
-        return Fraction(-n * (n + 1) // 2)
+        return -n * (n + 1) // 2
     if normalization == "sl2":
-        return Fraction(-(n + 1))
+        return -(n + 1)
     raise ValueError('normalization must be "hw" or "sl2", got %r' % (normalization,))
 
 
-def _hw_top_values(lam, n, normalization):
+def _hw_top_values(lam, normalization):
     """Column values v_1..v_{n+1} with v_s - v_{s+1} = <lam+rho, alpha_s>
-    and the chosen top-row sum normalization."""
-    lam = tuple(Fraction(x) for x in lam)
-    diffs = [lam[s - 1] + 1 for s in range(1, n + 1)]
-    total = _top_total(n, normalization)
-    tails = []
-    for s in range(1, n + 2):
-        tails.append(sum(diffs[s - 1 : n], Fraction(0)))
-    last = (total - sum(tails, Fraction(0))) / (n + 1)
-    return [last + t for t in tails]
+    and the chosen top-row sum normalization.
+
+    On `classify._scaled_prefix` (d, prefix), d * (v_s - v_{n+1}) is the
+    integer suffix sum prefix[n] - prefix[s-1]; the sum condition fixes
+    v_{n+1}, so each v_s is one Fraction over (n + 1) d."""
+    d, prefix = classify._scaled_prefix(lam)
+    n = len(prefix) - 1
+    tails = [prefix[n] - p for p in prefix]
+    base = _top_total(n, normalization) * d - sum(tails)
+    return [Fraction(base + (n + 1) * t, (n + 1) * d) for t in tails]
 
 
 def _validated(T, C):
@@ -481,7 +482,7 @@ def _hw_seed(lam, case, normalization):
     `classify.hw_relation_case`, a or b, not validated: constant columns in
     case a, columns shuffled by (i, j) in case b."""
     n = len(lam)
-    v = _hw_top_values(lam, n, normalization)
+    v = _hw_top_values(lam, normalization)
     i, j = case.i, case.j
 
     def ent(r, s):
@@ -493,7 +494,9 @@ def _hw_seed(lam, case, normalization):
             return v[s - r + j - 1]
         raise AssertionError("uncovered entry (%d,%d)" % (r, s))
 
-    return tableau(n, [[ent(r, s) for s in range(1, r + 1)] for r in range(1, n + 2)])
+    return Tableau(
+        n, tuple(tuple(ent(r, s) for s in range(1, r + 1)) for r in range(1, n + 2))
+    )
 
 
 def hw_tableau_case_a(lam, normalization="hw"):

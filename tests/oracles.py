@@ -12,7 +12,9 @@ against a tableau written with Fraction differences, simplicity by
 comparing two Floyd-Warshall closures, the axiom suite as closures
 over GTVector arithmetic, the Gelfand-Tsetlin coefficient formula in
 Fraction arithmetic on the entries of T(seed+z), the highest-weight
-classifier with every pairing summed afresh, highest-weight detection on
+classifier, the bounded criterion, Verma simplicity and the highest
+weight seed's column values with every pairing summed afresh in
+Fractions, highest-weight detection on
 GTVector arithmetic, and rational parsing by Fraction's own parser.  Two
 helpers of the relation tests live here too: the universe R as a list
 and the kernel's adjoining pairs as positions."""
@@ -40,7 +42,7 @@ from gtrel.action import (
     gen_H,
     vector_to_json,
 )
-from gtrel.classify import HWCase, pairing
+from gtrel.classify import HWCase
 from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
 from gtrel.errors import CriticalDenominator, NotARealization
 from gtrel.localization import twist_e21
@@ -930,31 +932,105 @@ def verify_axioms_by_vectors(M, box=3, samples=200, seed=7, full=False):
 # the highest-weight classifier as first written: every pairing summed afresh
 
 
+def _pairings_by_fractions(lam):
+    """{(r, s): <lam + rho, alpha_{r,s}^vee>} over every root, each summed
+    afresh in Fractions."""
+    lam = [Fraction(x) for x in lam]
+    n = len(lam)
+    return {
+        (r, s): sum((lam[k - 1] + 1 for k in range(r, s + 1)), Fraction(0))
+        for r in range(1, n + 1)
+        for s in range(r, n + 1)
+    }
+
+
 def hw_relation_case_by_pairings(lam):
     n = len(lam)
-    roots = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
-    if all(not diff_in(0, pairing(lam, r, s), ZGEQ0) for r, s in roots if s != n):
+    p = _pairings_by_fractions(lam)
+    roots = list(p)
+    if all(not diff_in(0, p[r, s], ZGEQ0) for r, s in roots if s != n):
         return HWCase("CaseA")
     found = []
     for i in range(1, n):
         for j in range(i, n):
-            if not all(
-                diff_in(pairing(lam, k, k), 0, ZGT0) for k in range(j + 1, n + 1)
-            ):
+            if not all(diff_in(p[k, k], 0, ZGT0) for k in range(j + 1, n + 1)):
                 continue
-            if not diff_in(0, pairing(lam, i, n), ZGEQ0):
+            if not diff_in(0, p[i, n], ZGEQ0):
                 continue
             allowed = {(i, k) for k in range(j, n + 1)}
             if any(
-                diff_in(0, pairing(lam, r, s), ZGEQ0)
-                for r, s in roots
-                if (r, s) not in allowed
+                diff_in(0, p[r, s], ZGEQ0) for r, s in roots if (r, s) not in allowed
             ):
                 continue
             found.append((i, j))
     if len(found) == 1:
         return HWCase("CaseB", *found[0])
     return HWCase("NotRelation")
+
+
+def bounded_case_by_fractions(lam):
+    """Clauses a-e of the bounded criterion tested one by one on Fraction
+    pairings, every index of clauses d and e tried."""
+    n = len(lam)
+    p = _pairings_by_fractions(lam)
+
+    def positive(k):
+        return diff_in(p[k, k], 0, ZGT0)
+
+    if not positive(n) and all(positive(k) for k in range(1, n)):
+        return "a"
+    if not diff_in(p[1, 1], 0, Z) and all(positive(k) for k in range(2, n + 1)):
+        return "b"
+    if (
+        diff_in(0, p[1, 1], ZGT0)
+        and diff_in(0, p[1, n], ZGEQ0)
+        and all(positive(k) for k in range(2, n + 1))
+    ):
+        return "c"
+    d_hits = [
+        i
+        for i in range(2, n)
+        if diff_in(0, p[i, i], ZGT0)
+        and diff_in(p[i - 1, i], 0, ZGT0)
+        and diff_in(0, p[i, n], ZGEQ0)
+        and all(positive(k) for k in range(1, n + 1) if k != i)
+    ]
+    if len(d_hits) == 1:
+        return ("d", d_hits[0])
+    e_hits = [
+        i
+        for i in range(1, n)
+        if not diff_in(p[i, i], 0, Z)
+        and not diff_in(p[i + 1, i + 1], 0, Z)
+        and diff_in(p[i, i + 1], 0, ZGT0)
+        and all(positive(k) for k in range(1, n + 1) if k not in (i, i + 1))
+    ]
+    if len(e_hits) == 1:
+        return ("e", e_hits[0])
+    return None
+
+
+def verma_simple_by_fractions(lam):
+    """No last-column pairing a positive integer, no other pairing an
+    integer, on Fraction pairings."""
+    n = len(lam)
+    return not any(
+        diff_in(v, 0, ZGT0) if s == n else diff_in(v, 0, Z)
+        for (_, s), v in _pairings_by_fractions(lam).items()
+    )
+
+
+def hw_top_values_by_fractions(lam, normalization):
+    """The column values v_1..v_{n+1} of a highest weight seed: v_s - v_{s+1}
+    is <lam + rho, alpha_s>, and they sum to -n(n+1)/2 ("hw") or -(n+1)
+    ("sl2"); every tail summed afresh in Fractions."""
+    lam = tuple(Fraction(x) for x in lam)
+    n = len(lam)
+    total = {"hw": Fraction(-n * (n + 1), 2), "sl2": Fraction(-(n + 1))}[normalization]
+    diffs = [lam[s - 1] + 1 for s in range(1, n + 1)]
+    tails = [sum(diffs[s - 1 : n], Fraction(0)) for s in range(1, n + 2)]
+    last = (total - sum(tails, Fraction(0))) / (n + 1)
+    return [last + t for t in tails]
 
 
 def parse_rational_by_fraction(s):

@@ -1,13 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
 from gtrel.classify import Sl2InducedParams
 from gtrel.errors import DegenerateDense, NonSquareGamma
-from oracles import hw_relation_case_by_pairings
+from gtrel.tableau import _hw_seed, _hw_top_values
+from oracles import (
+    bounded_case_by_fractions,
+    hw_relation_case_by_pairings,
+    hw_top_values_by_fractions,
+    verma_simple_by_fractions,
+)
 
 
 def test_hw_case_examples():
@@ -36,19 +42,74 @@ def near_case_b_weights(draw):
     return tuple(x - 1 for x in a)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.lists(
-            st.builds(F, st.integers(-8, 8), st.sampled_from((1, 1, 2, 3))),
-            min_size=1,
-            max_size=6,
-        ).map(tuple),
-        near_case_b_weights(),
-    )
+@st.composite
+def weights_from_pairings(draw):
+    """A weight whose simple-root pairings are drawn from PAIRINGS, so that
+    many of them are integers of either sign."""
+    a = draw(st.lists(st.sampled_from(PAIRINGS), min_size=1, max_size=6))
+    return tuple(x - 1 for x in a)
+
+
+WEIGHTS = st.one_of(
+    st.lists(
+        st.builds(F, st.integers(-8, 8), st.sampled_from((1, 1, 2, 3))),
+        min_size=1,
+        max_size=6,
+    ).map(tuple),
+    near_case_b_weights(),
+    weights_from_pairings(),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTS)
 def test_hw_case_matches_one_pairing_sum_per_test(lam):
     assert g.hw_relation_case(lam) == hw_relation_case_by_pairings(lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTS)
+def test_bounded_case_and_verma_simplicity_match_fraction_pairings(lam):
+    assert g.bounded_case(lam) == bounded_case_by_fractions(lam)
+    assert g.verma_simple_relation(lam) == verma_simple_by_fractions(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(near_case_b_weights(), weights_from_pairings()), st.data())
+def test_hw_seed_values_match_fraction_sums(lam, data):
+    case = g.hw_relation_case(lam)
+    assume(case.tag != "NotRelation")
+    normalization = data.draw(st.sampled_from(("hw", "sl2")))
+    v = _hw_top_values(lam, normalization)
+    assert v == hw_top_values_by_fractions(lam, normalization)
+    T = _hw_seed(lam, case, normalization)
+    assert T == g.tableau(T.n, T.rows)
+    assert all(type(x) is F for row in T.rows for x in row)
+    assert sorted(T.rows[-1]) == sorted(v)
+
+
+def test_coordinates_may_be_ints_and_rational_strings():
+    for lam, text in [
+        ((F(-3, 2), F(0)), ("-3/2", 0)),
+        ((F(-2), F(0)), (-2, "0")),
+        ((F(0), F(-1, 2), F(-1, 2)), (0, "-1/2", F(-1, 2))),
+    ]:
+        assert g.hw_relation_case(text) == g.hw_relation_case(lam)
+        assert g.bounded_case(text) == g.bounded_case(lam)
+        assert g.verma_simple_relation(text) == g.verma_simple_relation(lam)
+        assert g.pairing(text, 1, 2) == g.pairing(lam, 1, 2)
+        if g.hw_relation_case(lam).tag != "NotRelation":
+            assert g.module_to_json(g.hw_module_of(text)) == g.module_to_json(
+                g.hw_module_of(lam)
+            )
+
+
+@pytest.mark.parametrize(
+    "decide", [g.hw_relation_case, g.bounded_case, g.verma_simple_relation]
+)
+def test_an_empty_weight_is_rejected(decide):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        decide(())
 
 
 def test_hw_case_not_relation():
@@ -104,3 +165,9 @@ def test_pairing_partial_sums():
     assert g.pairing(lam, 1, 1) == F(-1, 2)
     assert g.pairing(lam, 2, 2) == F(1)
     assert g.pairing(lam, 1, 2) == F(1, 2)
+
+
+@pytest.mark.parametrize("r, s", [(0, 1), (0, 0), (2, 1), (1, 3), (3, 3), (-1, 2)])
+def test_pairing_rejects_a_root_out_of_range(r, s):
+    with pytest.raises(ValueError, match="no root"):
+        g.pairing((F(1), F(2)), r, s)

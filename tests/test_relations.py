@@ -161,6 +161,19 @@ def test_a_reduction_without_two_cycles_finds_the_components_once(n, data):
     assert calls == {"_components": 1}
 
 
+@pytest.mark.parametrize("n", [6, 10])
+def test_a_reduction_without_cycles_searches_each_strict_reach_once(monkeypatch, n):
+    # the satisfied set of a seed with distinct top entries has no cycle, so
+    # every arrow is decided on the reach masks of its tail's heads
+    T = g.tableau(n, [[F(1, 2) * (n - s) for s in range(k)] for k in range(1, n + 2)])
+    C = T.satisfied
+    calls = _count_calls(monkeypatch, "_strict_reach")
+    R = g.reduce_relations(C)
+    assert calls["_strict_reach"] <= n * (n + 1) // 2
+    monkeypatch.undo()
+    assert R == reduce_relations_per_candidate(C)
+
+
 def test_reduce_keeps_constraint_closure(hw_module):
     sat = g.satisfied_relations(hw_module.seed)
     red = g.reduce_relations(sat)
@@ -613,3 +626,20 @@ def test_basis_checker_raises_exactly_when_the_seed_violates_the_set(T, data):
             BasisChecker(C, T)
     else:
         assert BasisChecker(C, T).constraints == _node_constraints_by_diff(C, T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_reduce_matches_reference_on_satisfied_subsets_with_equal_top_entries(n, data):
+    # equal top entries give two-cycles, whose tails the reduction searches
+    # without the arrow instead of reading the reach masks
+    pool = data.draw(st.lists(st.sampled_from(RESIDUES), min_size=1, max_size=2))
+
+    def entry():
+        return data.draw(st.sampled_from(pool)) + data.draw(st.integers(-1, 1))
+
+    T = g.tableau(n, [[entry() for _ in range(k)] for k in range(1, n + 2)])
+    sat = sorted(T.satisfied.relations)
+    rels = data.draw(st.lists(st.sampled_from(sat), unique=True)) if sat else []
+    C = g.relation_set(n, rels)
+    assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
