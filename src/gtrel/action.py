@@ -30,7 +30,6 @@ from .tableau import (
     _top_total,
     apply_shift,
     row_sums_of_weight_delta,
-    row_sums_weight_delta,
     shift_from_json,
     shift_to_json,
     tableau_from_json,
@@ -256,6 +255,12 @@ def _terms(M, g, z):
         yield target, num, den
 
 
+def _flag_span(a, b):
+    """(sign, lo, hi) with E_aa - E_bb = sign * (H_lo + ... + H_{hi-1}):
+    the H_k of the flag sigma, with (a, b) = (sigma_k, sigma_{k+1})."""
+    return (1, a, b) if a < b else (-1, b, a)
+
+
 def _resolve_sigma(sigma, g):
     """Push the flag permutation sigma into the generator; returns a list
     of (sign, generator) over the E/H basis."""
@@ -264,10 +269,8 @@ def _resolve_sigma(sigma, g):
         k = g[1]
         if not 1 <= k <= n:
             raise UnsupportedGenerator("H(%d) out of range" % k)
-        a, b = sigma[k - 1], sigma[k]
-        if a < b:
-            return [(1, ("H", t)) for t in range(a, b)]
-        return [(-1, ("H", t)) for t in range(b, a)]
+        sign, lo, hi = _flag_span(sigma[k - 1], sigma[k])
+        return [(sign, ("H", t)) for t in range(lo, hi)]
     if g[0] != "E" or len(g) != 3:
         raise UnsupportedGenerator(repr(g))
     _, i, j = g
@@ -328,10 +331,12 @@ def _basis_terms(M, gi, y):
     gens, index = _generators(M.n)
     g, z = gens[gi], M.shifts[y]
     if g[0] == "H":
+        # the seed's coordinate k plus 2 s_k - s_{k-1} - s_{k+1} on the row
+        # sums s of z, over d
         k = g[1]
-        delta = row_sums_weight_delta([sum(row) for row in z])
-        w = weight_of(M.seed)[k - 1] + delta[k - 1]
-        triples = ((y, w.numerator, w.denominator),)
+        d, nums = M.seed.scaled_weight
+        s = (0, *map(sum, z), 0)
+        triples = ((y, nums[k - 1] + d * (2 * s[k] - s[k - 1] - s[k + 1]), d),)
     elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
         triples = ((_intern(M, t), p, q) for t, p, q in _terms(M, g, z))
     else:
@@ -592,38 +597,62 @@ def casimir_alpha1(M, v):
     return _apply(M, [(1, (h1, h1)), (2, (h1,)), (1, ()), (4, (e21, e12))], v)
 
 
+def _unflagged(sigma, w):
+    """The coordinates in the unpermuted H_1..H_n of the weight whose
+    coordinates in the flag sigma are w.  H_a + ... + H_{b-1} is
+    E_aa - E_bb, so w_k = mu_{sigma_k} - mu_{sigma_{k+1}} for a vector
+    mu, fixed by mu_{sigma_{n+1}} = 0; the unpermuted coordinates are
+    mu_t - mu_{t+1}."""
+    mu = [Fraction(0)] * len(sigma)
+    for k in range(len(w) - 1, -1, -1):
+        mu[sigma[k] - 1] = mu[sigma[k + 1] - 1] + Fraction(w[k])
+    return [a - b for a, b in zip(mu, mu[1:])]
+
+
 def weight_multiplicity(M, w, box):
     """(number of basis shifts in the box realizing weight w, whether the
     box holds the whole basis, so that the number is dim of the weight
-    space)."""
+    space).  w is read in the coordinates of the flag, as
+    `weight_multiplicity_sweep` labels weights."""
     if len(w) != M.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
     if box < 0:
         raise ValueError("box must be >= 0, got %d" % box)
-    delta = [Fraction(x) - b for x, b in zip(w, weight_of(M.seed))]
+    delta = [x - b for x, b in zip(_unflagged(M.sigma, w), weight_of(M.seed))]
     sums = row_sums_of_weight_delta(delta)
     count = 0 if sums is None else BasisBox(M.checker, box).sweep().get(sums, 0)
     return count, M.checker.in_box(box)
 
 
 def weight_multiplicity_sweep(M, box):
-    """Counts of basis shifts per realized weight within the box."""
-    base = weight_of(M.seed)
-    # per coordinate, integer change -> coordinate: few distinct values,
-    # each a Fraction built once
-    coords = [{} for _ in base]
-    counts = {}
-    # a weight fixes the row sums (the Cartan matrix is invertible), so
-    # each row-sum tuple of the sweep is a weight of its own
-    for sums, c in BasisBox(M.checker, box).sweep().items():
-        w = []
-        for b, seen, d in zip(base, coords, row_sums_weight_delta(sums)):
-            x = seen.get(d)
-            if x is None:
-                x = seen[d] = b + d
-            w.append(x)
-        counts[tuple(w)] = c
-    return counts
+    """Counts of basis shifts per realized weight within the box, each
+    weight in the coordinates of the flag: the eigenvalues of
+    `act(M, gen_H(k), .)`.
+
+    A weight fixes the row sums (the Cartan matrix is invertible), so
+    each row-sum tuple s of the sweep is a weight of its own.  With
+    s_0 = s_{n+1} = 0, the unpermuted H_t changes by
+    2 s_t - s_{t-1} - s_{t+1} on a shift, so sign * (H_lo + ... +
+    H_{hi-1}) changes by sign times the integer
+    s_lo - s_{lo-1} + s_{hi-1} - s_hi.  The weights are built column by
+    column: per coordinate, the integer change of every row-sum tuple,
+    then one Fraction over the seed's `scaled_weight` per distinct
+    change."""
+    d, nums = M.seed.scaled_weight
+    sweep = BasisBox(M.checker, box).sweep()
+    zero = (0,) * len(sweep)
+    # s[t]: the row sum s_t of every tuple of the sweep, in its order; the
+    # zero shift is a basis shift, so the sweep is never empty
+    s = [zero, *zip(*sweep), zero]
+    coords = []
+    for sign, lo, hi in map(_flag_span, M.sigma, M.sigma[1:]):
+        changes = [
+            b - a + c - e for a, b, c, e in zip(s[lo - 1], s[lo], s[hi - 1], s[hi])
+        ]
+        num = sum(nums[lo - 1 : hi - 1])
+        table = {u: Fraction(sign * (num + d * u), d) for u in set(changes)}
+        coords.append(map(table.__getitem__, changes))
+    return dict(zip(zip(*coords), sweep.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -396,14 +396,25 @@ def _reduce(C):
     forward, cross = _structure(L, rels, fwd, rev, comp)
     keep_diamond = forward and cross and _diamond_at(L, fwd, rev, range(1, n + 1))
 
-    def droppable(rel):
-        return implied(rel) and (not keep_diamond or _diamond_kept(L, fwd, rev, rel))
-
+    # drop the first droppable arrow, again and again.  An arrow passed
+    # over stays passed over if it was dropped or not implied; only one
+    # passed over for the diamond condition may become droppable, so the
+    # next scan starts at the first such arrow, or past the drop
+    start = 0
     while True:
-        rel = next((r for r in candidates if r in rels and droppable(r)), None)
-        if rel is None:
+        held = None
+        for i in range(start, len(candidates)):
+            rel = candidates[i]
+            if rel not in rels or not implied(rel):
+                continue
+            if not keep_diamond or _diamond_kept(L, fwd, rev, rel):
+                drop(rel)
+                break
+            if held is None:
+                held = i
+        else:
             break
-        drop(rel)
+        start = i + 1 if held is None else held
     out = RelationSet(n, frozenset(rels))
     object.__setattr__(out, "_reduced", True)
     if keep_diamond:

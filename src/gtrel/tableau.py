@@ -51,14 +51,19 @@ class Tableau:
 
     @cached_property
     def weight(self):
-        """H-eigenvalue coordinates of this tableau, computed once: the
-        Cartan matrix on its row sums, less 1, summed on the integer rows of
-        `scaled` and divided by d once per coordinate."""
+        """H-eigenvalue coordinates of this tableau, computed once from
+        `scaled_weight`."""
+        d, nums = self.scaled_weight
+        return tuple(Fraction(x, d) for x in nums)
+
+    @cached_property
+    def scaled_weight(self):
+        """(d, nums): the weight's coordinates times `scaled`'s denominator
+        d as ints, weight_k = nums[k] / d, computed once: the Cartan matrix
+        on the integer row sums of `scaled`, less d."""
         d, rows = self.scaled
         sums = [sum(row) for row in rows]
-        return tuple(
-            Fraction(x - d, d) for x in row_sums_weight_delta(sums[:-1], sums[-1])
-        )
+        return d, tuple(x - d for x in row_sums_weight_delta(sums[:-1], sums[-1]))
 
     @cached_property
     def scaled(self):
@@ -373,11 +378,15 @@ class BasisBox:
     # the walks recurse through methods: a closure calling itself would
     # leave itself and the whole memo in a cycle for the cyclic collector
     def _sweep(self, row, memo):
-        if len(row) == self.n:
-            return _LEAF
         hit = memo.get(row)
         if hit is None:
             hit = memo[row] = {}
+            if len(row) == self.n - 1:
+                # the last row has no completion: count its sums
+                for r in self._rows(row):
+                    key = (sum(r),)
+                    hit[key] = hit.get(key, 0) + 1
+                return hit
             for r in self._rows(row):
                 s = sum(r)
                 for key, c in self._sweep(r, memo).items():
@@ -397,10 +406,6 @@ class BasisBox:
             return
         for r in self._rows(row):
             self._list(prefix + (r,), r, out)
-
-
-# the row sums of the one (empty) completion of rows n+1..n; read only
-_LEAF = {(): 1}
 
 
 def _check_shape(n, z):

@@ -118,11 +118,23 @@ def backtrack_basis_box(checker, box):
     return out
 
 
+def flag_weight(M, z):
+    """The weight of the basis shift z in the coordinates of M's flag: each
+    H_k resolved through sigma, summed on the unpermuted Fraction
+    coordinates of T(seed+z)."""
+    w = weight_of(M.entries(z))
+    return tuple(
+        sum(sign * w[h[1] - 1] for sign, h in _resolve_sigma(M.sigma, gen_H(k)))
+        for k in range(1, M.n + 1)
+    )
+
+
 def sweep_by_enumeration(M, box):
-    """Counts of basis shifts per realized weight within the box."""
+    """Counts of basis shifts per realized weight within the box, in the
+    coordinates of the flag."""
     counts = {}
     for z in enumerate_basis_box(M.C, M.seed, box):
-        w = weight_of(M.entries(z))
+        w = flag_weight(M, z)
         counts[w] = counts.get(w, 0) + 1
     return counts
 

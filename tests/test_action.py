@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 from math import gcd
@@ -510,6 +511,40 @@ def test_weight_multiplicity_reads_the_sweep(module_catalog):
                         sweep.get(off, 0),
                         complete,
                     ), name
+
+
+def test_sweep_labels_weights_by_the_flag(module_catalog):
+    # a weight is read as the eigenvalues of act(M, H_k, .), each H_k
+    # resolved through the flag, by the sweep and by weight_multiplicity
+    # alike; a highest weight vector for the flag has multiplicity 1
+    named = dict(module_catalog)
+    modules = [named["flag-permuted-n3"]] + [
+        g.permute_flag(named[name], sigma)
+        for name in ("hw-a-n2-dominant", "lem-key-n3", "hw-a-n3-minorbit")
+        for sigma in permutations(range(1, named[name].n + 2))
+    ]
+    highest = 0
+    for M in modules:
+        box = 2 if M.n == 2 else 1
+        shifts = BasisBox(M.checker, box).shifts()
+        eigen = Counter(
+            tuple(
+                g.act(M, g.gen_H(k), g.basis_vector(z)).get(z, F(0))
+                for k in range(1, M.n + 1)
+            )
+            for z in shifts
+        )
+        sweep = g.weight_multiplicity_sweep(M, box)
+        assert sweep == eigen, M.sigma
+        complete = M.checker.in_box(box)
+        for w, count in sweep.items():
+            assert g.weight_multiplicity(M, w, box) == (count, complete), M.sigma
+        for z in shifts:
+            w = g.is_highest_weight_vector(M, g.basis_vector(z))
+            if w is not None:
+                highest += 1
+                assert sweep[w] == 1, (M.sigma, z)
+    assert highest >= 10
 
 
 def test_weight_multiplicity_complete_only_when_box_holds_basis():

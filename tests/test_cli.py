@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
-from gtrel import action
 from gtrel.cli import main
+from gtrel.tableau import Tableau
 
 
 def run(capsys, *argv):
@@ -191,10 +191,13 @@ def test_verify(tmp_path, capsys, monkeypatch):
     assert out["error"] == "ValueError"
     # H1 read one too high: [E12,E21]=H1 fails with residual -1 on the
     # drawn shift, every other identity holds
-    weight_of = action.weight_of
-    monkeypatch.setattr(
-        action, "weight_of", lambda T: (weight_of(T)[0] + 1,) + weight_of(T)[1:]
-    )
+    scaled_weight = Tableau.scaled_weight.func
+
+    def h1_one_too_high(T):
+        d, nums = scaled_weight(T)
+        return d, (nums[0] + d,) + nums[1:]
+
+    monkeypatch.setattr(Tableau, "scaled_weight", property(h1_one_too_high))
     code, out = run(capsys, "verify", "--module", str(mod), "--box", "2", "--full")
     assert code == 0 and out["failures"]
     for failure in out["failures"]:

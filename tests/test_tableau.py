@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
@@ -23,7 +23,12 @@ from gtrel.tableau import (
     shift_from_json,
     shift_to_json,
 )
-from oracles import backtrack_basis_box, brute_force_basis_box, sweep_by_enumeration
+from oracles import (
+    backtrack_basis_box,
+    brute_force_basis_box,
+    flag_weight,
+    sweep_by_enumeration,
+)
 
 
 def test_case_a_seed_values():
@@ -179,7 +184,7 @@ def test_enumeration_matches_brute_force(module_catalog):
             assert got == pool, (name, box)
             _assert_walks_match(M, box, pool)
             assert [BasisBox(M.checker, box)[i] for i in range(len(pool))] == pool
-            weights = Counter(g.weight_of(M.entries(z)) for z in pool)
+            weights = Counter(flag_weight(M, z) for z in pool)
             assert g.weight_multiplicity_sweep(M, box) == weights, (name, box)
             assert sweep_by_enumeration(M, box) == weights, (name, box)
 
@@ -255,6 +260,61 @@ def test_sweep_called_twice_matches_a_fresh_module(lam, box):
     assert g.weight_multiplicity_sweep(M, box) == want
     assert g.weight_multiplicity_sweep(M, box) == want
     assert g.weight_multiplicity_sweep(M.replace(), box) == want
+
+
+def _assert_sweep_matches_the_oracle(M, box, sigma):
+    """The sweep of M, and of M under the flag sigma unless that is the
+    identity, against the Fraction oracle, with every key coordinate a
+    Fraction."""
+    flagged = [] if list(sigma) == sorted(sigma) else [g.permute_flag(M, sigma)]
+    for X in [M] + flagged:
+        got = g.weight_multiplicity_sweep(X, box)
+        assert got == sweep_by_enumeration(X, box), (X.sigma, box)
+        assert all(type(x) is F for w in got for x in w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                min_size=n,
+                max_size=n,
+            ),
+            # the oracle builds a Fraction weight per shift: about 28,000
+            # at sl5 box 3, 2 s; the example below keeps one such case
+            st.integers(0, 3 if n <= 3 else 2),
+            st.permutations(range(1, n + 2)),
+        )
+    ),
+    st.sampled_from(("hw", "sl2")),
+)
+@example(([F(-1, 2)], 3, (2, 1)), "sl2")
+@example(([F(-1, 2), F(-1, 3), F(-1, 5), F(-1, 6)], 3, (1, 2, 3, 4, 5)), "hw")
+def test_sweep_matches_the_fraction_oracle(case, normalization):
+    lam, box, sigma = case
+    try:
+        M = g.hw_module_of(tuple(lam), normalization=normalization)
+    except (GtrelError, ValueError):
+        assume(False)
+    _assert_sweep_matches_the_oracle(M, box, sigma)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_sweep_matches_the_fraction_oracle_on_sl2_induced_modules(data):
+    lvl = g.Level(*data.draw(st.sampled_from(((2, 3, 2), (2, 5, 2), (3, 5, 2)))))
+    rep = data.draw(st.sampled_from([r for r, _ in g.minimal_orbit_reps(lvl)]))
+    branch = data.draw(st.sampled_from([w for w, _ in g.hw_orbit_list(lvl, rep)]))
+    x = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    try:
+        M = g.build_sl2_induced_minimal(lvl, rep, branch, x).module
+    except GtrelError:
+        assume(False)
+    box = data.draw(st.integers(0, 3 if lvl.n == 2 else 1))
+    sigma = data.draw(st.permutations(range(1, lvl.n + 2)))
+    _assert_sweep_matches_the_oracle(M, box, sigma)
 
 
 def test_mutating_a_walk_result_does_not_change_the_next(module_catalog):
