@@ -84,7 +84,6 @@ from .tableau import (
     family_tableau,
     hw_tableau_case_a,
     hw_tableau_case_b,
-    in_basis,
     lem_key_tableau,
     tableau,
     tableau_from_json,

@@ -29,12 +29,11 @@ from .tableau import (
     _check_shape,
     _top_total,
     apply_shift,
-    row_sums_of_weight_delta,
+    row_sums_weight_delta,
     shift_from_json,
     shift_to_json,
     tableau_from_json,
     tableau_to_json,
-    weight_of,
 )
 
 
@@ -122,10 +121,10 @@ class GTModule:
     C: object
     sigma: tuple = None
     normalization: str = "hw"
-    checker: object = field(default=None, compare=False, repr=False)
-    memo: dict = field(default=None, compare=False, repr=False)
-    ids: dict = field(default=None, compare=False, repr=False)
-    shifts: dict = field(default=None, compare=False, repr=False)
+    checker: object = field(init=False, compare=False, repr=False)
+    memo: dict = field(init=False, compare=False, repr=False)
+    ids: dict = field(init=False, compare=False, repr=False)
+    shifts: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _top_total(self.n, self.normalization)  # rejects an unknown normalization
@@ -331,12 +330,12 @@ def _basis_terms(M, gi, y):
     gens, index = _generators(M.n)
     g, z = gens[gi], M.shifts[y]
     if g[0] == "H":
-        # the seed's coordinate k plus 2 s_k - s_{k-1} - s_{k+1} on the row
-        # sums s of z, over d
+        # the seed's coordinate k plus the Cartan matrix on the row sums
+        # of z, over d
         k = g[1]
         d, nums = M.seed.scaled_weight
-        s = (0, *map(sum, z), 0)
-        triples = ((y, nums[k - 1] + d * (2 * s[k] - s[k - 1] - s[k + 1]), d),)
+        delta = row_sums_weight_delta(map(sum, z))
+        triples = ((y, nums[k - 1] + d * delta[k - 1], d),)
     elif abs(g[1] - g[2]) == 1 or (g[2] == 1 and g[1] >= 3):
         triples = ((_intern(M, t), p, q) for t, p, q in _terms(M, g, z))
     else:
@@ -597,30 +596,15 @@ def casimir_alpha1(M, v):
     return _apply(M, [(1, (h1, h1)), (2, (h1,)), (1, ()), (4, (e21, e12))], v)
 
 
-def _unflagged(sigma, w):
-    """The coordinates in the unpermuted H_1..H_n of the weight whose
-    coordinates in the flag sigma are w.  H_a + ... + H_{b-1} is
-    E_aa - E_bb, so w_k = mu_{sigma_k} - mu_{sigma_{k+1}} for a vector
-    mu, fixed by mu_{sigma_{n+1}} = 0; the unpermuted coordinates are
-    mu_t - mu_{t+1}."""
-    mu = [Fraction(0)] * len(sigma)
-    for k in range(len(w) - 1, -1, -1):
-        mu[sigma[k] - 1] = mu[sigma[k + 1] - 1] + Fraction(w[k])
-    return [a - b for a, b in zip(mu, mu[1:])]
-
-
 def weight_multiplicity(M, w, box):
     """(number of basis shifts in the box realizing weight w, whether the
     box holds the whole basis, so that the number is dim of the weight
-    space).  w is read in the coordinates of the flag, as
-    `weight_multiplicity_sweep` labels weights."""
+    space).  w is read in the coordinates of the flag, and its count is
+    its entry of `weight_multiplicity_sweep`: 0 off the root lattice and
+    outside the box."""
     if len(w) != M.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), M.n))
-    if box < 0:
-        raise ValueError("box must be >= 0, got %d" % box)
-    delta = [x - b for x, b in zip(_unflagged(M.sigma, w), weight_of(M.seed))]
-    sums = row_sums_of_weight_delta(delta)
-    count = 0 if sums is None else BasisBox(M.checker, box).sweep().get(sums, 0)
+    count = weight_multiplicity_sweep(M, box).get(tuple(map(Fraction, w)), 0)
     return count, M.checker.in_box(box)
 
 

@@ -147,28 +147,6 @@ def row_sums_weight_delta(sums, top=0):
     ]
 
 
-def row_sums_of_weight_delta(delta):
-    """The row sums s_1..s_n of the shifts whose weight change is `delta`,
-    or None when no integer shift has it.
-
-    The inverse of the Cartan matrix has entries
-    min(k, l) (n + 1 - max(k, l)) / (n + 1).
-    """
-    n = len(delta)
-    if any(d.denominator != 1 for d in delta):
-        return None
-    sums = []
-    for k in range(1, n + 1):
-        num = sum(
-            min(k, l) * (n + 1 - max(k, l)) * d.numerator
-            for l, d in enumerate(delta, start=1)
-        )
-        if num % (n + 1):
-            return None
-        sums.append(num // (n + 1))
-    return tuple(sums)
-
-
 class BasisChecker:
     """The basis B_C(seed) as a system of difference constraints.
 
@@ -413,13 +391,6 @@ def _check_shape(n, z):
         raise ValueError("shift must have rows of lengths 1..%d" % n)
 
 
-def in_basis(C, seed, z):
-    """True iff T(seed+z) still satisfies C; z must have rows of lengths
-    1..n."""
-    _check_shape(C.n, z)
-    return BasisChecker(C, seed).check(z)
-
-
 def enumerate_basis_box(C, seed, box):
     """All shifts z with |z_{ki}| <= box whose tableau satisfies C."""
     return BasisBox(BasisChecker(C, seed), box).shifts()
@@ -427,17 +398,21 @@ def enumerate_basis_box(C, seed, box):
 
 def enumerate_weight_space(C, seed, w, box):
     """Shifts in the box realizing weight w, plus a flag that is true only
-    when the box holds the whole basis, so the list is the weight space."""
+    when the box holds the whole basis, so the list is the weight space.
+
+    A shift's weight is the seed's plus the Cartan matrix on its row sums,
+    so w picks at most one row-sum tuple of the box's sweep; the box is
+    listed only when one does, so a weight off the root lattice or outside
+    the box lists nothing."""
     if len(w) != C.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
-    if box < 0:
-        raise ValueError("box must be >= 0, got %d" % box)
     checker = BasisChecker(C, seed)
+    walks = BasisBox(checker, box)
     delta = [Fraction(x) - b for x, b in zip(w, weight_of(seed))]
-    sums = row_sums_of_weight_delta(delta)
+    sums = next((s for s in walks.sweep() if row_sums_weight_delta(s) == delta), None)
     if sums is None:
         return [], checker.in_box(box)
-    hits = [z for z in BasisBox(checker, box).shifts() if tuple(map(sum, z)) == sums]
+    hits = [z for z in walks.shifts() if tuple(map(sum, z)) == sums]
     return hits, checker.in_box(box)
 
 

@@ -423,6 +423,18 @@ def test_replace_and_transforms_start_with_empty_intern_tables(module_catalog):
         assert Y.ids is not X.ids and Y.shifts is not X.shifts
 
 
+def test_module_tables_are_not_constructor_arguments(hw_module):
+    # the checker and the three tables are built by the module, never passed
+    for name in ("checker", "memo", "ids", "shifts"):
+        with pytest.raises(TypeError):
+            g.GTModule(n=2, seed=hw_module.seed, C=hw_module.C, **{name: {}})
+    M = hw_module.replace()
+    g.verify_axioms(M, box=1, samples=10, seed=2)
+    fresh = M.replace()
+    assert fresh == M and fresh.checker is not M.checker
+    assert fresh.memo == {} and fresh.ids == {} and fresh.shifts == {}
+
+
 def test_rejected_shifts_do_not_enter_the_intern_table(hw_module):
     M = hw_module.replace()
     g.act(M, g.gen_E(2, 1), g.basis_vector(g.zero_shift(2)))

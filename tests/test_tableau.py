@@ -17,7 +17,6 @@ from gtrel.errors import (
 from gtrel.tableau import (
     BasisBox,
     BasisChecker,
-    row_sums_of_weight_delta,
     row_sums_weight_delta,
     shift_add,
     shift_from_json,
@@ -110,18 +109,6 @@ def test_weight_matches_the_cartan_map_on_fraction_row_sums(n, data):
     assert all(type(x) is F for x in T.weight)
 
 
-@settings(max_examples=50)
-@given(st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.data())
-def test_row_sums_of_weight_delta_inverts_the_cartan_map(sums, data):
-    delta = [F(d) for d in row_sums_weight_delta(sums)]
-    assert row_sums_of_weight_delta(delta) == tuple(sums)
-    # a unit vector is not in the image of the Cartan matrix: the last
-    # entry of its inverse image is k / (n + 1)
-    k = data.draw(st.integers(0, len(sums) - 1))
-    delta[k] += data.draw(st.sampled_from((F(1, 2), F(1))))
-    assert row_sums_of_weight_delta(delta) is None
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_basis_checker_matches_satisfies(module_catalog, data):
@@ -134,15 +121,6 @@ def test_basis_checker_matches_satisfies(module_catalog, data):
             tuple(flat[k * (k - 1) // 2 : k * (k + 1) // 2]) for k in range(1, M.n + 1)
         )
         assert M.checker.check(z) == g.satisfies(g.apply_shift(M.seed, z), M.C), name
-
-
-def test_in_basis_rejects_shifts_of_the_wrong_shape():
-    M = g.hw_module_of((F(-3, 2), F(0)))
-    assert g.in_basis(M.C, M.seed, g.zero_shift(2))
-    # an extra row, a long row, and rows of lengths 2 and 1
-    for z in (((0,), (0, 0), (0,)), ((0,), (0, 0, 0)), ((0, 0), (0,))):
-        with pytest.raises(ValueError):
-            g.in_basis(M.C, M.seed, z)
 
 
 def test_enumerate_basis_box_subset(hw_module):
@@ -301,17 +279,32 @@ def test_sweep_matches_the_fraction_oracle(case, normalization):
     _assert_sweep_matches_the_oracle(M, box, sigma)
 
 
+def _localizable_chain_pairs(lvl):
+    """(rep, branch) over the orbit chains of lvl whose alpha_1 pairing is
+    not an integer, the branches `build_sl2_induced_minimal` localizes."""
+    return [
+        (rep, branch)
+        for rep, _ in g.minimal_orbit_reps(lvl)
+        for branch, _ in g.hw_orbit_list(lvl, rep)
+        if g.pairing(branch, 1, 1).denominator != 1
+    ]
+
+
+def _twists(p1):
+    """Every x in [-3, 3] with denominator at most 6 that is off Z and off
+    -p1 + Z, the twists `build_sl2_induced_minimal` accepts."""
+    xs = {F(a, b) for b in range(2, 7) for a in range(-3 * b, 3 * b + 1)}
+    return sorted(x for x in xs if x.denominator != 1 and (x + p1).denominator != 1)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_sweep_matches_the_fraction_oracle_on_sl2_induced_modules(data):
+    # only inputs that build are drawn, so no draw is filtered out
     lvl = g.Level(*data.draw(st.sampled_from(((2, 3, 2), (2, 5, 2), (3, 5, 2)))))
-    rep = data.draw(st.sampled_from([r for r, _ in g.minimal_orbit_reps(lvl)]))
-    branch = data.draw(st.sampled_from([w for w, _ in g.hw_orbit_list(lvl, rep)]))
-    x = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
-    try:
-        M = g.build_sl2_induced_minimal(lvl, rep, branch, x).module
-    except GtrelError:
-        assume(False)
+    rep, branch = data.draw(st.sampled_from(_localizable_chain_pairs(lvl)))
+    x = data.draw(st.sampled_from(_twists(g.pairing(branch, 1, 1))))
+    M = g.build_sl2_induced_minimal(lvl, rep, branch, x).module
     box = data.draw(st.integers(0, 3 if lvl.n == 2 else 1))
     sigma = data.draw(st.permutations(range(1, lvl.n + 2)))
     _assert_sweep_matches_the_oracle(M, box, sigma)
@@ -413,6 +406,40 @@ def test_weight_off_the_lattice_lists_no_shift(module_catalog, monkeypatch):
             assert got == ([], M.checker.in_box(box)), (name, box)
         with pytest.raises(ValueError):
             g.enumerate_weight_space(M.C, M.seed, w, -1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.fractions(min_value=-6, max_value=6, max_denominator=3),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.integers(0, 2),
+)
+def test_weight_space_matches_the_listing_oracle_random(lam, box):
+    # every weight realized in the box lists exactly its shifts; a weight a
+    # half step off the lattice, and a lattice weight whose row sums no
+    # shift in the box reaches, list nothing
+    try:
+        M = g.hw_module_of(tuple(lam))
+    except (GtrelError, ValueError):
+        assume(False)
+    complete = M.checker.in_box(box)
+    by_weight = {}
+    for z in BasisBox(M.checker, box).shifts():
+        by_weight.setdefault(g.weight_of(M.entries(z)), []).append(z)
+    for w, zs in by_weight.items():
+        assert g.enumerate_weight_space(M.C, M.seed, w, box) == (zs, complete), w
+    base = g.weight_of(M.seed)
+    far = row_sums_weight_delta([100 * k for k in range(1, M.n + 1)])
+    for w in (
+        (base[0] + F(1, 2),) + base[1:],
+        tuple(b + d for b, d in zip(base, far)),
+    ):
+        assert g.enumerate_weight_space(M.C, M.seed, w, box) == ([], complete), w
 
 
 def test_shift_algebra():
