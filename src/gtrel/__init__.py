@@ -60,7 +60,6 @@ from .minimal_orbit import (
     hw_orbit_list,
     minimal_orbit_reps,
     rep_weight,
-    sl2_dense_admissible,
 )
 from .relations import (
     RelationSet,

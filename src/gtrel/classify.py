@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .core import ZGEQ0, Z, diff_in, rational_sqrt
+from .core import ZGEQ0, diff_in, rational_sqrt
 from .errors import DegenerateDense, NonSquareGamma
 
 
@@ -138,6 +138,12 @@ def verma_simple_relation(lam):
     return True
 
 
+def _dense_twist(x, p1):
+    """Whether the twist x of a highest weight with alpha_1 pairing p1
+    gives a dense sl2 module: x avoids Z and -p1 + Z."""
+    return x.denominator != 1 and (x + p1).denominator != 1
+
+
 @dataclass(frozen=True)
 class Sl2InducedParams:
     gamma: Fraction
@@ -156,20 +162,17 @@ def resolve_sl2_induced(params):
     if r is None:
         raise NonSquareGamma("gamma is not the square of a rational")
     mu1 = mu[0]
-    for sign in (1, -1):
-        k2 = mu1 + 1 - sign * r
-        if (k2 / 2).denominator == 1:
-            raise DegenerateDense("gamma hits the non-dense lattice (mu_1 - 2k + 1)^2")
+    # the branch of sign s has alpha_1 pairing s r and twist
+    # x_s = (mu_1 + 1 - s r) / 2, and x_s + s r = x_{-s}: both branches
+    # are dense exactly when the one of sign +1 is
+    if not _dense_twist((mu1 + 1 - r) / 2, r):
+        raise DegenerateDense("gamma hits the non-dense lattice (mu_1 - 2k + 1)^2")
     branches = []
     for sign in ((1, -1) if r != 0 else (1,)):
         lam1 = sign * r - 1
         if diff_in(lam1 + 1, 0, ZGEQ0):
             continue
         x = (mu1 - lam1) / 2
-        if diff_in(x, 0, Z):
-            continue
-        if diff_in(x, mu1 + 1, Z):
-            continue
         lam = (lam1, mu[1] + x) + mu[2:]
         branches.append((lam, x, hw_relation_case(lam)))
     return branches

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 from .action import module
-from .classify import hw_relation_case, pairing
+from .classify import _dense_twist, hw_relation_case, pairing
 from .errors import BadTwist, BranchNotLocalizable
 from .localization import twist_e21
 from .tableau import _hw_seed
@@ -104,20 +104,6 @@ def hw_orbit_list(lvl, rep):
     return out
 
 
-def sl2_dense_admissible(lvl, lam1, a, x):
-    """Whether the dense sl2 data survives induction at this level."""
-    x = Fraction(x)
-    if not (0 <= lam1 <= lvl.p - 2):
-        return False
-    if not (1 <= a <= lvl.q - 1):
-        return False
-    if x.denominator == 1:
-        return False
-    if (x - Fraction(a * lvl.p, lvl.q)).denominator == 1:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class InducedModule:
     """A twisted localization of a highest-weight module, carrying the
@@ -154,7 +140,7 @@ def build_sl2_induced_minimal(lvl, rep, branch, x):
     p1 = pairing(branch, 1, 1)
     if p1.denominator == 1:
         raise BranchNotLocalizable("alpha_1 pairing is integral")
-    if x.denominator == 1 or (x + p1).denominator == 1:
+    if not _dense_twist(x, p1):
         raise BadTwist("x must avoid Z and -<branch+rho,a1>+Z")
     M = twist_e21(hw_module_of(branch), x)
     mu = (branch[0] + 2 * x, branch[1] - x) + branch[2:]

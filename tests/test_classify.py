@@ -155,6 +155,31 @@ def test_resolve_sl2_rejects_integral_x():
         assert x.denominator != 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=1, max_size=3
+    ),
+    st.builds(F, st.integers(-12, 12), st.integers(2, 6)).filter(
+        lambda p1: p1.denominator != 1
+    ),
+    st.booleans(),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+def test_resolve_sl2_inverts_the_forward_map(tail, p1, off_pairing, offset):
+    # lambda with alpha_1 pairing p1, twisted by x, induces the module with
+    # gamma = p1^2 and mu = (lambda_1 + 2x, lambda_2 - x, lambda_3, ...); x
+    # is drawn near Z or near -p1 + Z so that both verdicts come up often
+    lam = (p1 - 1,) + tuple(tail)
+    x = offset - p1 if off_pairing else offset
+    params = Sl2InducedParams(p1**2, (lam[0] + 2 * x, lam[1] - x) + lam[2:])
+    if x.denominator == 1 or (x + p1).denominator == 1:
+        with pytest.raises(DegenerateDense):
+            g.resolve_sl2_induced(params)
+    else:
+        assert (lam, x) in {(w, y) for w, y, _ in g.resolve_sl2_induced(params)}
+
+
 def test_family_is_simple():
     assert g.family_is_simple((F(1, 2), F(1, 3), F(1, 5)))
     assert not g.family_is_simple((F(1, 2), F(1, 3), F(4, 3)))

@@ -1,10 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gtrel as g
 from gtrel import action
-from gtrel.errors import BadTwist, IncompatiblePair, NotInjective, WrongShape
+from gtrel.errors import (
+    BadTwist,
+    GtrelError,
+    IncompatiblePair,
+    NotARealization,
+    NotInjective,
+    WrongShape,
+)
 from gtrel.localization import LocalizationSpec
 from oracles import (
     act_by_vectors,
@@ -74,6 +83,53 @@ def test_twist_builds_one_module(monkeypatch):
     bad = M.replace(C=up, seed=g.apply_shift(M.seed, g.unit_shift(2, 1, 1)))
     with pytest.raises(NotInjective):
         g.twist_e21(bad, F(1, 3))
+
+
+def _localized_set_or_error(localize):
+    try:
+        return localize().C
+    except (GtrelError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=1, max_size=4
+    ),
+)
+def test_twist_fails_exactly_when_localization_does(lam):
+    # no arrow of the localized set touches (1,1), so shifting that entry
+    # cannot change the module's verdict on the seed
+    try:
+        M = g.hw_module_of(tuple(lam))
+    except (GtrelError, ValueError):
+        assume(False)
+    assume(g.e21_injective(M.C) and not g.e21_surjective(M.C))
+    localized = _localized_set_or_error(lambda: g.localize_e21(M))
+    for x in (F(0), F(1, 3), F(-2, 5), F(7, 2), F(-1)):
+        assert _localized_set_or_error(lambda: g.twist_e21(M, x)) == localized, x
+
+
+def test_twist_of_a_module_whose_localization_is_no_realization():
+    C = g.relation_set(
+        2,
+        [
+            ((2, 1), (1, 1)),
+            ((2, 2), (1, 1)),
+            ((2, 2), (3, 2)),
+            ((2, 2), (3, 3)),
+            ((3, 1), (3, 2)),
+            ((3, 1), (3, 3)),
+            ((3, 2), (3, 3)),
+        ],
+    )
+    M = g.module(g.tableau(2, ((-2,), (-2, 1), (0, -2, -3))), C)
+    with pytest.raises(NotARealization):
+        g.localize_e21(M)
+    for x in (F(0), F(1, 3)):
+        with pytest.raises(NotARealization, match="tableau is not a C-realization"):
+            g.twist_e21(M, x)
 
 
 def test_twist_zero_is_identity():

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import importlib
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,6 @@ from gtrel.minimal_orbit import (
     hw_orbit_list,
     minimal_orbit_reps,
     rep_weight,
-    sl2_dense_admissible,
 )
 from oracles import count_minimal_orbit_reps
 
@@ -83,13 +83,37 @@ def test_orbit_chain_cases():
     assert all(case.tag == "CaseA" for _, case in chain)
 
 
-def test_sl2_dense_admissible():
-    lvl = Level(2, 3, 2)
-    assert sl2_dense_admissible(lvl, 0, 1, F(1, 3))
-    assert not sl2_dense_admissible(lvl, 0, 1, F(2))  # integral twist
-    assert not sl2_dense_admissible(lvl, 0, 1, F(1, 2))  # x - ap/q integral
-    assert not sl2_dense_admissible(lvl, 5, 1, F(1, 3))  # lam1 too large
-    assert not sl2_dense_admissible(lvl, 0, 2, F(1, 3))  # a out of range
+# every (level, representative) with n = 2..4, p <= n + 4 and q <= 4
+LEVEL_REPS = [
+    (lvl, rep)
+    for n in range(2, 5)
+    for q in range(2, 5)
+    for p in range(n + 1, n + 5)
+    if gcd(p, q) == 1
+    for lvl in [Level(n, p, q)]
+    for rep, _ in minimal_orbit_reps(lvl)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(LEVEL_REPS),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.sampled_from((1, 2, 3, 4, 6)),
+)
+def test_first_branch_builds_iff_the_twist_is_dense(level_rep, off_level, k, d):
+    # on the chain's first weight, x must avoid Z and a p/q + Z; x is drawn
+    # near one of the two lattices so that both verdicts come up often
+    lvl, rep = level_rep
+    ap_q = F(rep.a * lvl.p, lvl.q)
+    x = (ap_q if off_level else 0) + F(k, d)
+    branch = rep_weight(lvl, rep)
+    if x.denominator != 1 and (x - ap_q).denominator != 1:
+        assert g.build_sl2_induced_minimal(lvl, rep, branch, x).x == x
+    else:
+        with pytest.raises(BadTwist):
+            g.build_sl2_induced_minimal(lvl, rep, branch, x)
 
 
 def test_hw_module_of_dispatch():

@@ -460,3 +460,6 @@ def test_lem_key_requires_bounded_case():
         g.lem_key_tableau((F(1), F(1), F(1)), 2)  # integral dominant
     with pytest.raises(PreconditionViolated):
         g.lem_key_tableau((F(0), F(-1, 2), F(-1, 2)), 1)  # need i > 1
+    # passes the explicit checks, but the seed built is no realization
+    with pytest.raises(PreconditionViolated, match="constructed tableau is not a C-realization"):
+        g.lem_key_tableau((F(1, 3), F(-1, 3)), 2)
