@@ -10,7 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import inf, lcm
 
 from . import classify
@@ -235,13 +235,24 @@ class BasisBox:
     in flat order, as a sequence: `len` counts them and indexing unranks
     one, neither by listing them.
 
-    Every relation of C links row k with row k+-1 or lies in the pinned
-    top row, so the ways to complete rows k+1..n of a shift depend on rows
-    1..k only through row k.  The walks below memoize per row k (a tuple of
-    length k; the empty tuple stands for row 0) its candidates for row k+1
-    and their completion counts, which turns enumeration into a
-    transfer-matrix count.  These memos and the shifts already unranked
-    live as long as this object, so build one per call.
+    Every relation of C joins row k with row k+-1, joins row n with the
+    pinned top row, or lies in the top row.  So once row k is fixed, each
+    entry of row k+1 ranges over one integer interval, cut by the box, by
+    the closure against the top row and by the closure against row k, and
+    the candidates for row k+1 are the product of those intervals; the
+    ways to complete rows k+1..n depend on rows 1..k only through row k.
+    These cuts enforce every relation of C on a whole shift, so a bound
+    the closure implies between two entries of one row needs no cut of its
+    own: a row that breaks one has no completion, counts 0 and adds
+    nothing to a sweep.  On the last row such a bound always holds, so the
+    last row's candidates under row n-1 are counted as the product of the
+    interval lengths and unranked by mixed radix, never listed.
+
+    The walks below memoize per row k (a tuple of length k; the empty
+    tuple stands for row 0) its candidates and their completion counts,
+    which turns enumeration into a transfer-matrix count.  These memos
+    and the shifts already unranked live as long as this object, so build
+    one per call.
     """
 
     def __init__(self, checker, box):
@@ -249,74 +260,81 @@ class BasisBox:
             raise ValueError("box must be >= 0, got %d" % box)
         self.n = checker.n
         d, top = checker.closure, checker.size
-
-        def cuts(p, nodes):
-            """(j, t) with z_p >= z_{nodes[j]} + t, and with
-            z_p <= z_{nodes[j]} - t; -inf entries of d cut nothing."""
-            return (
-                [(j, d[p][q]) for j, q in enumerate(nodes) if d[p][q] != -inf],
-                [(j, d[q][p]) for j, q in enumerate(nodes) if d[q][p] != -inf],
-            )
-
         # per row k+1, per position p: its range from the box and the top
-        # row, then its cuts against row k and against row k+1 before p
+        # row, then (j, t) with z_p >= z_{row k, j} + t, and with
+        # z_p <= z_{row k, j} - t; -inf entries of d cut nothing
         self._cuts = []
         for k in range(self.n):
             start = k * (k + 1) // 2
             prev = range(start - k, start)
             self._cuts.append(
                 [
-                    (max(-box, d[p][top]), min(box, -d[top][p]))
-                    + cuts(p, prev)
-                    + cuts(p, range(start, p))
+                    (
+                        max(-box, d[p][top]),
+                        min(box, -d[top][p]),
+                        [(j, d[p][q]) for j, q in enumerate(prev) if d[p][q] != -inf],
+                        [(j, d[q][p]) for j, q in enumerate(prev) if d[q][p] != -inf],
+                    )
                     for p in range(start, start + k + 1)
                 ]
             )
         self._children = {}
         self._blocks = {}
+        self._leaves = {}
         self._unranked = {}
+
+    def _ranges(self, row):
+        """The range of each entry of row k+1 under row k = `row`: the box
+        and the top row, cut by the closure against row k."""
+        out = []
+        for lo, hi, lows, highs in self._cuts[len(row)]:
+            for j, t in lows:
+                x = row[j] + t
+                if x > lo:
+                    lo = x
+            for j, t in highs:
+                x = row[j] - t
+                if x < hi:
+                    hi = x
+            out.append(range(lo, hi + 1))
+        return out
 
     def _rows(self, row):
         """The candidates for row k+1 under row k = `row`, ascending in lex
-        order: each entry's range is cut by the closure against row k, the
-        entries of row k+1 already placed, and the top row."""
+        order."""
         kids = self._children.get(row)
-        if kids is not None:
-            return kids
-        kids = [()]
-        for lo, hi, lows, highs, lows_in, highs_in in self._cuts[len(row)]:
-            for j, t in lows:
-                lo = max(lo, row[j] + t)
-            for j, t in highs:
-                hi = min(hi, row[j] - t)
-            placed = []
-            for r in kids:
-                a, b = lo, hi
-                for j, t in lows_in:
-                    a = max(a, r[j] + t)
-                for j, t in highs_in:
-                    b = min(b, r[j] - t)
-                placed.extend(r + (x,) for x in range(a, b + 1))
-            kids = placed
-            if not kids:
-                break
-        self._children[row] = kids
+        if kids is None:
+            kids = self._children[row] = list(product(*self._ranges(row)))
         return kids
+
+    def _leaf(self, row):
+        """(the number of candidates for the last row under row n-1 =
+        `row`, and per entry (lowest value, stride, length)): the product
+        of the entries' ranges read as a mixed radix number, the last entry
+        the fastest."""
+        leaf = self._leaves.get(row)
+        if leaf is None:
+            count, digits = 1, []
+            for r in reversed(self._ranges(row)):
+                digits.append((r.start, count, len(r)))
+                count *= len(r)
+            leaf = self._leaves[row] = (count, digits[::-1])
+        return leaf
 
     def _block(self, row):
         """(`_rows(row)`, the cumulative numbers of completions of rows
-        k+1..n under row k, child by child)."""
+        k+1..n under row k, child by child), for k < n-1."""
         block = self._blocks.get(row)
         if block is None:
             kids = self._rows(row)
-            if len(row) == self.n - 1:
-                sizes = range(1, len(kids) + 1)
-            else:
-                sizes = list(accumulate(self._count(r) for r in kids))
+            sizes = list(accumulate(map(self._count, kids)))
             block = self._blocks[row] = (kids, sizes)
         return block
 
     def _count(self, row):
+        """The number of completions of rows k+1..n under row k = `row`."""
+        if len(row) == self.n - 1:
+            return self._leaf(row)[0]
         sizes = self._block(row)[1]
         return sizes[-1] if sizes else 0
 
@@ -328,23 +346,26 @@ class BasisBox:
         return self._size
 
     def __getitem__(self, i):
-        """Unrank i: at each row, the child whose block of completions
-        holds i, found by bisecting the cumulative child counts."""
+        """Unrank i: at each row above the last, the child whose block of
+        completions holds i, found by bisecting the cumulative child
+        counts; then the last row by mixed radix over its ranges."""
         z = self._unranked.get(i)
         if z is not None:
             return z
         size = self._size
         if not 0 <= i < size:
             raise IndexError("shift index %d out of range [0, %d)" % (i, size))
-        # counting filled the memo for every row on the way down
+        # counting filled the memos for every row on the way down
         blocks, rows, row, rest = self._blocks, [], (), i
-        for _ in range(self.n):
+        for _ in range(self.n - 1):
             kids, sizes = blocks[row]
             j = bisect_right(sizes, rest)
             if j:
                 rest -= sizes[j - 1]
             row = kids[j]
             rows.append(row)
+        digits = self._leaves[row][1]
+        rows.append(tuple([lo + rest // step % size for lo, step, size in digits]))
         z = self._unranked[i] = tuple(rows)
         return z
 
@@ -359,31 +380,41 @@ class BasisBox:
         hit = memo.get(row)
         if hit is None:
             hit = memo[row] = {}
+            # each row is visited once here, so its candidates are not kept
+            kids = product(*self._ranges(row))
             if len(row) == self.n - 1:
                 # the last row has no completion: count its sums
-                for r in self._rows(row):
+                for r in kids:
                     key = (sum(r),)
                     hit[key] = hit.get(key, 0) + 1
                 return hit
-            for r in self._rows(row):
+            for r in kids:
                 s = sum(r)
                 for key, c in self._sweep(r, memo).items():
                     key = (s,) + key
                     hit[key] = hit.get(key, 0) + c
         return hit
 
-    def shifts(self):
-        """Every shift, in order."""
+    def shifts(self, sums=None):
+        """Every shift, in order; with `sums`, a tuple of row sums, only the
+        shifts whose row k sums to sums[k-1], skipping every candidate row
+        with another sum."""
         out = []
-        self._list((), (), out)
+        self._list((), (), out, sums)
         return out
 
-    def _list(self, prefix, row, out):
-        if len(row) == self.n:
-            out.append(prefix)
+    def _list(self, prefix, row, out, sums):
+        """Append to `out` the completions of `prefix`, whose last row is
+        `row`, that `sums` admits."""
+        kids = self._rows(row)
+        if sums is not None:
+            want = sums[len(row)]
+            kids = [r for r in kids if sum(r) == want]
+        if len(row) == self.n - 1:
+            out.extend(prefix + (r,) for r in kids)
             return
-        for r in self._rows(row):
-            self._list(prefix + (r,), r, out)
+        for r in kids:
+            self._list(prefix + (r,), r, out, sums)
 
 
 def _check_shape(n, z):
@@ -401,9 +432,9 @@ def enumerate_weight_space(C, seed, w, box):
     when the box holds the whole basis, so the list is the weight space.
 
     A shift's weight is the seed's plus the Cartan matrix on its row sums,
-    so w picks at most one row-sum tuple of the box's sweep; the box is
-    listed only when one does, so a weight off the root lattice or outside
-    the box lists nothing."""
+    so w picks at most one row-sum tuple of the box's sweep, and only the
+    shifts with that tuple are listed; a weight off the root lattice or
+    outside the box picks none and lists nothing."""
     if len(w) != C.n:
         raise RankMismatch("weight has %d coordinates, rank is %d" % (len(w), C.n))
     checker = BasisChecker(C, seed)
@@ -412,8 +443,7 @@ def enumerate_weight_space(C, seed, w, box):
     sums = next((s for s in walks.sweep() if row_sums_weight_delta(s) == delta), None)
     if sums is None:
         return [], checker.in_box(box)
-    hits = [z for z in walks.shifts() if tuple(map(sum, z)) == sums]
-    return hits, checker.in_box(box)
+    return walks.shifts(sums), checker.in_box(box)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import gc
 from collections import Counter
 from fractions import Fraction as F
+from itertools import chain
+from math import inf
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -141,10 +143,9 @@ def _row_sums(pool):
     return Counter(tuple(sum(row) for row in z) for z in pool)
 
 
-def _assert_walks_match(M, box, pool):
-    """count, unranking, sweep and listing of M's box against a reference
-    list of the box's basis shifts."""
-    checker = M.checker
+def _assert_walks_match(checker, box, pool):
+    """count, unranking, sweep and listing of the checker's box against a
+    reference list of the box's basis shifts."""
     assert BasisBox(checker, box).shifts() == pool
     assert len(BasisBox(checker, box)) == len(pool)
     assert BasisBox(checker, box).sweep() == _row_sums(pool)
@@ -152,6 +153,9 @@ def _assert_walks_match(M, box, pool):
         assert BasisBox(checker, box)[i] == pool[i], i
     ranked = BasisBox(checker, box)
     assert [ranked[i] for i in range(len(ranked))] == pool
+    for i in (-1, len(pool)):
+        with pytest.raises(IndexError):
+            ranked[i]
 
 
 def test_enumeration_matches_brute_force(module_catalog):
@@ -160,7 +164,7 @@ def test_enumeration_matches_brute_force(module_catalog):
             got = g.enumerate_basis_box(M.C, M.seed, box)
             pool = brute_force_basis_box(M.C, M.seed, box)
             assert got == pool, (name, box)
-            _assert_walks_match(M, box, pool)
+            _assert_walks_match(M.checker, box, pool)
             assert [BasisBox(M.checker, box)[i] for i in range(len(pool))] == pool
             weights = Counter(flag_weight(M, z) for z in pool)
             assert g.weight_multiplicity_sweep(M, box) == weights, (name, box)
@@ -170,7 +174,7 @@ def test_enumeration_matches_brute_force(module_catalog):
 def test_walks_match_backtracking_on_large_ranks(large_catalog):
     for name, M in large_catalog:
         for box in range(3):
-            _assert_walks_match(M, box, backtrack_basis_box(M.checker, box))
+            _assert_walks_match(M.checker, box, backtrack_basis_box(M.checker, box))
         # the oracle builds a Fraction weight per shift: 56,700 at sl6 box 2
         assert g.weight_multiplicity_sweep(M, 1) == sweep_by_enumeration(M, 1), name
 
@@ -214,8 +218,73 @@ def test_walks_match_backtracking_random(lam_box):
         M = g.hw_module_of(tuple(lam))
     except (GtrelError, ValueError):
         assume(False)
-    _assert_walks_match(M, box, backtrack_basis_box(M.checker, box))
+    _assert_walks_match(M.checker, box, backtrack_basis_box(M.checker, box))
     assert g.weight_multiplicity_sweep(M, box) == sweep_by_enumeration(M, box)
+
+
+def _unimplied_row_bounds(checker):
+    """(p, q, t) for each bound z_p - z_q >= t of the closure between two
+    entries of one row k+1 < n that no cut of the walk against row k or the
+    top row carries: no node m of row k, nor the top row, has
+    d[p][m] + d[m][q] >= t.  A walk without within-row cuts meets the
+    candidates for row k+1 that break such a bound, and they must count 0."""
+    d, top = checker.closure, checker.size
+    out = []
+    for k in range(1, checker.n - 1):
+        start = k * (k + 1) // 2
+        via = [*range(start - k, start), top]
+        row = range(start, start + k + 1)
+        for p in row:
+            for q in row:
+                t = d[p][q]
+                if p != q and t != -inf and all(d[p][m] + d[m][q] < t for m in via):
+                    out.append((p, q, t))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_walks_match_backtracking_on_random_relation_subsets(n, data):
+    # a random subset of the arrows a random tableau satisfies: unlike the
+    # hw modules' sets, such a set can bound two entries of one row
+    # through the next row only, so the walk meets rows with no completion
+    entry = st.builds(F, st.integers(-6, 6), st.just(2))
+    rows = [data.draw(st.lists(entry, min_size=k, max_size=k)) for k in range(1, n + 2)]
+    seed = g.tableau(n, rows)
+    arrows = seed.satisfied.sorted()
+    chosen = data.draw(st.sets(st.sampled_from(arrows)) if arrows else st.just(set()))
+    checker = BasisChecker(g.relation_set(n, chosen), seed)
+    box = data.draw(st.integers(0, 2 if n < 4 else 1))
+    _assert_walks_match(checker, box, backtrack_basis_box(checker, box))
+
+
+def test_walks_count_zero_on_rows_that_break_a_row_bound():
+    # on this seed (2,2) -> (3,1) asks z_22 >= z_31 and (3,1) -> (2,1) asks
+    # z_31 >= z_21, which bound z_22 >= z_21 through row 3 only: a walk of
+    # row 2 under row 1 meets every z_22 < z_21, and none of those rows
+    # has a completion
+    seed = g.tableau(3, [[0], [0, 1], [0, 0, 0], [0, 0, 0, 0]])
+    checker = BasisChecker(g.relation_set(3, [((2, 2), (3, 1)), ((3, 1), (2, 1))]), seed)
+    assert _unimplied_row_bounds(checker) == [(2, 1, 0)]
+    for box in range(4):
+        _assert_walks_match(checker, box, backtrack_basis_box(checker, box))
+
+
+def test_box_counts_and_unranking_at_high_rank():
+    # generic sl6 and sl7 at box 3: counted and unranked, never listed
+    primes = (2, 3, 5, 7, 11, 13)
+    for n, size in ((5, 1_568_000), (6, 131_712_000)):
+        M = g.hw_module_of(tuple(F(-1, p) for p in primes[:n]))
+        ranked = BasisBox(M.checker, 3)
+        assert len(ranked) == size
+        picks = sorted({0, 1, size // 3, size // 2, size - 2, size - 1})
+        drawn = [ranked[i] for i in picks]
+        assert drawn == sorted(drawn) and len(set(drawn)) == len(drawn)
+        for z in drawn:
+            assert M.checker.check(z) and max(map(abs, chain(*z))) <= 3, z
+        for i in (-1, size):
+            with pytest.raises(IndexError):
+                ranked[i]
 
 
 @settings(max_examples=20, deadline=None)
