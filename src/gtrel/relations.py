@@ -26,11 +26,6 @@ RPLUS = "RPlus"
 RMINUS = "RMinus"
 RZERO = "RZero"
 
-# RelationSet validation reads the cached universe of ranks up to this one
-# and classifies the arrows of a higher rank one by one: a rank read from
-# outside can be huge, and its universe has O(n^3) arrows
-_MAX_CACHED_RANK = 16
-
 
 def all_positions(n):
     return [(i, j) for i in range(1, n + 2) for j in range(1, i + 1)]
@@ -59,13 +54,10 @@ class RelationSet:
     _reduced = False  # True on reduce_relations' output: it is returned as is
 
     def __post_init__(self):
-        n, rels = self.n, self.relations
-        if n > _MAX_CACHED_RANK or not _universe(n).keys() >= rels:
-            for frm, to in rels:
-                relation_kind(n, frm, to)  # raises on the first illegal arrow
-
-    def kind(self, rel):
-        return relation_kind(self.n, rel[0], rel[1])
+        # one arrow at a time: a rank read from outside can be huge, and
+        # the universe of rank n has O(n^3) arrows
+        for frm, to in self.relations:
+            relation_kind(self.n, frm, to)  # raises on the first illegal arrow
 
     def union(self, rels):
         return RelationSet(self.n, self.relations | frozenset(rels))
@@ -109,7 +101,7 @@ def relation_set(n, rels=()):
 def _universe(n):
     """Every relation of R, R+ then R- then R0, as the keys of a dict
     (values None).  Cached apart from `_layout`: it has O(n^3) arrows, and
-    only RelationSet validation and satisfied_relations read it."""
+    only satisfied_relations reads it."""
     out = {}
     for i in range(2, n + 2):
         for j in range(1, i + 1):

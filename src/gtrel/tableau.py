@@ -206,17 +206,29 @@ class BasisChecker:
                     row[:] = [max(x, rm + y) for x, y in zip(row, dm)]
         return d
 
-    @property
-    def ranges(self):
-        """Exact (lo, hi) of each coordinate over the basis, in flat order;
-        -inf / inf where C leaves it unbounded."""
+    @cached_property
+    def cuts(self):
+        """Per row k+1, per position p of it, read off the closure once:
+        (lo, hi), p's exact range over the basis (-inf / inf where C leaves
+        it unbounded), then (j, t) with z_p >= z_{row k, j} + t, and (j, t)
+        with z_p <= z_{row k, j} - t, for each bound C implies."""
         d, top = self.closure, self.size
-        return [(d[p][top], -d[top][p]) for p in range(top)]
-
-    @property
-    def bounded(self):
-        """Whether C confines every coordinate, i.e. the basis is finite."""
-        return all(-inf < lo and hi < inf for lo, hi in self.ranges)
+        out = []
+        for k in range(self.n):
+            start = k * (k + 1) // 2
+            prev = range(start - k, start)
+            out.append(
+                [
+                    (
+                        d[p][top],
+                        -d[top][p],
+                        [(j, d[p][q]) for j, q in enumerate(prev) if d[p][q] != -inf],
+                        [(j, d[q][p]) for j, q in enumerate(prev) if d[q][p] != -inf],
+                    )
+                    for p in range(start, start + k + 1)
+                ]
+            )
+        return out
 
     def implies(self, rel):
         """Whether C already forces the constraint of rel, a relation the
@@ -227,7 +239,9 @@ class BasisChecker:
     def in_box(self, box):
         """Whether every basis shift has |z_{ki}| <= box, so that the box
         holds the whole basis."""
-        return all(-box <= lo and hi <= box for lo, hi in self.ranges)
+        return all(
+            -box <= lo and hi <= box for row in self.cuts for lo, hi, _, _ in row
+        )
 
 
 class BasisBox:
@@ -237,16 +251,17 @@ class BasisBox:
 
     Every relation of C joins row k with row k+-1, joins row n with the
     pinned top row, or lies in the top row.  So once row k is fixed, each
-    entry of row k+1 ranges over one integer interval, cut by the box, by
-    the closure against the top row and by the closure against row k, and
-    the candidates for row k+1 are the product of those intervals; the
-    ways to complete rows k+1..n depend on rows 1..k only through row k.
-    These cuts enforce every relation of C on a whole shift, so a bound
-    the closure implies between two entries of one row needs no cut of its
-    own: a row that breaks one has no completion, counts 0 and adds
-    nothing to a sweep.  On the last row such a bound always holds, so the
-    last row's candidates under row n-1 are counted as the product of the
-    interval lengths and unranked by mixed radix, never listed.
+    entry of row k+1 ranges over one integer interval, cut by the box and
+    by the checker's `cuts` (the closure against the top row and against
+    row k), and the candidates for row k+1 are the product of those
+    intervals; the ways to complete rows k+1..n depend on rows 1..k only
+    through row k.  These cuts enforce every relation of C on a whole
+    shift, so a bound the closure implies between two entries of one row
+    needs no cut of its own: a row that breaks one has no completion,
+    counts 0 and adds nothing to a sweep.  On the last row such a bound
+    always holds, so the last row's candidates under row n-1 are counted
+    as the product of the interval lengths and unranked by mixed radix,
+    never listed.
 
     The walks below memoize per row k (a tuple of length k; the empty
     tuple stands for row 0) its candidates and their completion counts,
@@ -259,33 +274,19 @@ class BasisBox:
         if box < 0:
             raise ValueError("box must be >= 0, got %d" % box)
         self.n = checker.n
-        d, top = checker.closure, checker.size
-        # per row k+1, per position p: its range from the box and the top
-        # row, then (j, t) with z_p >= z_{row k, j} + t, and with
-        # z_p <= z_{row k, j} - t; -inf entries of d cut nothing
-        self._cuts = []
-        for k in range(self.n):
-            start = k * (k + 1) // 2
-            prev = range(start - k, start)
-            self._cuts.append(
-                [
-                    (
-                        max(-box, d[p][top]),
-                        min(box, -d[top][p]),
-                        [(j, d[p][q]) for j, q in enumerate(prev) if d[p][q] != -inf],
-                        [(j, d[q][p]) for j, q in enumerate(prev) if d[q][p] != -inf],
-                    )
-                    for p in range(start, start + k + 1)
-                ]
-            )
+        # the checker's cuts, each range clamped to the box
+        self._cuts = [
+            [(max(-box, lo), min(box, hi), lows, highs) for lo, hi, lows, highs in row]
+            for row in checker.cuts
+        ]
         self._children = {}
         self._blocks = {}
         self._leaves = {}
         self._unranked = {}
 
     def _ranges(self, row):
-        """The range of each entry of row k+1 under row k = `row`: the box
-        and the top row, cut by the closure against row k."""
+        """The range of each entry of row k+1 under row k = `row`: its
+        range in the box, cut against row k."""
         out = []
         for lo, hi, lows, highs in self._cuts[len(row)]:
             for j, t in lows:

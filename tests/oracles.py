@@ -594,8 +594,8 @@ def reduce_relations_per_candidate(C):
         work = (set(base) | eq_extra) - {rel}
         current = RelationSet(C.n, frozenset(work))
         adj = _adjacency(current.relations)
-        if C.kind(rel) == RMINUS:
-            kinds = {r: current.kind(r) for r in work}
+        if relation_kind(C.n, *rel) == RMINUS:
+            kinds = {r: relation_kind(C.n, *r) for r in work}
             best = _strict_reachable_from(adj, kinds, rel[0])
             return best.get(rel[1], None) is True
         return rel[1] in _reachable_from(adj, rel[0])

@@ -167,6 +167,12 @@ def test_module_rejects_unknown_normalization(hw_module):
             g.module(hw_module.seed, hw_module.C, normalization=norm)
 
 
+def test_module_rejects_a_sigma_that_is_no_permutation(hw_module):
+    for sigma in ((1, 1, 2), (1, 2), (2, 3, 4)):
+        with pytest.raises(ValueError, match="sigma must be a permutation"):
+            g.module(hw_module.seed, hw_module.C, sigma=sigma)
+
+
 def test_module_construction_reads_the_seed_against_c_once(hw_module, monkeypatch):
     # the checker decides satisfaction arrow by arrow; construction then
     # reads only the components, with the same errors as before

@@ -103,6 +103,15 @@ def test_build_family_and_lem_key(tmp_path, capsys):
         str(tmp_path / "l.json"),
     )
     assert code == 0
+    # i = 3 at n = 4: the offsets and entries that i = 2 never reaches
+    out = tmp_path / "l3.json"
+    argv = ["--type", "lem-key", "--lambda=2,0,-4/3,4/3", "--i", "3", "-o", str(out)]
+    code, _ = run(capsys, "build", *argv)
+    assert code == 0
+    T, C = g.lem_key_tableau((F(2), F(0), F(-4, 3), F(4, 3)), 3)
+    assert g.module_from_json(json.loads(out.read_text())) == g.module(T, C)
+    code, report = run(capsys, "verify", "--module", str(out), "--box", "1")
+    assert code == 0 and report["failures"] == []
 
 
 def test_build_needs_its_recipe_options(capsys):
@@ -264,6 +273,33 @@ def test_localize_and_twist(tmp_path, capsys):
     code, _ = run(capsys, "twist", "--module", str(loc), "--x=1/3", "-o", str(tw))
     assert code == 0
     assert json.loads(tw.read_text())["seed"]["rows"][0][0] == "-2/3"
+
+
+def test_localize_falls_back_to_e21_at_target_2(tmp_path, capsys):
+    # the hw module of (-1/2, -1/3) lacks the family arrows: localize_family
+    # raises WrongShape, and --targets 2 alone localizes or twists at E21
+    M = g.hw_module_of((F(-1, 2), F(-1, 3)))
+    mod = tmp_path / "m.json"
+    mod.write_text(json.dumps(g.module_to_json(M)))
+    code, out = run(capsys, "localize", "--module", str(mod), "--targets", "2")
+    assert (code, out) == (0, g.module_to_json(g.localize_e21(M)))
+    argv = ["--module", str(mod), "--targets", "2", "--x", "1/3"]
+    code, out = run(capsys, "localize", *argv)
+    assert (code, out) == (0, g.module_to_json(g.twist_e21(M, F(1, 3))))
+    for targets in ("3", "2,3"):
+        code, out = run(capsys, "localize", "--module", str(mod), "--targets", targets)
+        assert (code, out["error"]) == (2, "WrongShape"), targets
+
+
+def test_verify_rejects_a_sigma_that_is_no_permutation(tmp_path, capsys):
+    mod = tmp_path / "m.json"
+    run(capsys, "build", "--type", "hw", "--lambda=-3/2,0", "-o", str(mod))
+    good = json.loads(mod.read_text())
+    for sigma in ([1, 1, 2], [1, 2], [1, 2, 4]):
+        mod.write_text(json.dumps(dict(good, sigma=sigma)))
+        code, out = run(capsys, "verify", "--module", str(mod), "--box", "1")
+        assert (code, out["error"]) == (2, "ValueError"), sigma
+        assert "sigma must be a permutation" in out["detail"], sigma
 
 
 def test_minimal_orbit_listing(capsys):

@@ -247,3 +247,12 @@ def GTV_sum(M, ks, v):
 def test_spec_sorts_its_targets():
     spec = LocalizationSpec((3, 2), F(-1, 6))
     assert spec.targets == (2, 3)
+
+
+def test_spec_and_flag_reject_bad_input():
+    with pytest.raises(ValueError, match="targets must be nonempty"):
+        LocalizationSpec(())
+    M = hw_n2()
+    for sigma in ((1, 1, 2), (1, 2), (1, 2, 4), (0, 1, 2)):
+        with pytest.raises(ValueError, match="sigma must be a permutation"):
+            g.permute_flag(M, sigma)

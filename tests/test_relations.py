@@ -284,48 +284,49 @@ def test_rank_mismatch_is_rejected_both_ways():
             g.is_noncritical_for(C, T)
 
 
-def _fail_above_the_cached_rank(monkeypatch, *names):
-    """Make the named functions of gtrel.relations, each taking a rank,
-    fail above _MAX_CACHED_RANK."""
+def _forbid(monkeypatch, *names):
+    """Make the named functions of gtrel.relations fail whenever called."""
     from gtrel import relations
 
-    def small_only(fn):
-        def checked(n):
-            assert n <= relations._MAX_CACHED_RANK, n
-            return fn(n)
+    def forbidden(name):
+        def fail(*args):
+            raise AssertionError("relations.%s%r called" % (name, args))
 
-        return checked
+        return fail
 
     for name in names:
-        monkeypatch.setattr(relations, name, small_only(getattr(relations, name)))
+        monkeypatch.setattr(relations, name, forbidden(name))
 
 
 def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
     # the universe of rank n has O(n^3) arrows; a rank read from JSON can
-    # be huge, so its arrows are classified one by one
-    _fail_above_the_cached_rank(monkeypatch, "_layout", "_universe")
+    # be huge, so validation classifies the arrows one by one, at every rank
+    _forbid(monkeypatch, "_layout", "_universe")
     obj = {"n": 10**9, "relations": [[[2, 1], [1, 1]]]}
     assert g.relset_from_json(obj).relations == {((2, 1), (1, 1))}
     obj["relations"].append([[1, 1], [3, 1]])
     with pytest.raises(ValueError, match="not a legal relation"):
         g.relset_from_json(obj)
+    assert g.relation_set(3, [((2, 1), (1, 1))]).relations == {((2, 1), (1, 1))}
     with pytest.raises(ValueError, match="not a legal relation for n=3"):
         g.relation_set(3, [((2, 1), (1, 1)), ((1, 1), (3, 1))])
 
 
-def test_a_module_above_the_cached_rank_is_read_and_verified_without_its_universe(
-    monkeypatch,
-):
+def test_a_module_is_read_and_verified_without_its_universe(monkeypatch):
     # the layout that BasisChecker and the graph read holds no universe
     from gtrel import relations
 
-    M = g.hw_module_of(tuple(F(1, 2) for _ in range(20)))
-    obj = json.loads(json.dumps(g.module_to_json(M)))
-    _fail_above_the_cached_rank(monkeypatch, "_universe")
-    relations._layout.cache_clear()  # rank 20's layout is built afresh
-    M2 = g.module_from_json(obj)
-    assert M2 == M
-    assert g.verify_axioms(M2, box=0, samples=20)["failures"] == []
+    for M in (
+        g.hw_module_of((F(-1, 2), F(-1, 3))),
+        g.hw_module_of(tuple(F(1, 2) for _ in range(20))),
+    ):
+        obj = json.loads(json.dumps(g.module_to_json(M)))
+        with monkeypatch.context() as patch:
+            _forbid(patch, "_universe")
+            relations._layout.cache_clear()  # the layout is built afresh
+            M2 = g.module_from_json(obj)
+            assert M2 == M
+            assert g.verify_axioms(M2, box=0, samples=20)["failures"] == []
 
 
 def test_relset_json_round_trip(module_catalog):
@@ -341,7 +342,7 @@ def test_random_subsets_kind_closed(n, data):
     rels = data.draw(st.lists(st.sampled_from(universe), max_size=6))
     C = g.relation_set(n, rels)
     for rel in C.relations:
-        assert C.kind(rel) in (RPLUS, RMINUS, RZERO)
+        assert relation_kind(C.n, *rel) in (RPLUS, RMINUS, RZERO)
 
 
 # ---------------------------------------------------------------------------

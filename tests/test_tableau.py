@@ -54,6 +54,24 @@ def test_case_b_seed_weight():
         g.hw_tableau_case_b((F(-3, 2), F(0)), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "lam, i",
+    [
+        ((F(2), F(0), F(-4, 3), F(4, 3)), 3),
+        ((F(1), F(0), F(-4, 3), F(4, 3), F(0)), 3),
+        ((F(2), F(0), F(0), F(-1, 3), F(1, 3)), 4),
+    ],
+)
+def test_lem_key_at_i_3_and_up(lam, i):
+    # what i = 2 never reaches: the offsets set only when i > 2, the chain
+    # of offsets past v_{i+2} when i + 2 <= n, and the entries (r, s) with
+    # 2 <= s < i
+    assert g.bounded_case(lam) == ("e", i)
+    T, C = g.lem_key_tableau(lam, i)
+    M = g.module(T, C)
+    assert g.verify_axioms(M, box=1)["failures"] == []
+
+
 def test_normalization_knob():
     T, _ = g.hw_tableau_case_a((F(-3, 2), F(0)), normalization="sl2")
     assert sum(T.rows[2]) == F(-3)
@@ -136,7 +154,10 @@ def test_box_completeness_flag(module_catalog):
     # only the integral dominant module has every entry pinned to the
     # fixed top row in both directions
     for name, M in module_catalog:
-        assert M.checker.bounded == (name == "hw-a-n2-dominant"), name
+        ranges = [(lo, hi) for row in M.checker.cuts for lo, hi, _, _ in row]
+        bounded = all(-inf < lo and hi < inf for lo, hi in ranges)
+        assert bounded == (name == "hw-a-n2-dominant"), name
+        assert M.checker.in_box(4) == bounded, name
 
 
 def _row_sums(pool):
@@ -416,7 +437,8 @@ def test_kernel_ranges_are_exact(module_catalog):
     # in the box, and no shift leaves its range
     for name, M in module_catalog:
         pool = g.enumerate_basis_box(M.C, M.seed, 4)
-        for p, (lo, hi) in enumerate(M.checker.ranges):
+        ranges = chain.from_iterable(M.checker.cuts)
+        for p, (lo, hi, _, _) in enumerate(ranges):
             values = {sum(z, ())[p] for z in pool}
             assert lo <= min(values) and max(values) <= hi, (name, p)
             assert all(end in values for end in (lo, hi) if -4 <= end <= 4), (name, p)
@@ -430,6 +452,9 @@ def test_kernel_rejects_bad_input(hw_module):
         g.module(T3, hw_module.C)
     with pytest.raises(ValueError):
         g.enumerate_basis_box(hw_module.C, hw_module.seed, -1)
+    for w in ((F(0),), (F(0), F(0), F(0))):
+        with pytest.raises(RankMismatch):
+            g.enumerate_weight_space(hw_module.C, hw_module.seed, w, 1)
     checker = hw_module.checker
     with pytest.raises(ValueError):
         g.weight_multiplicity_sweep(hw_module, -1)
