@@ -7,13 +7,11 @@ falls outside the basis.
 """
 
 import random
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .core import format_rational, json_int, json_list, json_object, parse_rational
+from .core import Record, format_rational, json_int, json_list, json_object, parse_rational
 from .errors import CriticalDenominator, NotInBasis, RankMismatch, UnsupportedGenerator
 from .relations import (
     _noncritical,
@@ -98,8 +96,7 @@ def ELower(k):
     return ("E", k + 1, k)
 
 
-@dataclass(frozen=True)
-class GTModule:
+class GTModule(Record):
     """A computable description of the relation module V_C(seed).
 
     The action kernel runs on small ints, not shift tuples: `ids` interns
@@ -113,38 +110,33 @@ class GTModule:
     seed's entries times their common denominator (`Tableau.scaled`).  Only
     basis shifts are interned, so no id ever names a shift outside the
     basis.  The module is frozen, so an entry never goes stale; every
-    transform builds a new module with empty tables.
+    transform builds a new module with empty tables.  The checker and the
+    tables are not fields: equality, hash and repr never see them.
     """
 
-    n: int
-    seed: object
-    C: object
-    sigma: tuple = None
-    normalization: str = "hw"
-    checker: object = field(init=False, compare=False, repr=False)
-    memo: dict = field(init=False, compare=False, repr=False)
-    ids: dict = field(init=False, compare=False, repr=False)
-    shifts: dict = field(init=False, compare=False, repr=False)
+    _fields = ("n", "seed", "C", "sigma", "normalization")
 
-    def __post_init__(self):
-        _top_total(self.n, self.normalization)  # rejects an unknown normalization
-        if self.C.n != self.n:
-            raise RankMismatch(
-                "module has rank %d, relation set %d" % (self.n, self.C.n)
-            )
-        sigma = self.sigma or tuple(range(1, self.n + 2))
-        if sorted(sigma) != list(range(1, self.n + 2)):
+    def __init__(self, n, seed, C, sigma=None, normalization="hw"):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "normalization", normalization)
+        _top_total(n, normalization)  # rejects an unknown normalization
+        if C.n != n:
+            raise RankMismatch("module has rank %d, relation set %d" % (n, C.n))
+        sigma = sigma or tuple(range(1, n + 2))
+        if sorted(sigma) != list(range(1, n + 2)):
             raise ValueError("sigma must be a permutation of 1..n+1")
         object.__setattr__(self, "sigma", tuple(sigma))
         # building the checker decides, arrow by arrow, that the seed
         # satisfies C (SeedViolatesRelations otherwise)
-        object.__setattr__(self, "checker", BasisChecker(self.C, self.seed))
+        object.__setattr__(self, "checker", BasisChecker(C, seed))
         object.__setattr__(self, "memo", {})
         object.__setattr__(self, "ids", {})
         object.__setattr__(self, "shifts", {})
-        if not is_admissible(self.C):
+        if not is_admissible(C):
             raise ValueError("relation set is not admissible")
-        if not _noncritical(_satisfied_realization(self.C, self.seed)):
+        if not _noncritical(_satisfied_realization(C, seed)):
             raise ValueError("seed is critical for the relation set")
 
     def entries(self, z):
@@ -155,9 +147,6 @@ class GTModule:
         of lengths 1..n."""
         _check_shape(self.n, z)
         return self.checker.check(z)
-
-    def replace(self, **kw):
-        return dataclasses.replace(self, **kw)
 
 
 def module(seed, C, sigma=None, normalization="hw"):

@@ -6,12 +6,11 @@ Weights are H-eigenvalue coordinate tuples; the pairing with the coroot
 of alpha_{r,s} = alpha_r + ... + alpha_s is sum_{k=r..s}(coords[k] + 1).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .core import ZGEQ0, diff_in, rational_sqrt
+from .core import ZGEQ0, Record, diff_in, rational_sqrt
 from .errors import DegenerateDense, NonSquareGamma
 
 
@@ -47,11 +46,13 @@ def pairing(lam, r, s):
     return Fraction(prefix[s] - prefix[r - 1], d)
 
 
-@dataclass(frozen=True)
-class HWCase:
-    tag: str  # CaseA | CaseB | NotRelation
-    i: int = 0
-    j: int = 0
+class HWCase(Record):
+    _fields = ("tag", "i", "j")
+
+    def __init__(self, tag, i=0, j=0):
+        object.__setattr__(self, "tag", tag)  # CaseA | CaseB | NotRelation
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
 
 def hw_relation_case(lam):
@@ -144,10 +145,12 @@ def _dense_twist(x, p1):
     return x.denominator != 1 and (x + p1).denominator != 1
 
 
-@dataclass(frozen=True)
-class Sl2InducedParams:
-    gamma: Fraction
-    mu: tuple
+class Sl2InducedParams(Record):
+    _fields = ("gamma", "mu")
+
+    def __init__(self, gamma, mu):
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "mu", mu)
 
 
 def resolve_sl2_induced(params):

@@ -8,6 +8,7 @@ fractions.Fraction; there is no floating point anywhere in the package.
 import re
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 # difference classes accepted by diff_in
 ZGEQ0 = "ZGeq0"
@@ -16,6 +17,48 @@ Z = "Z"
 
 # an exponent as Fraction's parser reads one: "e" or "E", a sign, a digit
 _EXPONENT = re.compile(r"[eE][-+]?\d")
+
+
+class Record:
+    """Base of the package's frozen value classes.
+
+    A subclass names its fields in `_fields` and sets each once, in its
+    own `__init__`, with object.__setattr__; any other attribute it sets
+    there (a table, a checker) stays out of equality, hash and repr.
+    Records are equal when they are of the same class with equal fields,
+    hash as the tuple of their fields, print as Name(field=value, ...),
+    and refuse assignment and deletion.  `replace` builds a new record
+    through `__init__`, so it validates again."""
+
+    def __init_subclass__(cls):
+        # one C-level read of all the fields, for == and hash
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def replace(self, **kw):
+        for f in self._fields:
+            if f not in kw:
+                kw[f] = getattr(self, f)
+        return type(self)(**kw)
 
 
 def diff_in(a, b, cls):

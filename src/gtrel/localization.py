@@ -4,9 +4,9 @@ localization as relation-set surgery plus a rational shift of the
 top-left entry, simple quotients, and flag permutation.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import Record
 from .errors import (
     BadTwist,
     IncompatiblePair,
@@ -21,21 +21,18 @@ E21_DOWN = frozenset({((2, 1), (1, 1)), ((2, 2), (1, 1))})
 E21_UP = frozenset({((1, 1), (2, 1)), ((1, 1), (2, 2))})
 
 
-@dataclass(frozen=True)
-class LocalizationSpec:
+class LocalizationSpec(Record):
     """Targets m_i of the multiplicative set {E_{m_i,1}} plus an
     optional twist."""
 
-    targets: tuple
-    twist: object = None
+    _fields = ("targets", "twist")
 
-    def __post_init__(self):
-        t = tuple(sorted(set(int(m) for m in self.targets)))
+    def __init__(self, targets, twist=None):
+        t = tuple(sorted(set(int(m) for m in targets)))
         if not t:
             raise ValueError("targets must be nonempty")
         object.__setattr__(self, "targets", t)
-        if self.twist is not None:
-            object.__setattr__(self, "twist", Fraction(self.twist))
+        object.__setattr__(self, "twist", None if twist is None else Fraction(twist))
 
 
 def _noncritical_realization(C, T):

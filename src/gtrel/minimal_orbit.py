@@ -1,44 +1,46 @@
 """Admissible levels, minimal-orbit weight representatives, Weyl dot
 action, and construction of the induced modules attached to them."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .action import module
 from .classify import _dense_twist, hw_relation_case, pairing
+from .core import Record
 from .errors import BadTwist, BranchNotLocalizable
 from .localization import twist_e21
 from .tableau import _hw_seed
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """An admissible level k = p/q - n - 1 in lowest terms."""
 
-    n: int
-    p: int
-    q: int
+    _fields = ("n", "p", "q")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, p, q):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if n < 1:
             raise ValueError("need n >= 1")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError("p and q must be coprime")
-        if self.p < self.n + 1 or self.q < 1:
+        if p < n + 1 or q < 1:
             raise ValueError("need p >= n+1 and q >= 1")
+        if gcd(p, q) != 1:
+            raise ValueError("p and q must be coprime")
 
     @property
     def k(self):
         return Fraction(self.p, self.q) - self.n - 1
 
 
-@dataclass(frozen=True)
-class MinOrbitWeight:
+class MinOrbitWeight(Record):
     """A representative (lambda_bar, a) of a minimal-orbit class."""
 
-    lambda_bar: tuple
-    a: int
+    _fields = ("lambda_bar", "a")
+
+    def __init__(self, lambda_bar, a):
+        object.__setattr__(self, "lambda_bar", lambda_bar)
+        object.__setattr__(self, "a", a)
 
 
 def admissible_level(n, k):
@@ -104,16 +106,18 @@ def hw_orbit_list(lvl, rep):
     return out
 
 
-@dataclass(frozen=True)
-class InducedModule:
+class InducedModule(Record):
     """A twisted localization of a highest-weight module, carrying the
     dense-sl2 parameters it realizes."""
 
-    module: object
-    branch: tuple
-    x: Fraction
-    gamma: Fraction
-    mu: tuple
+    _fields = ("module", "branch", "x", "gamma", "mu")
+
+    def __init__(self, module, branch, x, gamma, mu):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "mu", mu)
 
 
 def hw_module_of(lam, normalization="hw"):

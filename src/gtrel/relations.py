@@ -15,11 +15,9 @@ tableaux.  Every graph question is answered on integer bitmasks over the
 positions of one rank by one reachability search, `_closure`.
 """
 
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
-from .core import json_int, json_list, json_object
+from .core import Record, json_int, json_list, json_object
 from .errors import NotARealization, RankMismatch, StructureViolation
 
 RPLUS = "RPlus"
@@ -45,19 +43,19 @@ def relation_kind(n, frm, to):
     raise ValueError("not a legal relation for n=%d: %r -> %r" % (n, frm, to))
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(Record):
     """A set of relations C together with the rank parameter n."""
 
-    n: int
-    relations: frozenset
+    _fields = ("n", "relations")
     _reduced = False  # True on reduce_relations' output: it is returned as is
 
-    def __post_init__(self):
+    def __init__(self, n, relations):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "relations", relations)
         # one arrow at a time: a rank read from outside can be huge, and
         # the universe of rank n has O(n^3) arrows
-        for frm, to in self.relations:
-            relation_kind(self.n, frm, to)  # raises on the first illegal arrow
+        for frm, to in relations:
+            relation_kind(n, frm, to)  # raises on the first illegal arrow
 
     def union(self, rels):
         return RelationSet(self.n, self.relations | frozenset(rels))
@@ -129,32 +127,35 @@ def _universe(n):
 # (whose constructor validates every arrow again).
 
 
-class _Layout(NamedTuple):
+class _Layout:
     """The positions of one rank as bits; shared by every caller, so read
-    only."""
+    only.
 
-    n: int
-    index: dict  # position -> flat index
-    positions: tuple  # flat index -> position
-    rows: tuple  # rows[k]: the mask of row k, 0 for k = 0 and k = n+2
-    next_row: tuple  # next_row[v]: the mask of the row an R- arrow from v enters
-    upto: tuple  # upto[v]: the mask of v's row at or left of v
+    index: position -> flat index
+    positions: flat index -> position
+    rows: rows[k] is the mask of row k, 0 for k = 0 and k = n+2
+    next_row: next_row[v] is the mask of the row an R- arrow from v enters
+    upto: upto[v] is the mask of v's row at or left of v
+    """
+
+    __slots__ = ("n", "index", "positions", "rows", "next_row", "upto")
+
+    def __init__(self, n):
+        positions = tuple(all_positions(n))
+        rows = [0] * (n + 3)
+        for v, (k, _) in enumerate(positions):
+            rows[k] |= 1 << v
+        self.n = n
+        self.index = {p: v for v, p in enumerate(positions)}
+        self.positions = positions
+        self.rows = tuple(rows)
+        self.next_row = tuple(rows[k + 1] for k, _ in positions)
+        self.upto = tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions))
 
 
 @cache
 def _layout(n):
-    positions = tuple(all_positions(n))
-    rows = [0] * (n + 3)
-    for v, (k, _) in enumerate(positions):
-        rows[k] |= 1 << v
-    return _Layout(
-        n,
-        {p: v for v, p in enumerate(positions)},
-        positions,
-        tuple(rows),
-        tuple(rows[k + 1] for k, _ in positions),
-        tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions)),
-    )
+    return _Layout(n)
 
 
 def _masks(L, rels):

@@ -7,14 +7,13 @@ H-eigenvalue coordinate tuples of length n.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
 from math import inf, lcm
 
 from . import classify
-from .core import format_rational, json_int, json_list, json_object, parse_rational
+from .core import Record, format_rational, json_int, json_list, json_object, parse_rational
 from .errors import (
     NotARealization,
     NotCaseA,
@@ -34,15 +33,15 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
-class Tableau:
-    n: int
-    rows: tuple
+class Tableau(Record):
+    _fields = ("n", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n + 1:
-            raise ValueError("expected %d rows" % (self.n + 1))
-        for k, row in enumerate(self.rows, start=1):
+    def __init__(self, n, rows):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != n + 1:
+            raise ValueError("expected %d rows" % (n + 1))
+        for k, row in enumerate(rows, start=1):
             if len(row) != k:
                 raise ValueError("row %d must have %d entries" % (k, k))
 
@@ -647,9 +646,10 @@ def tableau_to_json(T):
 def tableau_from_json(obj):
     obj = json_object(obj, "tableau")
     rows = json_list(obj.get("rows"), "tableau rows")
-    return tableau(
+    # parse_rational returns a Fraction: each entry is built once
+    return Tableau(
         json_int(obj.get("n"), "tableau n"),
-        [[parse_rational(e) for e in json_list(row, "tableau row")] for row in rows],
+        tuple(tuple(map(parse_rational, json_list(row, "tableau row"))) for row in rows),
     )
 
 

@@ -355,6 +355,14 @@ def test_minimal_orbit_rejects_small_rank(capsys):
         assert (code, out["error"]) == (2, "ValueError"), argv
 
 
+def test_minimal_orbit_reports_an_out_of_range_q(capsys):
+    for p in ("3", "4"):
+        code, out = run(capsys, "minimal-orbit", "--n", "2", "--p", p, "--q", "0")
+        assert (code, out) == (2, {"error": "ValueError", "detail": "need p >= n+1 and q >= 1"}), p
+    code, out = run(capsys, "minimal-orbit", "--n", "2", "--p", "4", "--q", "2")
+    assert (code, out["detail"]) == (2, "p and q must be coprime")
+
+
 def test_a_module_of_rank_below_1_exits_2(tmp_path, capsys):
     # a rank below 1 is bad input, rejected when the module is loaded
     mod = tmp_path / "m.json"

@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtrel as g
+from gtrel.classify import HWCase, Sl2InducedParams
 from gtrel.core import (
     Z,
     ZGEQ0,
     ZGT0,
+    Record,
     diff_in,
     format_rational,
     parse_rational,
     rational_sqrt,
 )
+from gtrel.localization import LocalizationSpec
+from gtrel.minimal_orbit import InducedModule, Level, MinOrbitWeight
 from oracles import parse_rational_by_fraction
 
 
@@ -146,3 +151,121 @@ def test_rational_sqrt_non_square():
 def test_classify_integer():
     assert classify_integer(Fraction(3)) == InZ(3)
     assert classify_integer(Fraction(1, 2)) == NotInZ()
+
+
+# ---------------------------------------------------------------------------
+# the frozen value classes, all on Record
+
+
+def _hw():
+    return g.hw_module_of((Fraction(-1, 2), Fraction(-1, 3)))
+
+
+def _induced():
+    lvl, rep = Level(2, 3, 2), MinOrbitWeight((0, 0), 1)
+    branch = g.hw_orbit_list(lvl, rep)[0][0]
+    return g.build_sl2_induced_minimal(lvl, rep, branch, Fraction(1, 3))
+
+
+# one constructor per value class; each call builds a new, equal record
+RECORDS = {
+    g.Tableau: lambda: g.tableau(1, [["1/2"], [0, 1]]),
+    g.RelationSet: lambda: g.relation_set(1, [((2, 1), (1, 1))]),
+    g.GTModule: _hw,
+    HWCase: lambda: HWCase("CaseB", 1, 2),
+    Sl2InducedParams: lambda: Sl2InducedParams(Fraction(1, 4), (Fraction(1), Fraction(2))),
+    Level: lambda: Level(2, 3, 2),
+    MinOrbitWeight: lambda: MinOrbitWeight((0, 0), 1),
+    InducedModule: _induced,
+    LocalizationSpec: lambda: LocalizationSpec((3, 1, 3)),
+}
+
+
+class LevelLookalike(Record):
+    """A record with Level's fields and values, of another class."""
+
+    _fields = ("n", "p", "q")
+
+    def __init__(self, n, p, q):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+
+def test_records_equal_only_records_of_their_class_with_equal_fields():
+    assert len(RECORDS) == 9
+    for cls, make in RECORDS.items():
+        a, b = make(), make()
+        assert type(a) is cls and a is not b
+        assert a == b and not a != b and hash(a) == hash(b), cls
+        fields = tuple(getattr(a, f) for f in cls._fields)
+        assert a != fields and fields != a, cls
+        assert all(a != other() for c, other in RECORDS.items() if c is not cls), cls
+    lvl = Level(2, 3, 2)
+    assert lvl != (2, 3, 2) and lvl != MinOrbitWeight((2, 3), 2)
+    assert lvl != LevelLookalike(2, 3, 2) and LevelLookalike(2, 3, 2) != lvl
+    assert lvl != Level(2, 5, 2) and {lvl, Level(2, 3, 2)} == {lvl}
+    assert HWCase("CaseA") != HWCase("CaseA", 1)
+
+
+def test_records_refuse_assignment_and_deletion():
+    for cls, make in RECORDS.items():
+        a = make()
+        for f in cls._fields:
+            before = getattr(a, f)
+            with pytest.raises(AttributeError, match="cannot assign to field '%s'" % f):
+                setattr(a, f, None)
+            with pytest.raises(AttributeError, match="cannot delete field '%s'" % f):
+                delattr(a, f)
+            assert getattr(a, f) is before
+    with pytest.raises(AttributeError, match="cannot assign to field 'memo'"):
+        _hw().memo = {}
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(Level(2, 3, 2)) == "Level(n=2, p=3, q=2)"
+    assert repr(HWCase("CaseA")) == "HWCase(tag='CaseA', i=0, j=0)"
+    assert repr(MinOrbitWeight((0, 1), 2)) == "MinOrbitWeight(lambda_bar=(0, 1), a=2)"
+    assert repr(LocalizationSpec((3, 1, 3))) == "LocalizationSpec(targets=(1, 3), twist=None)"
+    assert repr(LocalizationSpec([2], "1/3")) == "LocalizationSpec(targets=(2,), twist=Fraction(1, 3))"
+    assert repr(Sl2InducedParams(Fraction(1, 4), (1,))) == "Sl2InducedParams(gamma=Fraction(1, 4), mu=(1,))"
+    T = g.tableau(1, [["1/2"], [0, 1]])
+    rows = "((Fraction(1, 2),), (Fraction(0, 1), Fraction(1, 1)))"
+    assert repr(T) == "Tableau(n=1, rows=%s)" % rows
+    C = g.relation_set(1, [((2, 1), (1, 1))])
+    assert repr(C) == "RelationSet(n=1, relations=frozenset({((2, 1), (1, 1))}))"
+    M = _hw()
+    assert repr(M) == "GTModule(n=2, seed=%r, C=%r, sigma=(1, 2, 3), normalization='hw')" % (
+        M.seed,
+        M.C,
+    )
+    ind = _induced()
+    assert repr(ind) == (
+        "InducedModule(module=%r, branch=%r, x=Fraction(1, 3), gamma=%r, mu=%r)"
+        % (ind.module, ind.branch, ind.gamma, ind.mu)
+    )
+
+
+def test_record_defaults_and_keywords():
+    assert HWCase("CaseA") == HWCase(tag="CaseA", i=0, j=0)
+    spec = LocalizationSpec((3, 1, 3))
+    assert spec.targets == (1, 3) and spec.twist is None
+    assert LocalizationSpec(targets=["2"], twist="1/3").twist == Fraction(1, 3)
+    M = _hw()
+    assert g.GTModule(n=2, seed=M.seed, C=M.C) == M
+    assert (M.sigma, M.normalization) == ((1, 2, 3), "hw")
+
+
+def test_record_replace_validates_again():
+    M = _hw()
+    with pytest.raises(ValueError, match="sigma must be a permutation"):
+        M.replace(sigma=(1, 1, 2))
+    flipped = M.replace(sigma=(2, 1, 3))
+    assert flipped.sigma == (2, 1, 3) and flipped != M
+    assert (flipped.seed, flipped.C) == (M.seed, M.C) and M.sigma == (1, 2, 3)
+    with pytest.raises(ValueError, match="need p >= n"):
+        Level(2, 3, 2).replace(q=0)
+    assert Level(2, 3, 2).replace(p=5) == Level(2, 5, 2)
+    assert LocalizationSpec((3,)).replace(targets=(3, 2, 2)).targets == (2, 3)
+    with pytest.raises(TypeError):
+        HWCase("CaseA").replace(k=1)

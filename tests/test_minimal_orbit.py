@@ -36,6 +36,17 @@ def test_level_arithmetic():
         Level(3, 3, 2)
 
 
+def test_level_checks_ranges_before_coprimality():
+    # q = 0 is out of range, whatever gcd(p, 0) = p says
+    for n, p, q in ((2, 3, 0), (2, 4, 0), (2, 2, 3), (2, 3, -1)):
+        with pytest.raises(ValueError, match=r"need p >= n\+1 and q >= 1"):
+            Level(n, p, q)
+    with pytest.raises(ValueError, match="p and q must be coprime"):
+        Level(2, 4, 2)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        Level(0, 3, 0)
+
+
 def test_reps_sl3_principal():
     lvl = Level(2, 3, 2)
     reps = list(minimal_orbit_reps(lvl))

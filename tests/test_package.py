@@ -1,6 +1,9 @@
-"""The library keeps no helper that only the tests use."""
+"""The library keeps no helper that only the tests use, and importing it
+loads no heavy standard module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import gtrel
@@ -30,3 +33,16 @@ def test_every_top_level_function_is_used_in_src_or_exported():
         and node.name not in ALLOWED
     ]
     assert unused == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site-packages, so nothing but gtrel and what it imports loads
+    code = (
+        "import sys; sys.path.insert(0, %r); import gtrel, gtrel.cli; "
+        "print(' '.join(sorted(sys.modules)))" % str(SRC.parent)
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "gtrel.cli" in out
+    assert [m for m in ("dataclasses", "inspect", "typing") if m in out] == []

@@ -1,4 +1,5 @@
 import gc
+import importlib
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gtrel as g
+from gtrel.core import parse_rational
 from gtrel.errors import (
     GtrelError,
     NotCaseA,
@@ -30,6 +32,9 @@ from oracles import (
     flag_weight,
     sweep_by_enumeration,
 )
+
+# the module: in the package namespace gtrel.tableau is the tableau() function
+tableau_module = importlib.import_module("gtrel.tableau")
 
 
 def test_case_a_seed_values():
@@ -547,6 +552,24 @@ def test_shift_algebra():
 def test_tableau_json_round_trip(module_catalog):
     for name, M in module_catalog:
         assert g.tableau_from_json(g.tableau_to_json(M.seed)) == M.seed, name
+
+
+def test_tableau_from_json_keeps_the_parsed_fractions(module_catalog, monkeypatch):
+    # each entry is the Fraction parse_rational returned, not a copy of it
+    parsed = []
+
+    def recording(text):
+        parsed.append(parse_rational(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(tableau_module, "parse_rational", recording)
+    for name, M in module_catalog:
+        parsed.clear()
+        T = g.tableau_from_json(g.tableau_to_json(M.seed))
+        assert T == M.seed and type(T.rows) is tuple, name
+        assert all(type(row) is tuple for row in T.rows), name
+        entries = [x for row in T.rows for x in row]
+        assert len(entries) == len(parsed) and all(a is b for a, b in zip(entries, parsed)), name
 
 
 def test_lem_key_requires_bounded_case():
