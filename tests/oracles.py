@@ -2,8 +2,9 @@
 against: a brute-force basis scan, a coordinate-by-coordinate
 backtracking enumeration, a weight sweep over the enumerated basis, the
 generator action chained through GTVector arithmetic, the
-nested-commutator ladder for E(m,1), the twisted action written out
-entry by entry, the closed-form count of minimal-orbit representatives,
+nested-commutator ladder for E(m,1), the word evaluator summing every
+letter's full layer of terms, the twisted action written out entry by
+entry, the closed-form count of minimal-orbit representatives,
 empirical
 kernel / image scans for the localization predicates, reachability in
 G(C) by a depth-first search over sets of positions, relation-set
@@ -251,6 +252,39 @@ def act_by_vectors(M, g, v):
         for z, c in part.items():
             out.iadd(z, sign * c)
     return out
+
+
+def combination_sums_by_layers(M, combination, y):
+    """`_combination_sums` as first written: every word builds the full
+    layer of terms of each of its letters, the last included, and the last
+    layer is then summed into the result in the same (num, den)
+    arithmetic."""
+    lookup = M.memo.get
+    acc = {}
+    get = acc.get
+    for coef, letters in combination:
+        layer = [(y, coef, 1)]
+        for letter in letters:
+            step = []
+            append = step.append
+            for x, p, q in layer:
+                for sign, gi in letter:
+                    terms = lookup(x + gi)
+                    if terms is None:
+                        terms = _basis_terms(M, gi, x)
+                    sp = sign * p
+                    for t, a, b in terms:
+                        append((t, sp * a, q * b))
+            layer = step
+        for t, p, q in layer:
+            old = get(t)
+            if old is None:
+                acc[t] = (p, q)
+            elif old[1] == q:
+                acc[t] = (old[0] + p, q)
+            else:
+                acc[t] = (old[0] * q + p * old[1], old[1] * q)
+    return acc
 
 
 def highest_weight_by_vectors(M, v):

@@ -23,9 +23,10 @@ from gtrel.errors import (
     SeedViolatesRelations,
     UnsupportedGenerator,
 )
-from gtrel.tableau import BasisBox
+from gtrel.tableau import BasisBox, shift_to_json
 from oracles import (
     act_by_vectors,
+    combination_sums_by_layers,
     commutator_by_vectors,
     em1_bracket,
     highest_weight_by_vectors,
@@ -300,6 +301,43 @@ def _with_doubled_e21(M):
     (target, num, den), *rest = action._basis_terms(M, gi, y)
     M.memo[y + gi] = ((target, 2 * num, den), *rest)
     return M
+
+
+def test_verify_axioms_sums_each_passing_pair_once(module_catalog, monkeypatch):
+    # box 1 holds 3 shifts, so most draws repeat a pair of identity and
+    # shift; the doubled E21 fails [E12,E21]=H1 on the zero shift, which is
+    # summed and reported again on every draw
+    calls = []
+    sums = action._combination_sums
+
+    def recording(M, combination, y):
+        calls.append(combination)
+        return sums(M, combination, y)
+
+    monkeypatch.setattr(action, "_combination_sums", recording)
+    M = dict(module_catalog)["hw-a-n2"]
+    names = [name for name, _, _ in axiom_identities(M.n)]
+    # the calls of verify_axioms itself, not the brackets the memo builds
+    words = {id(w) for _, w in action._compiled_identities(M.n, M.sigma)}
+    pool = g.enumerate_basis_box(M.C, M.seed, 1)
+    for full in (False, True):
+        X = _with_doubled_e21(M)
+        args = dict(box=1, samples=100, seed=7, full=full)
+        del calls[:]
+        report = g.verify_axioms(X, **args)
+        rng, drawn, checked = random.Random(7), set(), 0
+        while checked < 100:
+            z = shift_to_json(pool[rng.randrange(len(pool))])
+            batch = range(len(names)) if full else (checked % len(names),)
+            drawn.update((names[i], str(z)) for i in batch)
+            checked += len(batch)
+        failures = report["failures"]
+        failing = {(f["identity"], str(f["shift"])) for f in failures}
+        assert len(failing) < len(failures), full
+        evaluated = sum(id(c) in words for c in calls)
+        assert evaluated == len(drawn - failing) + len(failures), full
+        assert evaluated < report["samples"], full
+        assert report == verify_axioms_by_vectors(X, **args), full
 
 
 def test_identity_tables_follow_the_flag():
@@ -769,6 +807,25 @@ def test_word_evaluator_matches_the_vector_oracle(M, data):
                 got = g.commutator(lib, a, b, v)
                 assert got == commutator_by_vectors(ref, a, b, v), (a, b, v)
             assert g.casimir_alpha1(lib, v) == _casimir_by_vectors(ref, v), v
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_fused_word_evaluator_matches_the_layered_loop(module_catalog, data):
+    # random combinations of resolved words, the empty word among them;
+    # under the catalog's permuted flag an H resolves to several signed H
+    name, M = data.draw(st.sampled_from(module_catalog))
+    X = M.replace()
+    letters = [action._letter(X.n, X.sigma, gen) for gen in all_generators(X.n)]
+    word = st.lists(st.sampled_from(letters), max_size=3).map(tuple)
+    combination = data.draw(
+        st.lists(st.tuples(st.integers(-3, 3), word), min_size=1, max_size=4)
+    )
+    pool = BasisBox(X.checker, 2)
+    y = action._intern(X, pool[data.draw(st.integers(0, len(pool) - 1))])
+    got = list(action._combination_sums(X, combination, y).items())
+    want = list(combination_sums_by_layers(X, combination, y).items())
+    assert got == want, (name, combination)
 
 
 def test_is_simple_reduces_once_on_a_reloaded_module(monkeypatch):
