@@ -585,7 +585,7 @@ def is_simple(M):
     sat, and the closure of sat is at least that of C entrywise.  The two
     are equal iff C implies every arrow of sat, as C's closure obeys the
     triangle inequality; `witness` is the first arrow of sat it does not.
-    A C equal to the seed's reduced maximal set is both, with no closure:
+    A C equal to the seed's reduced maximal set is both, with no search:
     the reduction drops only arrows the rest implies (through a strict
     arrow when the dropped one is strict), seed gaps add along a path, and
     a top-row arrow is a (size, size, t) triple of the checker, so C

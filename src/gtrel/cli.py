@@ -68,6 +68,8 @@ def cmd_build(args):
     if args.type == "hw":
         M = minimal_orbit.hw_module_of(_weight(args.weight), normalization=norm)
     elif args.type == "family":
+        if norm != "hw":
+            raise GtrelError("--type family takes its top row from --u, unnormalized")
         v = _weight(args.v) if args.v else ()
         T, C = family_tableau(_weight(args.u), v, m=args.m)
         M = action.module(T, C, normalization=norm)

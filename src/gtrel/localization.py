@@ -7,14 +7,8 @@ top-left entry, simple quotients, and flag permutation.
 from fractions import Fraction
 
 from .core import Record
-from .errors import (
-    BadTwist,
-    IncompatiblePair,
-    NotARealization,
-    NotInjective,
-    WrongShape,
-)
-from .relations import is_noncritical_for
+from .errors import BadTwist, IncompatiblePair, NotInjective, WrongShape
+from .relations import _realization
 from .tableau import apply_rational_shift, apply_shift, unit_shift
 
 E21_DOWN = frozenset({((2, 1), (1, 1)), ((2, 2), (1, 1))})
@@ -33,14 +27,6 @@ class LocalizationSpec(Record):
             raise ValueError("targets must be nonempty")
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "twist", None if twist is None else Fraction(twist))
-
-
-def _noncritical_realization(C, T):
-    """Whether T is a noncritical C-realization."""
-    try:
-        return is_noncritical_for(C, T)
-    except NotARealization:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +119,8 @@ def localize_family(M, spec):
     if spec.twist is not None:
         for m in spec.targets:
             seed = apply_rational_shift(seed, m - 1, 1, spec.twist)
-        if not _noncritical_realization(D, seed):
+        # None when the seed is no realization, False when it is critical
+        if not _realization(D, seed):
             raise BadTwist("twisted seed is not a noncritical realization")
     return M.replace(C=D, seed=seed)
 

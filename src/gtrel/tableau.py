@@ -7,6 +7,7 @@ H-eigenvalue coordinate tuples of length n.
 """
 
 from bisect import bisect_right
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, product
@@ -112,6 +113,7 @@ def apply_shift(T, z):
     """Entrywise sum on rows 1..n; the top row is unchanged."""
     if len(z) != T.n:
         raise ValueError("shift must cover rows 1..%d" % T.n)
+    _check_shape(T.n, z)
     rows = [
         tuple(e + d for e, d in zip(row, zrow)) for row, zrow in zip(T.rows, z)
     ] + [T.rows[T.n]]
@@ -119,15 +121,12 @@ def apply_shift(T, z):
 
 
 def apply_rational_shift(T, k, i, x):
-    """Add the scalar x to the single entry (k, i)."""
-    rows = [
-        tuple(
-            e + (Fraction(x) if (r == k and c == i) else 0)
-            for c, e in enumerate(row, start=1)
-        )
-        for r, row in enumerate(T.rows, start=1)
-    ]
-    return Tableau(T.n, tuple(rows))
+    """Add the scalar x to the single entry (k, i) of rows 1..n+1."""
+    if not 1 <= i <= k <= T.n + 1:
+        raise ValueError("entry (%d,%d) out of range for n=%d" % (k, i, T.n))
+    rows = [list(row) for row in T.rows]
+    rows[k - 1][i - 1] += Fraction(x)
+    return Tableau(T.n, tuple(map(tuple, rows)))
 
 
 def weight_of(T):
@@ -153,7 +152,9 @@ class BasisChecker:
     fixed integer t, where z of a top-row position is 0.  Nodes 0..size-1
     are the positions of rows 1..n in flat order (row by row, left to
     right, as `relations._layout` numbers them); node `size` stands for
-    the whole top row.
+    the whole top row.  Each triple is an arc u -> v of weight t, so C's
+    best bound on z_u - z_v is the longest path from u to v: `cuts`, the
+    one bound table kept, and `implies` read it off one search from u.
     """
 
     def __init__(self, C, seed):
@@ -161,7 +162,6 @@ class BasisChecker:
             raise RankMismatch("seed has rank %d, relation set %d" % (seed.n, C.n))
         if C.n < 1:
             raise ValueError("rank must be >= 1, got %d" % C.n)
-        self.C = C
         self.seed = seed
         self.n = C.n
         self.size = self.n * (self.n + 1) // 2
@@ -186,54 +186,67 @@ class BasisChecker:
         return True
 
     @cached_property
-    def closure(self):
-        """d[u][v]: the greatest t with z_u - z_v >= t on the whole basis,
-        -inf when C implies no bound (Floyd-Warshall over longest paths;
-        the seed satisfies C, so no cycle is positive)."""
-        size = self.size + 1
-        d = [[-inf] * size for _ in range(size)]
-        for u in range(size):
-            d[u][u] = 0
+    def _arcs(self):
+        """Per node u, (v, t) for each triple (u, v, t): the arcs the
+        searches follow, built once."""
+        arcs = [[] for _ in range(self.size + 1)]
         for u, v, t in self.constraints:
-            if u != v:
-                d[u][v] = max(d[u][v], t)
-        for m in range(size):
-            dm = d[m]
-            for row in d:
-                rm = row[m]
-                if rm != -inf:
-                    row[:] = [max(x, rm + y) for x, y in zip(row, dm)]
-        return d
+            arcs[u].append((v, t))
+        return arcs
+
+    def _longest(self, u):
+        """{v: the greatest t with z_u - z_v >= t on the whole basis}, for
+        each v that C bounds against u: longest paths from u, by a
+        label-correcting queue that re-queues a node whenever its bound
+        grows.  Every t is <= 0 (the seed satisfies C), so no cycle is
+        positive, the search ends and a top-row self-arc never fires."""
+        arcs, best = self._arcs, {u: 0}
+        queue, queued = deque([u]), {u}
+        while queue:
+            a = queue.popleft()
+            queued.discard(a)
+            base = best[a]
+            for b, t in arcs[a]:
+                x = base + t
+                if x > best.get(b, -inf):
+                    best[b] = x
+                    if b not in queued:
+                        queued.add(b)
+                        queue.append(b)
+        return best
 
     @cached_property
     def cuts(self):
-        """Per row k+1, per position p of it, read off the closure once:
+        """Per row k+1, per position p of it, from one search per node:
         (lo, hi), p's exact range over the basis (-inf / inf where C leaves
         it unbounded), then (j, t) with z_p >= z_{row k, j} + t, and (j, t)
         with z_p <= z_{row k, j} - t, for each bound C implies."""
-        d, top = self.closure, self.size
-        out = []
+        top = self.size
+        below_top = self._longest(top)
+        out, above = [], []
         for k in range(self.n):
             start = k * (k + 1) // 2
             prev = range(start - k, start)
+            row = [self._longest(p) for p in range(start, start + k + 1)]
             out.append(
                 [
                     (
-                        d[p][top],
-                        -d[top][p],
-                        [(j, d[p][q]) for j, q in enumerate(prev) if d[p][q] != -inf],
-                        [(j, d[q][p]) for j, q in enumerate(prev) if d[q][p] != -inf],
+                        d.get(top, -inf),
+                        -below_top.get(p, -inf),
+                        [(j, d[q]) for j, q in enumerate(prev) if q in d],
+                        [(j, a[p]) for j, a in enumerate(above) if p in a],
                     )
-                    for p in range(start, start + k + 1)
+                    for p, d in enumerate(row, start)
                 ]
             )
+            above = row
         return out
 
     def implies(self, rel):
         """Whether C already forces the constraint of rel, a relation the
         seed satisfies."""
         u, v, t = self._triple(rel)
-        return u == v or self.closure[u][v] >= t
+        return self._longest(u).get(v, -inf) >= t
 
     def in_box(self, box):
         """Whether every basis shift has |z_{ki}| <= box, so that the box
@@ -251,22 +264,23 @@ class BasisBox:
     Every relation of C joins row k with row k+-1, joins row n with the
     pinned top row, or lies in the top row.  So once row k is fixed, each
     entry of row k+1 ranges over one integer interval, cut by the box and
-    by the checker's `cuts` (the closure against the top row and against
-    row k), and the candidates for row k+1 are the product of those
-    intervals; the ways to complete rows k+1..n depend on rows 1..k only
-    through row k.  These cuts enforce every relation of C on a whole
-    shift, so a bound the closure implies between two entries of one row
+    by the checker's `cuts` (the bounds C implies against the top row and
+    against row k), and the candidates for row k+1 are the product of
+    those intervals; the ways to complete rows k+1..n depend on rows 1..k
+    only through row k.  These cuts enforce every relation of C on a whole
+    shift, so a bound C implies between two entries of one row
     needs no cut of its own: a row that breaks one has no completion,
     counts 0 and adds nothing to a sweep.  On the last row such a bound
     always holds, so the last row's candidates under row n-1 are counted
     as the product of the interval lengths and unranked by mixed radix,
     never listed.
 
-    The walks below memoize per row k (a tuple of length k; the empty
-    tuple stands for row 0) its candidates and their completion counts,
-    which turns enumeration into a transfer-matrix count.  These memos
-    and the shifts already unranked live as long as this object, so build
-    one per call.
+    Counting memoizes per row k (a tuple of length k; the empty tuple
+    stands for row 0) its candidates and their completion counts, or for
+    row n-1 the last row's mixed radix, which turns enumeration into a
+    transfer-matrix count; listing and sweeping keep no candidates.  These
+    memos and the shifts already unranked live as long as this object, so
+    build one per call.
     """
 
     def __init__(self, checker, box):
@@ -278,7 +292,6 @@ class BasisBox:
             [(max(-box, lo), min(box, hi), lows, highs) for lo, hi, lows, highs in row]
             for row in checker.cuts
         ]
-        self._children = {}
         self._blocks = {}
         self._leaves = {}
         self._unranked = {}
@@ -299,14 +312,6 @@ class BasisBox:
             out.append(range(lo, hi + 1))
         return out
 
-    def _rows(self, row):
-        """The candidates for row k+1 under row k = `row`, ascending in lex
-        order."""
-        kids = self._children.get(row)
-        if kids is None:
-            kids = self._children[row] = list(product(*self._ranges(row)))
-        return kids
-
     def _leaf(self, row):
         """(the number of candidates for the last row under row n-1 =
         `row`, and per entry (lowest value, stride, length)): the product
@@ -322,11 +327,12 @@ class BasisBox:
         return leaf
 
     def _block(self, row):
-        """(`_rows(row)`, the cumulative numbers of completions of rows
-        k+1..n under row k, child by child), for k < n-1."""
+        """(the candidates for row k+1 under row k = `row`, in lex order,
+        and their cumulative numbers of completions of rows k+1..n), for
+        k < n-1."""
         block = self._blocks.get(row)
         if block is None:
-            kids = self._rows(row)
+            kids = list(product(*self._ranges(row)))
             sizes = list(accumulate(map(self._count, kids)))
             block = self._blocks[row] = (kids, sizes)
         return block
@@ -405,8 +411,9 @@ class BasisBox:
 
     def _list(self, prefix, row, out, sums):
         """Append to `out` the completions of `prefix`, whose last row is
-        `row`, that `sums` admits."""
-        kids = self._rows(row)
+        `row`, that `sums` admits; listing costs its output anyway, so
+        the candidates are not kept."""
+        kids = product(*self._ranges(row))
         if sums is not None:
             want = sums[len(row)]
             kids = [r for r in kids if sum(r) == want]

@@ -1,6 +1,7 @@
 """Reference implementations that the library's fast paths are checked
 against: a brute-force basis scan, a coordinate-by-coordinate
 backtracking enumeration, a weight sweep over the enumerated basis, the
+checker's bounds by Floyd-Warshall over the dense all-pairs matrix, the
 generator action chained through GTVector arithmetic, the
 nested-commutator ladder for E(m,1), the word evaluator summing every
 letter's full layer of terms, the twisted action written out entry by
@@ -25,7 +26,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, inf
 
 from gtrel.action import (
     ELower,
@@ -87,6 +88,27 @@ def brute_force_basis_box(C, seed, box):
     return out
 
 
+def closure_by_floyd_warshall(checker):
+    """d[u][v]: the greatest t with z_u - z_v >= t on the whole basis of
+    the checker, -inf when its constraints imply no bound, over the dense
+    (size+1)^2 matrix by Floyd-Warshall on longest paths (the seed
+    satisfies the constraints, so no cycle is positive)."""
+    size = checker.size + 1
+    d = [[-inf] * size for _ in range(size)]
+    for u in range(size):
+        d[u][u] = 0
+    for u, v, t in checker.constraints:
+        if u != v:
+            d[u][v] = max(d[u][v], t)
+    for m in range(size):
+        dm = d[m]
+        for row in d:
+            rm = row[m]
+            if rm != -inf:
+                row[:] = [max(x, rm + y) for x, y in zip(row, dm)]
+    return d
+
+
 def backtrack_basis_box(checker, box):
     """All basis shifts with |z_{ki}| <= box, ascending in flat order.
 
@@ -95,7 +117,7 @@ def backtrack_basis_box(checker, box):
     """
     if box < 0:
         raise ValueError("box must be >= 0, got %d" % box)
-    d, size = checker.closure, checker.size
+    d, size = closure_by_floyd_warshall(checker), checker.size
     flat = [0] * size
     out = []
 
@@ -809,7 +831,8 @@ def is_simple_by_closure(M):
     """Whether C constrains the shifts exactly as the maximal relation
     set satisfied by the seed does."""
     sat = satisfied_relations(M.seed)
-    maximal_eq = M.checker.closure == BasisChecker(sat, M.seed).closure
+    closure = closure_by_floyd_warshall
+    maximal_eq = closure(M.checker) == closure(BasisChecker(sat, M.seed))
     witness = None
     if not maximal_eq:
         for rel in sat.sorted():

@@ -911,7 +911,8 @@ def test_is_simple_matches_the_closure_oracle():
 
 def test_is_simple_on_the_seeds_maximal_set_reads_it_once(monkeypatch):
     # the seed's satisfied set is derived once, for its maximal set, and
-    # is_simple on that set builds no closure of the checker
+    # is_simple on that set runs no search of the checker (its arcs are
+    # built on the first) and computes no bounds
     tableau = sys.modules["gtrel.tableau"]
     satisfied = tableau.satisfied_relations
     calls = []
@@ -927,7 +928,8 @@ def test_is_simple_on_the_seeds_maximal_set_reads_it_once(monkeypatch):
         for X in (M, back):
             report = g.is_simple(X)
             assert report == {"maximal_eq": True, "strict_eq": True, "witness": None}
-            assert "closure" not in vars(X.checker), lam
+            assert "_arcs" not in vars(X.checker), lam
+            assert "cuts" not in vars(X.checker), lam
             assert report == is_simple_by_closure(X)
         assert calls == [M.seed, back.seed], lam
         calls.clear()

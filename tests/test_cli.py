@@ -125,6 +125,21 @@ def test_build_needs_its_recipe_options(capsys):
         assert out["error"] == "GtrelError"
 
 
+def test_build_family_rejects_a_normalization_it_does_not_apply(tmp_path, capsys):
+    # the family seed's top row is --u itself, whose sum no normalization
+    # fixes: an sl2 label would be false, and two builds of one seed would
+    # compare unequal
+    out = tmp_path / "f.json"
+    family = ["build", "--type", "family", "--u", "1/2,1/3,1/5", "--v", "2,0"]
+    code, err = run(capsys, *family, "--normalization", "sl2", "-o", str(out))
+    assert (code, err["error"]) == (2, "GtrelError")
+    assert not out.exists()
+    code, _ = run(capsys, *family, "--normalization", "hw", "-o", str(out))
+    assert code == 0
+    T, Q = g.family_tableau((F(1, 2), F(1, 3), F(1, 5)), (F(2), F(0)))
+    assert g.module_from_json(json.loads(out.read_text())) == g.module(T, Q)
+
+
 def test_malformed_module_json(tmp_path, capsys):
     for payload in ({"n": None}, []):
         mod = tmp_path / "bad.json"

@@ -34,6 +34,7 @@ from oracles import (
     _strict_reachable_from,
     adjoining_pairs,
     adjoining_pairs_per_pair,
+    closure_by_floyd_warshall,
     constraints_by_diff,
     cross_free,
     diamond_ok,
@@ -178,9 +179,9 @@ def test_reduce_keeps_constraint_closure(hw_module):
     sat = g.satisfied_relations(hw_module.seed)
     red = g.reduce_relations(sat)
     assert red.relations <= sat.relations
-    assert (
-        BasisChecker(red, hw_module.seed).closure
-        == BasisChecker(sat, hw_module.seed).closure
+    closure = closure_by_floyd_warshall
+    assert closure(BasisChecker(red, hw_module.seed)) == closure(
+        BasisChecker(sat, hw_module.seed)
     )
 
 

@@ -29,6 +29,7 @@ from gtrel.tableau import (
 from oracles import (
     backtrack_basis_box,
     brute_force_basis_box,
+    closure_by_floyd_warshall,
     flag_weight,
     sweep_by_enumeration,
 )
@@ -254,7 +255,7 @@ def _unimplied_row_bounds(checker):
     top row carries: no node m of row k, nor the top row, has
     d[p][m] + d[m][q] >= t.  A walk without within-row cuts meets the
     candidates for row k+1 that break such a bound, and they must count 0."""
-    d, top = checker.closure, checker.size
+    d, top = closure_by_floyd_warshall(checker), checker.size
     out = []
     for k in range(1, checker.n - 1):
         start = k * (k + 1) // 2
@@ -449,6 +450,65 @@ def test_kernel_ranges_are_exact(module_catalog):
             assert all(end in values for end in (lo, hi) if -4 <= end <= 4), (name, p)
 
 
+def _assert_bounds_match_floyd_warshall(checker, arrows):
+    """Every search, every `cuts` entry, and `implies` of every arrow in
+    `arrows`, as read off the Floyd-Warshall closure."""
+    d, top = closure_by_floyd_warshall(checker), checker.size
+    for u, du in enumerate(d):
+        assert checker._longest(u) == {v: t for v, t in enumerate(du) if t != -inf}, u
+    cuts = []
+    for k in range(checker.n):
+        start = k * (k + 1) // 2
+        prev = range(start - k, start)
+        cuts.append(
+            [
+                (
+                    d[p][top],
+                    -d[top][p],
+                    [(j, d[p][q]) for j, q in enumerate(prev) if d[p][q] != -inf],
+                    [(j, d[q][p]) for j, q in enumerate(prev) if d[q][p] != -inf],
+                )
+                for p in range(start, start + k + 1)
+            ]
+        )
+    assert checker.cuts == cuts
+    for rel in arrows:
+        u, v, t = checker._triple(rel)
+        assert checker.implies(rel) == (u == v or d[u][v] >= t), rel
+
+
+def test_bounds_match_floyd_warshall_on_the_catalog(module_catalog, large_catalog):
+    for name, M in module_catalog + large_catalog:
+        _assert_bounds_match_floyd_warshall(M.checker, M.seed.satisfied.sorted())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_bounds_match_floyd_warshall_on_random_relation_subsets(n, data):
+    # half-integer entries leave some pairs without an integer gap, so the
+    # satisfied set, and the subset drawn from it, splits into pieces
+    entry = st.builds(F, st.integers(-6, 6), st.just(2))
+    rows = [data.draw(st.lists(entry, min_size=k, max_size=k)) for k in range(1, n + 2)]
+    seed = g.tableau(n, rows)
+    arrows = seed.satisfied.sorted()
+    chosen = data.draw(st.sets(st.sampled_from(arrows)) if arrows else st.just(set()))
+    checker = BasisChecker(g.relation_set(n, chosen), seed)
+    _assert_bounds_match_floyd_warshall(checker, arrows)
+
+
+def test_search_requeues_a_node_whose_bound_grows():
+    # from (3,3), (2,1) is reached at -1 by its own arrow and passes -2 on
+    # to (1,1); after it has left the queue, the path through (2,2) and
+    # (3,1) lifts it to 0, and only searching it again lifts
+    # z_33 - z_11 >= -2 to >= -1
+    seed = g.tableau(3, [[0], [1, 2], [1, 1, 2], [0, F(-1, 2), 0, -2]])
+    arrows = [((2, 1), (1, 1)), ((2, 2), (3, 1)), ((3, 1), (2, 1))]
+    arrows += [((3, 3), (2, 1)), ((3, 3), (2, 2))]
+    checker = BasisChecker(g.relation_set(3, arrows), seed)
+    assert checker._longest(5)[0] == -1
+    _assert_bounds_match_floyd_warshall(checker, seed.satisfied.sorted())
+
+
 def test_kernel_rejects_bad_input(hw_module):
     T3, _ = g.hw_tableau_case_a((F(-5, 2), F(0), F(1)))
     with pytest.raises(RankMismatch):
@@ -547,6 +607,22 @@ def test_shift_algebra():
     assert shift_from_json(shift_to_json(z)) == z
     with pytest.raises(ValueError):
         g.unit_shift(2, 3, 1)  # top row is pinned
+
+
+def test_shift_helpers_reject_positions_outside_the_tableau(hw_module):
+    T = hw_module.seed
+    for k, i in ((5, 1), (1, 2), (0, 1), (3, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            g.apply_rational_shift(T, k, i, F(1, 3))
+    shifted = g.apply_rational_shift(T, 3, 3, F(1, 3))
+    assert shifted.entry(3, 3) == T.entry(3, 3) + F(1, 3)
+    assert shifted.rows[:2] == T.rows[:2] and shifted.rows[2][:2] == T.rows[2][:2]
+    # a row one entry too long or too short is rejected, not cut by zip
+    for z in (((1, 9), (0, 0)), ((0,), (0,)), ((0,), (0, 0, 0))):
+        with pytest.raises(ValueError, match="lengths"):
+            hw_module.entries(z)
+    with pytest.raises(ValueError, match="shift must cover rows 1..2"):
+        g.apply_shift(T, ((0,),))
 
 
 def test_tableau_json_round_trip(module_catalog):
