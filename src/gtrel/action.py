@@ -331,7 +331,7 @@ def _basis_terms(M, gi, y):
         _, i, j = g
         step = i + 1 if j > i + 1 else i - 1
         a, b = ((1, index[("E", i, step)]),), ((1, index[("E", step, j)]),)
-        sums = _combination_sums(M, [(1, [b, a]), (-1, [a, b])], y)
+        sums = _combination_sums(M, [_word(1, (b, a)), _word(-1, (a, b))], y)
         triples = ((t, p, q) for t, (p, q) in sums.items())
     reduced = []
     for t, p, q in triples:
@@ -348,7 +348,7 @@ def _apply(M, combination, v):
     through the flag and each basis term of v summed by
     `_combination_sums`, its shift checked when first interned."""
     words = [
-        (coef, [_letter(M.n, M.sigma, x) for x in reversed(word)])
+        _word(coef, [_letter(M.n, M.sigma, x) for x in reversed(word)])
         for coef, word in combination
     ]
     shifts = M.shifts
@@ -416,24 +416,35 @@ def axiom_identities(n):
     return ids
 
 
+def _word(coef, letters):
+    """The (coef, head, last) form `_combination_sums` reads of a word
+    whose resolved letters are listed in the order they act: head holds
+    every letter but the last, as a tuple, and last is None for the empty
+    word."""
+    if not letters:
+        return coef, (), None
+    return coef, tuple(letters[:-1]), letters[-1]
+
+
 def _combination_sums(M, combination, y):
-    """target id -> (num, den) of a combination of resolved words on the
-    basis vector of the shift of id y, read from the memo's integer
-    triples.  A letter is a tuple of (sign, generator index).  The pairs
-    are not reduced: a product is (n1 n2, d1 d2), a sum is
-    cross-multiplied, every den is > 0.  Each word's letters but its last
-    build a layer of terms; the last letter's terms are summed straight
-    into the result, and the empty word adds its coefficient at y."""
+    """target id -> (num, den) of a combination of words, each in the
+    (coef, head, last) form of `_word`, on the basis vector of the shift
+    of id y, read from the memo's integer triples.  A letter is a tuple of
+    (sign, generator index).  The pairs are not reduced: a product is
+    (n1 n2, d1 d2), a sum is cross-multiplied, every den is > 0.  The
+    head's letters build a layer of terms; the last letter's terms are
+    summed straight into the result, and the empty word adds its
+    coefficient at y."""
     lookup = M.memo.get
     acc = {}
     get = acc.get
-    for coef, letters in combination:
-        if not letters:
+    for coef, head, last in combination:
+        if last is None:
             p, q = get(y, (0, 1))
             acc[y] = (p + coef * q, q)
             continue
         layer = [(y, coef, 1)]
-        for letter in letters[:-1]:
+        for letter in head:
             step = []
             append = step.append
             for x, p, q in layer:
@@ -445,7 +456,6 @@ def _combination_sums(M, combination, y):
                     for t, a, b in terms:
                         append((t, sp * a, q * b))
             layer = step
-        last = letters[-1]
         for x, p, q in layer:
             for sign, gi in last:
                 terms = lookup(x + gi)
@@ -466,10 +476,11 @@ def _combination_sums(M, combination, y):
 
 @lru_cache(maxsize=None)
 def _compiled_identities(n, sigma):
-    """(name, resolved words) of each of `axiom_identities(n)`, built once
-    per rank and flag: each letter resolved through sigma once, to
-    generator indices, and each word listed in the order its letters act.
-    Tuples throughout, as every module of this rank and flag shares them."""
+    """(name, words) of each of `axiom_identities(n)`, built once per rank
+    and flag: each letter resolved through sigma once, to generator
+    indices, and each word listed in the order its letters act and split
+    by `_word`.  Tuples throughout, as every module of this rank and flag
+    shares them."""
     identities = axiom_identities(n)
     letters = {x for _, _, comb in identities for _, word in comb for x in word}
     resolved = {x: _letter(n, sigma, x) for x in letters}
@@ -477,7 +488,7 @@ def _compiled_identities(n, sigma):
         (
             name,
             tuple(
-                (coef, tuple(resolved[x] for x in reversed(word)))
+                _word(coef, [resolved[x] for x in reversed(word)])
                 for coef, word in comb
             ),
         )
@@ -494,33 +505,44 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
     s-th sample checks one identity, cycling through them; with full=True
     every sampled shift is checked against every identity until at least
     `samples` checks are done (slower, used at acceptance).  A failure
-    carries its nonzero residual as a JSON vector.  The drawn shifts are
-    basis shifts, so they are interned unchecked.  Draws are made with
-    replacement, so a pair of identity and shift can come up again within
-    one call: a pair that passed is counted again without being summed,
-    and a failing pair is summed and reported on every draw.  Nothing is
-    kept across calls.
+    carries its nonzero residual as a JSON vector.
+
+    Each draw is an index into the counted box, made from the random
+    number generator's bits exactly as `randrange(len(box))` makes it, so
+    a seed draws the same shifts.  Within one call, an index is unranked and its shift
+    interned (unchecked: it is a basis shift) on its first draw only, and
+    the identities are read as words with their last letter split off
+    (`_word`).  Draws are made with replacement, so a pair of identity and
+    shift can come up again within one call: a pair that passed is counted
+    again without being summed, and a failing pair is summed and reported
+    on every draw.  Nothing is kept across calls.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
-    rng = random.Random(seed)
-    # counts the box and unranks each draw: the same shifts as indexing
-    # the enumerated list
+    # counts the box without listing it; the seed's zero shift lies in it,
+    # so size >= 1
     pool = BasisBox(M.checker, box)
     size = len(pool)
+    bits, getrandbits = size.bit_length(), random.Random(seed).getrandbits
     checks = _compiled_identities(M.n, M.sigma)
     count = len(checks)
     every = range(count)
     shifts = M.shifts
-    passed = set()
+    drawn = {}  # pool index -> shift id
+    passed = set()  # y * count + i for each passing pair (i, y)
     failures = []
     checked = 0
     while checked < samples:
-        z = pool[rng.randrange(size)]
-        y = _intern(M, z)
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        y = drawn.get(r)
+        if y is None:
+            y = drawn[r] = _intern(M, pool[r])
         batch = every if full else (checked % count,)
         for i in batch:
-            if (i, y) in passed:
+            key = y * count + i
+            if key in passed:
                 continue
             name, words = checks[i]
             sums = _combination_sums(M, words, y)
@@ -532,13 +554,13 @@ def verify_axioms(M, box=3, samples=200, seed=7, full=False):
                     failures.append(
                         {
                             "identity": name,
-                            "shift": shift_to_json(z),
+                            "shift": shift_to_json(shifts[y]),
                             "residual": vector_to_json(residual),
                         }
                     )
                     break
             else:
-                passed.add((i, y))
+                passed.add(key)
         checked += len(batch)
     return {
         "failures": failures,
@@ -569,7 +591,7 @@ def is_highest_weight_vector(M, v):
     ys = [M.ids[z] for z in v]
     coords = []
     for k in range(1, M.n + 1):
-        word = [(1, [_letter(M.n, M.sigma, gen_H(k))])]
+        word = [_word(1, [_letter(M.n, M.sigma, gen_H(k))])]
         lams = {Fraction(*_combination_sums(M, word, y).get(y, (0, 1))) for y in ys}
         if len(lams) > 1:
             return None

@@ -69,7 +69,9 @@ def cmd_build(args):
         M = minimal_orbit.hw_module_of(_weight(args.weight), normalization=norm)
     elif args.type == "family":
         if norm != "hw":
-            raise GtrelError("--type family takes its top row from --u, unnormalized")
+            raise GtrelError(
+                "--type family takes its top row from --u and --v, unnormalized"
+            )
         v = _weight(args.v) if args.v else ()
         T, C = family_tableau(_weight(args.u), v, m=args.m)
         M = action.module(T, C, normalization=norm)
@@ -259,7 +261,14 @@ def build_parser():
     p.add_argument("--v", help="interior-column values for the family seed")
     p.add_argument("--m", type=int, help="family degeneration row")
     p.add_argument("--i", type=int, help="twisting index for lem-key")
-    p.add_argument("--normalization", default="hw", choices=["hw", "sl2"])
+    p.add_argument(
+        "--normalization",
+        default="hw",
+        choices=["hw", "sl2"],
+        help="top-row sum of the hw and lem-key seeds; a family module takes "
+        "its top row from --u and --v and is written with the label hw, which "
+        "names no normalization there and which nothing computes with",
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_build)
 

@@ -279,8 +279,8 @@ class BasisBox:
     stands for row 0) its candidates and their completion counts, or for
     row n-1 the last row's mixed radix, which turns enumeration into a
     transfer-matrix count; listing and sweeping keep no candidates.  These
-    memos and the shifts already unranked live as long as this object, so
-    build one per call.
+    memos live as long as this object, so build one per call; unranking
+    keeps nothing of its own.
     """
 
     def __init__(self, checker, box):
@@ -294,7 +294,6 @@ class BasisBox:
         ]
         self._blocks = {}
         self._leaves = {}
-        self._unranked = {}
 
     def _ranges(self, row):
         """The range of each entry of row k+1 under row k = `row`: its
@@ -355,9 +354,6 @@ class BasisBox:
         """Unrank i: at each row above the last, the child whose block of
         completions holds i, found by bisecting the cumulative child
         counts; then the last row by mixed radix over its ranges."""
-        z = self._unranked.get(i)
-        if z is not None:
-            return z
         size = self._size
         if not 0 <= i < size:
             raise IndexError("shift index %d out of range [0, %d)" % (i, size))
@@ -372,8 +368,7 @@ class BasisBox:
             rows.append(row)
         digits = self._leaves[row][1]
         rows.append(tuple([lo + rest // step % size for lo, step, size in digits]))
-        z = self._unranked[i] = tuple(rows)
-        return z
+        return tuple(rows)
 
     def sweep(self):
         """Row-sum tuple -> number of shifts; merged row by row, so each

@@ -231,25 +231,69 @@ def test_verify_axioms_full(hw_module):
 
 
 def test_verify_axioms_draws_what_indexing_the_pool_draws(module_catalog, monkeypatch):
-    drawn = []
+    # the draws are pool[rng.randrange(len(pool))], and each index drawn in
+    # a call is unranked on its first draw only
+    unranked = []
 
     class RecordingBox(action.BasisBox):
         def __getitem__(self, i):
-            z = super().__getitem__(i)
-            drawn.append(z)
-            return z
+            unranked.append(i)
+            return super().__getitem__(i)
 
     monkeypatch.setattr(action, "BasisBox", RecordingBox)
     for name, M in module_catalog:
+        count = len(axiom_identities(M.n))
         for box, samples, full in ((2, 40, False), (3, 200, False), (3, 30, True)):
-            del drawn[:]
-            report = g.verify_axioms(M, box=box, samples=samples, seed=11, full=full)
+            del unranked[:]
+            X = M.replace()
+            report = g.verify_axioms(X, box=box, samples=samples, seed=11, full=full)
+            draws = -(-samples // count) if full else samples
+            assert report["samples"] == (draws * count if full else draws), (name, box)
             pool = g.enumerate_basis_box(M.C, M.seed, box)
+            assert report["pool"] == len(pool), (name, box, full)
             rng = random.Random(11)
-            want = [pool[rng.randrange(len(pool))] for _ in drawn]
-            assert drawn == want and report["pool"] == len(pool), (name, box, full)
-            draws = -(-samples // len(axiom_identities(M.n))) if full else samples
-            assert len(drawn) == draws, (name, box, full)
+            stream = [rng.randrange(len(pool)) for _ in range(draws)]
+            assert unranked == list(dict.fromkeys(stream)), (name, box, full)
+            assert {pool[i] for i in stream} <= set(X.ids), (name, box, full)
+
+
+def _short_root(gen):
+    """Whether gen is a raise, a lower or an E(m,1): the generators whose
+    terms the vector oracle reads from the memo."""
+    return gen[0] == "E" and (abs(gen[1] - gen[2]) == 1 or (gen[2] == 1 and gen[1] >= 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_failing_draws_come_in_the_order_the_vector_oracle_draws(module_catalog, data):
+    # one doubled memo entry on a shift of the box fails the identities
+    # that read it, so the failures list the shift of each failing draw in
+    # draw order, against the oracle's randrange draws; box 0 holds only
+    # the zero shift, whose one-bit index is re-drawn half the time, and
+    # most larger pools are not a power of two in size
+    name, M = data.draw(st.sampled_from(module_catalog))
+    box = data.draw(st.integers(0, 3))
+    pool = BasisBox(M.checker, box)
+    X = M.replace()
+    y = action._basis_id(X, pool[data.draw(st.integers(0, len(pool) - 1))])
+    gens = action._generators(X.n)[0]
+    entries = [
+        gi
+        for gi, gen in enumerate(gens)
+        if _short_root(gen) and action._basis_terms(X, gi, y)
+    ]
+    assume(entries)
+    gi = data.draw(st.sampled_from(entries))
+    (target, num, den), *rest = X.memo[y + gi]
+    X.memo[y + gi] = ((target, 2 * num, den), *rest)
+    args = dict(
+        box=box,
+        samples=data.draw(st.integers(1, 80)),
+        seed=data.draw(st.integers(0, 2**32)),
+        full=data.draw(st.booleans()),
+    )
+    report = g.verify_axioms(X, **args)
+    assert report == verify_axioms_by_vectors(X, **args), (name, gens[gi])
 
 
 def test_verify_axioms_counts_its_box_once_per_call(module_catalog, monkeypatch):
@@ -821,11 +865,30 @@ def test_fused_word_evaluator_matches_the_layered_loop(module_catalog, data):
     combination = data.draw(
         st.lists(st.tuples(st.integers(-3, 3), word), min_size=1, max_size=4)
     )
+    words = [action._word(coef, w) for coef, w in combination]
     pool = BasisBox(X.checker, 2)
     y = action._intern(X, pool[data.draw(st.integers(0, len(pool) - 1))])
-    got = list(action._combination_sums(X, combination, y).items())
+    got = list(action._combination_sums(X, words, y).items())
     want = list(combination_sums_by_layers(X, combination, y).items())
     assert got == want, (name, combination)
+
+
+def test_compiled_identities_are_the_resolved_identities_split(module_catalog):
+    # the catalog holds the identity flag at ranks 1..3 and (3, 1, 2, 4)
+    flags = {(M.n, M.sigma) for _, M in module_catalog}
+    assert (3, (3, 1, 2, 4)) in flags
+    for n, sigma in flags:
+        want = tuple(
+            (
+                name,
+                tuple(
+                    action._word(coef, [action._letter(n, sigma, x) for x in word[::-1]])
+                    for coef, word in comb
+                ),
+            )
+            for name, _, comb in axiom_identities(n)
+        )
+        assert action._compiled_identities(n, sigma) == want, (n, sigma)
 
 
 def test_is_simple_reduces_once_on_a_reloaded_module(monkeypatch):
