@@ -9,6 +9,7 @@ falls outside the basis.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .core import Record, format_rational, json_int, json_list, json_object, parse_rational
@@ -76,8 +77,8 @@ class GTVector(dict):
         return not self
 
 
-def basis_vector(z, coeff=1):
-    return GTVector(((z, Fraction(coeff)),))
+def basis_vector(z):
+    return GTVector(((z, Fraction(1)),))
 
 
 def gen_E(i, j):
@@ -193,14 +194,6 @@ def _moved(z, boxes, sign):
     return tuple(map(tuple, rows))
 
 
-def _em1_tuples(m):
-    """All (i_1..i_{m-1}) with 1 <= i_s <= s."""
-    tuples = [()]
-    for s in range(1, m):
-        tuples = [t + (i,) for t in tuples for i in range(1, s + 1)]
-    return tuples
-
-
 def _terms(M, g, z):
     """(target, num, den) triples, not reduced, of a raise E(k,k+1), a
     lower E(k+1,k) or an E(m,1), m >= 3, on T(seed+z); targets outside the
@@ -208,19 +201,17 @@ def _terms(M, g, z):
     rows of T (`Tableau.scaled` shifted by d z) are built only once a
     target is kept.
 
-    A raise moves one box of row k up, with coefficient -ratio(k, i, k+1).
-    A lower or E(m,1) moves one box (s, i_s) down in each row s of a
-    path, with coefficient prod_s ratio(s, i_s, s-1, skip=i_{s-1}).
+    Each moves one box (s, i_s) by sign in each row s of a path of rows:
+    row k for E(k,k+1) (sign +1) and E(k+1,k) (sign -1), rows 1..m-1 for
+    E(m,1) (sign -1).  The paths are walked lazily, in lex order, and each
+    kept one has coefficient -sign * prod_s ratio(s, i_s, s+sign,
+    skip=i_{s-1}).
     """
     _, i, j = g
-    if j == i + 1:
-        paths, sign = [((i, a),) for a in range(1, i + 1)], 1
-    elif i == j + 1:
-        paths, sign = [((j, a),) for a in range(1, j + 1)], -1
-    else:
-        paths, sign = [tuple(enumerate(t, start=1)) for t in _em1_tuples(i)], -1
+    sign = 1 if j > i else -1
+    path = range(min(i, j), max(i, j))
     check, rows = M.checker.check, None
-    for boxes in paths:
+    for boxes in product(*[[(k, a) for a in range(1, k + 1)] for k in path]):
         target = _moved(z, boxes, sign)
         if not check(target):
             continue
@@ -231,14 +222,9 @@ def _terms(M, g, z):
                 for row, zrow in zip(seed_rows, z)
             ]
             rows.append(seed_rows[-1])
-        if sign > 0:
-            ((k, a),) = boxes
-            num, den = _ratio(rows, d, k, a, k + 1)
-            yield target, -num, den
-            continue
-        num, den, prev = 1, 1, None
+        num, den, prev = -sign, 1, None
         for k, a in boxes:
-            p, q = _ratio(rows, d, k, a, k - 1, prev)
+            p, q = _ratio(rows, d, k, a, k + sign, prev)
             num, den, prev = num * p, den * q, a
         yield target, num, den
 
@@ -607,23 +593,21 @@ def is_simple(M):
     sat, and the closure of sat is at least that of C entrywise.  The two
     are equal iff C implies every arrow of sat, as C's closure obeys the
     triangle inequality; `witness` is the first arrow of sat it does not.
-    A C equal to the seed's reduced maximal set is both, with no search:
-    the reduction drops only arrows the rest implies (through a strict
-    arrow when the dropped one is strict), seed gaps add along a path, and
-    a top-row arrow is a (size, size, t) triple of the checker, so C
-    implies every arrow of sat.  Nor does such a C need a reduction of its
-    own: a reduced set reduces to itself.
+    Strictness is decided first: C is the seed's reduced maximal set (a
+    reduced set reduces to itself, so it is not reduced again), or reduces
+    to it.  Then C implies every arrow of sat with no search: the
+    maximal set lies inside C, the reduction drops only arrows the rest
+    implies (through a strict arrow when the dropped one is strict), seed
+    gaps add along a path, and a top-row arrow is a (size, size, t) triple
+    of the checker.
     """
     maximal = M.seed.maximal_set.relations
-    if M.C.relations == maximal:
-        return {"maximal_eq": True, "strict_eq": True, "witness": None}
-    sat = M.seed.satisfied.sorted()
-    witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
-    return {
-        "maximal_eq": witness is None,
-        "strict_eq": reduce_relations(M.C).relations == maximal,
-        "witness": witness,
-    }
+    strict = M.C.relations == maximal or reduce_relations(M.C).relations == maximal
+    witness = None
+    if not strict:
+        sat = M.seed.satisfied.sorted()
+        witness = next((r for r in sat if r not in M.C and not M.checker.implies(r)), None)
+    return {"maximal_eq": witness is None, "strict_eq": strict, "witness": witness}
 
 
 def casimir_alpha1(M, v):

@@ -132,22 +132,20 @@ class _Layout:
     only.
 
     index: position -> flat index
-    positions: flat index -> position
     rows: rows[k] is the mask of row k, 0 for k = 0 and k = n+2
     next_row: next_row[v] is the mask of the row an R- arrow from v enters
     upto: upto[v] is the mask of v's row at or left of v
     """
 
-    __slots__ = ("n", "index", "positions", "rows", "next_row", "upto")
+    __slots__ = ("n", "index", "rows", "next_row", "upto")
 
     def __init__(self, n):
-        positions = tuple(all_positions(n))
+        positions = all_positions(n)
         rows = [0] * (n + 3)
         for v, (k, _) in enumerate(positions):
             rows[k] |= 1 << v
         self.n = n
         self.index = {p: v for v, p in enumerate(positions)}
-        self.positions = positions
         self.rows = tuple(rows)
         self.next_row = tuple(rows[k + 1] for k, _ in positions)
         self.upto = tuple(rows[k] & ((2 << v) - 1) for v, (k, _) in enumerate(positions))

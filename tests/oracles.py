@@ -35,7 +35,6 @@ from gtrel.action import (
     _basis_id,
     _basis_terms,
     _cartan,
-    _em1_tuples,
     _generators,
     _moved,
     _resolve_sigma,
@@ -179,6 +178,14 @@ def _ratio_by_fractions(T, k, i, k2, skip=None):
     if den == 0:
         raise CriticalDenominator("zero denominator in row %d" % k)
     return num / den
+
+
+def _em1_tuples(m):
+    """All (i_1..i_{m-1}) with 1 <= i_s <= s, listed in lex order."""
+    tuples = [()]
+    for s in range(1, m):
+        tuples = [t + (i,) for t in tuples for i in range(1, s + 1)]
+    return tuples
 
 
 def terms_by_fractions(M, g, z):
@@ -514,7 +521,7 @@ def adjoining_pairs(C):
     `_adjoining` finds them (see adjoining_pairs_per_pair)."""
     L = _layout(C.n)
     fwd, _ = _masks(L, C.relations)
-    at = L.positions
+    at = all_positions(C.n)
     return [(at[a], at[b]) for _, a, b in _adjoining(L, fwd, range(1, C.n + 2))]
 
 

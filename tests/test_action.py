@@ -76,6 +76,10 @@ def test_highest_weight_detection(hw_module):
         assert g.is_highest_weight_vector(hw_module, shifted) is None
 
 
+def test_the_zero_vector_is_no_highest_weight_vector(hw_module):
+    assert g.is_highest_weight_vector(hw_module, GTVector()) is None
+
+
 def test_highest_weight_detection_matches_the_vector_oracle(module_catalog):
     # sl2 on the seed (0), (0, -1) with no relation: E12 kills the shifts
     # (0,) and (-1,), whose H eigenvalues differ, so their sum is killed by
@@ -996,6 +1000,25 @@ def test_is_simple_on_the_seeds_maximal_set_reads_it_once(monkeypatch):
             assert report == is_simple_by_closure(X)
         assert calls == [M.seed, back.seed], lam
         calls.clear()
+
+
+def test_is_simple_decides_strictness_before_any_search():
+    # C strictly contains the seed's reduced maximal set and reduces to it,
+    # so it is simple with no search of the checker
+    for lam, extra in (
+        ((F(-3, 2), F(0)), {((3, 2), (3, 3))}),
+        ((F(-4), F(0), F(1)), {((2, 1), (1, 1)), ((3, 2), (2, 2))}),
+        ((F(-5, 2), F(0), F(1)), {((4, 2), (4, 3)), ((4, 3), (4, 4))}),
+    ):
+        M = g.hw_module_of(lam)
+        maximal = M.seed.maximal_set.relations
+        C = g.relation_set(M.n, maximal | extra)
+        assert C.relations > maximal and g.reduce_relations(C).relations == maximal
+        X = g.module(M.seed, C)
+        report = g.is_simple(X)
+        assert report == {"maximal_eq": True, "strict_eq": True, "witness": None}
+        assert "_arcs" not in vars(X.checker), lam
+        assert report == is_simple_by_closure(X), lam
 
 
 def _assert_memo_matches_the_fraction_formula(M):

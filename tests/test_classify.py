@@ -122,6 +122,9 @@ def test_bounded_case_examples():
     assert g.bounded_case((F(0), F(-3, 2))) == "a"
     assert g.bounded_case((F(1), F(1))) is None  # integral dominant
     assert g.bounded_case((F(0), F(-1, 2), F(-1, 2))) == ("e", 2)
+    # only alpha_2 fails to pair to a positive integer, alpha_{1,2} does
+    # and alpha_{2,3} pairs to one <= 0
+    assert g.bounded_case((F(2), F(-3), F(0))) == ("d", 2)
 
 
 def test_verma_simple():
@@ -137,6 +140,14 @@ def test_resolve_sl2_branches():
     assert ((F(-3, 2), F(0)), F(1, 3)) in got
     assert ((F(-1, 2), F(-1, 2)), F(-1, 6)) in got
     assert len(got) == 2
+
+
+def test_resolve_sl2_skips_a_branch_with_lambda1_plus_1_in_zgeq0():
+    # gamma = 4: the branch of sign +1 has lambda_1 = 1, so only -3 is kept
+    params = Sl2InducedParams(F(4), (F(1, 3), F(0)))
+    assert g.resolve_sl2_induced(params) == [
+        ((F(-3), F(5, 3)), F(5, 3), g.hw_relation_case((F(-3), F(5, 3))))
+    ]
 
 
 def test_resolve_sl2_errors():

@@ -263,6 +263,15 @@ def test_classify_hw(capsys):
     assert out["bounded_case"] == {"clause": "b"}
 
 
+@pytest.mark.parametrize(
+    "n, weight, bounded",
+    [("2", "1/3,1/5", None), ("3", "2,-3,0", {"clause": "d", "i": 2})],
+)
+def test_classify_hw_prints_every_bounded_case_form(capsys, n, weight, bounded):
+    code, out = run(capsys, "classify-hw", "--n", n, "--lambda=" + weight)
+    assert (code, out["bounded_case"]) == (0, bounded)
+
+
 def test_resolve_sl2(capsys):
     code, out = run(capsys, "resolve-sl2", "--gamma", "1/4", "--mu=-5/6,-1/3")
     assert code == 0

@@ -136,6 +136,12 @@ def test_diff_classes_consistent(a, b):
     assert diff_in(a, b, ZGT0) == (integral and d > 0)
 
 
+def test_diff_in_rejects_an_unknown_class():
+    with pytest.raises(ValueError) as err:
+        diff_in(Fraction(1), Fraction(0), "ZLT0")
+    assert str(err.value) == "unknown class 'ZLT0'"
+
+
 @given(rationals)
 def test_rational_sqrt(r):
     s = rational_sqrt(r * r)

@@ -167,6 +167,14 @@ def test_quotient_requires_sub_of_localization():
         g.quotient_top(M, M)
 
 
+def test_quotient_requires_a_shared_seed():
+    # the twist has the localized relation set but a shifted seed
+    M = hw_n2()
+    with pytest.raises(IncompatiblePair) as err:
+        g.quotient_top(g.twist_e21(M, F(1, 3)), M)
+    assert str(err.value) == "modules must share the seed tableau"
+
+
 def test_em1_predicates_match_empirical(family_module, module_catalog):
     named = dict(module_catalog)
     for M in (family_module, named["family-cm-n2"], named["hw-a-n2"]):
@@ -183,6 +191,16 @@ def test_em1_predicates_need_family_shape(module_catalog):
         g.em1_injective(named["hw-b-n2"], 2)
     with pytest.raises(WrongShape):
         g.em1_surjective(named["verma-generic-n2"], 2)
+    with pytest.raises(WrongShape) as err:
+        g.em1_injective(named["hw-b-n3"], 2)
+    assert str(err.value) == "interior columns are not constant"
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_em1_surjective_rejects_m_out_of_range(family_module, m):
+    with pytest.raises(ValueError) as err:
+        g.em1_surjective(family_module, m)
+    assert str(err.value) == "m out of range"
 
 
 def test_localize_family():
@@ -202,6 +220,14 @@ def test_localize_family_rejects_bijective(family_module, module_catalog):
     loc = g.localize_family(named["family-cm-n2"], LocalizationSpec((3,)))
     with pytest.raises(NotInjective):
         g.localize_family(loc, LocalizationSpec((3,)))
+
+
+def test_localize_family_rejects_a_non_injective_target(module_catalog):
+    # the quotient's arrow (1,1) -> (2,1) makes E(2,1) kill a vector
+    quotient = dict(module_catalog)["quotient-n2"]
+    with pytest.raises(NotInjective) as err:
+        g.localize_family(quotient, LocalizationSpec((2,)))
+    assert str(err.value) == "E(2,1) is not injective"
 
 
 def test_localize_family_twist():

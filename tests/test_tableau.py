@@ -38,6 +38,19 @@ from oracles import (
 tableau_module = importlib.import_module("gtrel.tableau")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((F(1),), (F(1), F(2))), "expected 3 rows"),
+        (((F(1),), (F(1),), (F(1), F(2), F(3))), "row 2 must have 2 entries"),
+    ],
+)
+def test_tableau_rejects_a_wrong_shape(rows, message):
+    with pytest.raises(ValueError) as err:
+        tableau_module.Tableau(2, rows)
+    assert str(err.value) == message
+
+
 def test_case_a_seed_values():
     T, C = g.hw_tableau_case_a((F(-3, 2), F(0)))
     assert T.rows == (
@@ -110,6 +123,25 @@ def test_family_preconditions():
         g.family_tableau((F(1, 2), F(1, 3), F(1, 5)), (F(0), F(2)))  # v not dec
     with pytest.raises(PreconditionViolated):
         g.family_tableau((F(1, 2), F(1, 3), F(1, 5)), (F(2), F(0)), m=2)  # u2 != u3
+
+
+FAMILY_U, FAMILY_V = (F(1, 2), F(1, 3), F(1, 5)), (F(2), F(0))
+
+
+@pytest.mark.parametrize(
+    "u, v, m, message",
+    [
+        (FAMILY_U[:2], FAMILY_V, None, "u must have n+1 entries, v must have n"),
+        (FAMILY_U, FAMILY_V, 1, "m must satisfy 2 <= m <= n"),
+        (FAMILY_U, FAMILY_V, 3, "m must satisfy 2 <= m <= n"),
+        # u_1 - u_2 = -1 below m = 3
+        ((F(1, 2), F(3, 2), F(1, 3), F(1, 3)), (F(4), F(2), F(0)), 3, "u_1 - u_2 in Z"),
+    ],
+)
+def test_family_tableau_rejects_bad_parameters(u, v, m, message):
+    with pytest.raises(PreconditionViolated) as err:
+        g.family_tableau(u, v, m)
+    assert str(err.value) == message
 
 
 def test_weight_of_seed_matches_delta():
