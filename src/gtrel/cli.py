@@ -31,12 +31,14 @@ def _load_module(path):
 
 
 def _emit(obj, out=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write obj to the file out as one line of key-sorted JSON, which the
+    C encoder makes; with no out, print it indented."""
     if out:
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _case_json(case):
@@ -352,8 +354,9 @@ def main(argv=None):
     except (GtrelError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return 2
-    except Exception as exc:  # pragma: no cover - invariant breach
-        print(json.dumps({"error": "internal", "detail": str(exc)}), file=sys.stderr)
+    except Exception as exc:  # an invariant breach, or memory ran out
+        report = {"error": "internal", "type": type(exc).__name__, "detail": str(exc)}
+        print(json.dumps(report), file=sys.stderr)
         return 1
 
 

@@ -127,7 +127,10 @@ def json_object(x, what):
 
 def format_rational(r):
     """Canonical "a" / "a/b" string with positive denominator."""
-    r = Fraction(r)
+    if type(r) is int:
+        return str(r)
+    if type(r) is not Fraction:
+        r = Fraction(r)
     if r.denominator == 1:
         return str(r.numerator)
     return "%d/%d" % (r.numerator, r.denominator)

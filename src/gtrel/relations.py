@@ -303,7 +303,15 @@ def _reduce(C):
         for frm, to in C.relations
         if not (frm[0] == to[0] and frm[1] > to[1])
     }
-    fwd, rev = _masks(L, rels)
+    # C's graph, when built and no arrow was left out, is the working set's
+    # at the start; fwd and rev are copied since drops change them, and
+    # comp is only read
+    graph = vars(C).get("_graph")
+    if graph is not None and len(rels) == len(C.relations):
+        fwd, rev, comp = list(graph[0]), list(graph[1]), graph[2]
+    else:
+        fwd, rev = _masks(L, rels)
+        comp = _components(fwd, rev)
     adj = list(fwd)
     for frm, to in eq_extra:
         adj[index[frm]] |= 1 << index[to]
@@ -371,7 +379,6 @@ def _reduce(C):
 
     # phase 1: repair cross-freeness by dropping implied crossing arrows
     candidates = sorted(rels, key=order)
-    comp = _components(fwd, rev)
     split = False
     for rel in candidates:
         if _crosses(L, fwd, rev, comp, rel) and implied(rel):
@@ -591,6 +598,32 @@ def relset_to_json(C):
 
 
 def relset_from_json(obj):
+    """The RelationSet of a JSON object {"n": n, "relations": [[[i, j],
+    [r, s]], ...]}.  Plain lists and ints, as json.loads gives them, are
+    read in one pass; any other input goes to `_relset_from_json_checked`,
+    which raises the error that names what is wrong."""
+    if type(obj) is dict:
+        n, rels = obj.get("n"), obj.get("relations")
+        if type(n) is int and type(rels) is list:
+            arrows = []
+            for rel in rels:
+                if type(rel) is list and len(rel) == 2:
+                    frm, to = rel
+                    if type(frm) is list and type(to) is list and len(frm) == len(to) == 2:
+                        (i, j), (r, s) = frm, to
+                        if type(i) is type(j) is type(r) is type(s) is int:
+                            arrows.append(((i, j), (r, s)))
+                            continue
+                break
+            else:
+                return RelationSet(n, frozenset(arrows))
+    return _relset_from_json_checked(obj)
+
+
+def _relset_from_json_checked(obj):
+    """`relset_from_json` on any input: a list may be a tuple, positions and
+    arrows may have any length (RelationSet rejects a wrong one), and the
+    first object, list or entry of the wrong type raises, the rank last."""
     obj = json_object(obj, "relation set")
     rels = [
         tuple(

@@ -17,7 +17,9 @@ Fraction arithmetic on the entries of T(seed+z), the highest-weight
 classifier, the bounded criterion, Verma simplicity and the highest
 weight seed's column values with every pairing summed afresh in
 Fractions, highest-weight detection on
-GTVector arithmetic, and rational parsing by Fraction's own parser.  Two
+GTVector arithmetic, rational parsing by Fraction's own parser, relation
+sets read from JSON one checked entry at a time, and rationals formatted
+through Fraction.  Two
 helpers of the relation tests live here too: the universe R as a list
 and the kernel's adjoining pairs as positions."""
 
@@ -44,7 +46,7 @@ from gtrel.action import (
     vector_to_json,
 )
 from gtrel.classify import HWCase
-from gtrel.core import ZGEQ0, ZGT0, Z, diff_in
+from gtrel.core import ZGEQ0, ZGT0, Z, diff_in, json_int, json_list, json_object
 from gtrel.errors import CriticalDenominator, NotARealization
 from gtrel.localization import twist_e21
 from gtrel.relations import (
@@ -1122,3 +1124,26 @@ def parse_rational_by_fraction(s):
     if re.search(r"[eE][-+]?\d", s):
         raise ValueError("exponents are not accepted: %r" % s)
     return Fraction(s)
+
+
+def relset_from_json_by_checks(obj):
+    """`relset_from_json` with every object, list and entry passed through
+    json_object, json_list and json_int, positions and arrows of any
+    length, the rank read last."""
+    obj = json_object(obj, "relation set")
+    rels = [
+        tuple(
+            tuple(json_int(x, "position entry") for x in json_list(pos, "position"))
+            for pos in json_list(rel, "relation")
+        )
+        for rel in json_list(obj.get("relations"), "relations")
+    ]
+    return RelationSet(json_int(obj.get("n"), "relation set n"), frozenset(rels))
+
+
+def format_rational_by_fraction(r):
+    """`format_rational` with every input coerced to a Fraction first."""
+    r = Fraction(r)
+    if r.denominator == 1:
+        return str(r.numerator)
+    return "%d/%d" % (r.numerator, r.denominator)

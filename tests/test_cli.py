@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -112,6 +113,78 @@ def test_build_family_and_lem_key(tmp_path, capsys):
     assert g.module_from_json(json.loads(out.read_text())) == g.module(T, C)
     code, report = run(capsys, "verify", "--module", str(out), "--box", "1")
     assert code == 0 and report["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (
+            ["--type", "hw", "--lambda=-1/2,-1/3"],
+            lambda: g.hw_module_of((F(-1, 2), F(-1, 3))),
+        ),
+        (
+            ["--type", "family", "--u", "1/2,1/3,1/5", "--v", "2,0"],
+            lambda: g.module(*g.family_tableau((F(1, 2), F(1, 3), F(1, 5)), (F(2), F(0)))),
+        ),
+        (
+            ["--type", "lem-key", "--lambda=0,-1/2,-1/2", "--i", "2"],
+            lambda: g.module(*g.lem_key_tableau((F(0), F(-1, 2), F(-1, 2)), 2)),
+        ),
+    ],
+)
+def test_a_module_file_is_one_line_of_sorted_json(tmp_path, capsys, argv, build):
+    M = build()
+    path = tmp_path / "m.json"
+    assert run(capsys, "build", *argv, "-o", str(path)) == (0, None)
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    assert obj == g.module_to_json(M)
+    assert g.module_from_json(obj) == M
+    # stdout stays indented: build without -o, and verify
+    assert main(["build", *argv]) == 0
+    assert capsys.readouterr().out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert main(["verify", "--module", str(path), "--box", "1", "--samples", "20"]) == 0
+    report = g.verify_axioms(M, box=1, samples=20, seed=7)
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_output_file_is_one_line_of_sorted_json(tmp_path, capsys):
+    mod, out = str(tmp_path / "m.json"), tmp_path / "out.json"
+    assert main(["build", "--type", "hw", "--lambda=-3/2,0", "-o", mod]) == 0
+    for argv in (
+        ["act", "--module", mod, "--gen", "E,2,1", "--shift", "[[0],[0,0]]"],
+        ["localize", "--module", mod, "--targets", "2"],
+        ["twist", "--module", mod, "--x", "1/3"],
+        ["minimal-orbit", "--n", "2", "--p", "3", "--q", "2", "--induce", "--x", "1/3"],
+    ):
+        assert run(capsys, *argv, "-o", str(out)) == (0, None), argv
+        text = out.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", argv
+        assert run(capsys, *argv) == (0, obj), argv
+
+
+def test_an_internal_error_names_its_exception(tmp_path, capsys, monkeypatch):
+    # an exception outside the validation errors exits 1 with its class on
+    # stderr: a bare MemoryError has no message
+    action = sys.modules["gtrel.action"]
+    argv = ["build", "--type", "hw", "--lambda=-3/2,0", "-o", str(tmp_path / "m.json")]
+    for exc in (MemoryError(), RuntimeError("boom")):
+
+        def fail(M, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(action, "module_to_json", fail)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "internal",
+            "type": type(exc).__name__,
+            "detail": str(exc),
+        }
 
 
 def test_build_needs_its_recipe_options(capsys):

@@ -18,7 +18,7 @@ from gtrel.core import (
 )
 from gtrel.localization import LocalizationSpec
 from gtrel.minimal_orbit import InducedModule, Level, MinOrbitWeight
-from oracles import parse_rational_by_fraction
+from oracles import format_rational_by_fraction, parse_rational_by_fraction
 
 
 class NotInZ:
@@ -104,6 +104,26 @@ RATIONAL_TEXT = st.text(alphabet="0123456789+-/ _.eE", max_size=12) | st.builds(
 @given(RATIONAL_TEXT)
 def test_parse_rational_matches_fraction_behind_the_denominator_check(s):
     assert _parsed(parse_rational, s) == _parsed(parse_rational_by_fraction, s)
+
+
+# what format_rational takes: ints (past the 4,300 digits str() writes
+# too), bools, Fractions, and the floats and strings Fraction reads
+FORMAT_INPUTS = (
+    st.integers()
+    | st.sampled_from([10**4300, -(10**5000)])
+    | st.booleans()
+    | st.fractions()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.fractions().map(str)
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds(" {} ".format, st.integers())
+)
+
+
+@settings(max_examples=1000)
+@given(FORMAT_INPUTS)
+def test_format_rational_matches_formatting_through_fraction(r):
+    assert _parsed(format_rational, r) == _parsed(format_rational_by_fraction, r)
 
 
 def test_parse_rational_rejects_exponents_at_once():

@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from fractions import Fraction as F
@@ -29,6 +30,7 @@ from gtrel.relations import (
     relation_kind,
 )
 from gtrel.tableau import BasisChecker
+from conftest import catalog
 from oracles import (
     _adjacency,
     _reachable_from,
@@ -44,6 +46,7 @@ from oracles import (
     is_noncritical_by_diff,
     is_realization_by_diff,
     reduce_relations_per_candidate,
+    relset_from_json_by_checks,
     satisfied_relations_by_diff,
     satisfies_by_diff,
     undirected_components,
@@ -149,6 +152,28 @@ def test_a_set_builds_its_graph_once(monkeypatch):
     assert g.is_noncritical_for(C, T)
     assert g.module(T, C).C is C
     assert calls == {"_masks": 1, "_components": 1}
+
+
+def test_check_structure_builds_a_fresh_sets_graph_once(monkeypatch):
+    # the structure report builds C's graph, and the reduction starts from
+    # a copy of it: the chain has no column-decreasing top-row arrow
+    C = chain_c(2)
+    calls = _count_calls(monkeypatch, "_masks", "_components")
+    assert g.check_structure(C) == {
+        "reduced": True,
+        "forward_ordered": True,
+        "cross_free": True,
+    }
+    assert calls == {"_masks": 1, "_components": 1}
+    # a reduction that drops arrows changes its copy, not the set's graph
+    C = g.satisfied_relations(g.tableau(2, [[F(1)], [F(1), F(0)], [F(2), F(1), F(-1)]]))
+    assert len(g.reduce_relations(C).relations) < len(C.relations)
+    calls["_masks"] = 0
+    g.check_structure(C)
+    assert calls["_masks"] == 1
+    monkeypatch.undo()
+    fwd, rev = _masks(_layout(2), C.relations)
+    assert C._graph == (fwd, rev, _components(fwd, rev))
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,6 +360,67 @@ def test_relset_json_round_trip(module_catalog):
     for name, M in module_catalog:
         obj = g.relset_to_json(M.C)
         assert g.relset_from_json(obj) == M.C, name
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CATALOG_JSON = [json.loads(json.dumps(g.module_to_json(M))) for _, M in catalog()]
+# what the checked reader rejects or reads with a different meaning: bools,
+# floats, strings, null, ints beyond 64 bits or past the 4,300 digits repr
+# writes, ranks and entries out of range
+BAD_VALUES = st.sampled_from(
+    [True, False, 1.0, 2.5, "1", "", None, 2**64, -(10**30), 10**5000, 0, -1, 7]
+)
+
+
+def _slots(node, holder, key):
+    """Every (container, key) under holder[key], that slot first."""
+    yield holder, key
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _slots(v, node, k)
+    elif isinstance(node, list):
+        for k, v in enumerate(node):
+            yield from _slots(v, node, k)
+
+
+@st.composite
+def mutated_modules(draw):
+    """A catalog module's JSON with up to three edits in its relation set:
+    an entry, a position, an arrow, the arrow list, the rank or the set
+    replaced by a bad value, by a tuple or a dict of the same items, cut
+    short or made longer, or a key of the set dropped."""
+    obj = copy.deepcopy(draw(st.sampled_from(CATALOG_JSON)))
+    for _ in range(draw(st.integers(0, 3))):
+        holder, key = draw(st.sampled_from(list(_slots(obj["relations"], obj, "relations"))))
+        value = holder[key]
+        edits = [draw(BAD_VALUES)]
+        if isinstance(value, list):
+            edits += [tuple(value), dict(enumerate(value)), value[:-1], value + value[-1:], [0] + value]
+        if isinstance(value, dict):
+            edits += [list(value.values())]
+            edits += [{k: v for k, v in value.items() if k != drop} for drop in value]
+        holder[key] = draw(st.sampled_from(edits))
+    return obj
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_modules())
+def test_relset_from_json_matches_the_checked_reader(obj):
+    # equal sets, or the same exception type and message
+    expected = _outcome(relset_from_json_by_checks, obj["relations"])
+    assert _outcome(g.relset_from_json, obj["relations"]) == expected
+    module = _outcome(g.module_from_json, obj)
+    if isinstance(expected, tuple):
+        assert module == expected
+    elif isinstance(module, g.GTModule):
+        assert module.C == expected
 
 
 @settings(max_examples=30)
