@@ -12,7 +12,13 @@ The admissibility machinery (forward order, cross-freeness, the
 diamond condition on adjoining pairs) lives here, together with the
 satisfaction / realization / noncriticality tests against concrete
 tableaux.  Every graph question is answered on integer bitmasks over the
-positions of one rank by one reachability search, `_closure`.
+positions of one rank.  Each position's reach comes from one table per
+graph, `_reach_table`, which the reduction and forward order read; the
+one reachability search `_closure` is left for components, the blocked
+searches that find adjoining pairs and the searches with one arrow
+skipped.  The maximal set a tableau satisfies is found class by class
+of its entries' integer gaps, its arrows the shared tuples of the cached
+universe R (`_universe`, read by `satisfied_relations` alone).
 """
 
 from functools import cache, cached_property
@@ -57,11 +63,21 @@ class RelationSet(Record):
         for frm, to in relations:
             relation_kind(n, frm, to)  # raises on the first illegal arrow
 
+    @classmethod
+    def _legal(cls, n, relations):
+        """The set of the frozenset `relations`, whose arrows are legal for
+        rank n by construction (a subset of a validated set or of R), built
+        without classifying them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "relations", relations)
+        return out
+
     def union(self, rels):
         return RelationSet(self.n, self.relations | frozenset(rels))
 
     def difference(self, rels):
-        return RelationSet(self.n, self.relations - frozenset(rels))
+        return RelationSet._legal(self.n, self.relations - frozenset(rels))
 
     def __contains__(self, rel):
         return rel in self.relations
@@ -83,7 +99,8 @@ class RelationSet(Record):
         StructureViolation is not stored, so it is raised on every call."""
         L = _layout(self.n)
         fwd, rev, comp = self._graph
-        forward, cross = _structure(L, self.relations, fwd, rev, comp)
+        reach = _reach_table(fwd)
+        forward, cross = _structure(L, self.relations, fwd, rev, comp, reach)
         if not (forward and cross):
             raise StructureViolation(
                 "forward_ordered=%s cross_free=%s" % (forward, cross)
@@ -97,22 +114,27 @@ def relation_set(n, rels=()):
 
 @cache
 def _universe(n):
-    """Every relation of R, R+ then R- then R0, as the keys of a dict
-    (values None).  Cached apart from `_layout`: it has O(n^3) arrows, and
-    only satisfied_relations reads it."""
+    """Every relation of R, R+ then R- then R0, as a dict from each arrow
+    to itself.  Only satisfied_relations reads it, to hand out this one
+    tuple per arrow, so the satisfied sets of every seed of a rank share
+    their arrows instead of each holding fresh tuples.  Cached apart from
+    `_layout`: it has O(n^3) arrows."""
     out = {}
     for i in range(2, n + 2):
         for j in range(1, i + 1):
             for t in range(1, i):
-                out[(i, j), (i - 1, t)] = None
+                rel = (i, j), (i - 1, t)
+                out[rel] = rel
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             for s in range(1, i + 2):
-                out[(i, j), (i + 1, s)] = None
+                rel = (i, j), (i + 1, s)
+                out[rel] = rel
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if i != j:
-                out[(n + 1, i), (n + 1, j)] = None
+                rel = (n + 1, i), (n + 1, j)
+                out[rel] = rel
     return out
 
 
@@ -179,6 +201,54 @@ def _closure(adj, todo, blocked=0):
         seen |= new
         todo |= new & ~blocked
     return seen
+
+
+def _reach_table(adj):
+    """Every position's reach in the graph with out-masks adj: the mask of
+    the positions a nonempty path from it ends at.
+
+    One pass in flat-index order.  The search from v is a `_closure` that
+    takes in the whole reach of a position already done instead of
+    walking on from it.  R+ arrows enter the row below, which comes first,
+    so most searches stop one arrow out.  Cycles, as the two-cycles of
+    equal top entries, need no care: a position on one is found in its
+    own reach like any other."""
+    reach = []
+    for v, out in enumerate(adj):
+        seen, todo = out, out
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            if u < v:
+                seen |= reach[u]
+                todo &= ~reach[u]
+            else:
+                new = adj[u] & ~seen
+                seen |= new
+                todo |= new
+        reach.append(seen)
+    return reach
+
+
+def _table_strict_reach(L, adj, reach, v):
+    """`_strict_reach` of v read off the `_reach_table` reach of adj: the
+    heads of the R- arrows leaving v or a position v reaches, and what
+    those heads reach."""
+    next_row = L.next_row
+    todo = (1 << v) | reach[v]
+    heads = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        heads |= adj[u] & next_row[u]
+    out = heads
+    while heads:
+        low = heads & -heads
+        heads ^= low
+        out |= reach[low.bit_length() - 1]
+    return out
 
 
 def _strict_reach(L, adj, v):
@@ -251,11 +321,13 @@ def reduce_relations(C):
 
     A dropped arrow is implied: a walk of the same strength joins its
     endpoints without it and can stand in for it in any other walk.  So
-    drops change no position's reach or strict reach, and each is searched
-    at most once per reduction.  A candidate a -> b is implied when b lies
-    in the reach (strict reach, unless the first arrow is R-) of another
-    head of a; when a lies on a cycle, a walk from a head may come back
-    through the candidate, and it is searched with its own arrow cleared.
+    drops change no position's reach or strict reach: every reach is read
+    from one `_reach_table` of the start, and a strict reach is built from
+    it when first read.  A candidate a -> b is implied when b lies in the
+    reach (strict reach, unless the first arrow is R-) of another head of
+    a; when a lies on a cycle, a walk from a head may come back through
+    the candidate, and it is searched with its own arrow cleared
+    (`_closure`, `_strict_reach`).
 
     Phase 1 visits each arrow once, in that order, and drops it when it
     crosses another arrow and is implied.  That is the same as dropping,
@@ -276,7 +348,13 @@ def reduce_relations(C):
     edges, hence the same components as at the start.  Both arrows of a
     two-cycle between adjacent rows demand contradictory differences, so
     no tableau satisfies such a set; for it the components are found
-    afresh after every drop once both are gone.
+    afresh after every drop once both are gone.  An arrow that crossed
+    nothing when visited crosses nothing later, since drops only remove
+    arrows and split components; so after phase 1 only the arrows that
+    crossed when visited and were kept are tested for cross-freeness
+    again.  Forward order is read off a reach table: the start's when
+    there are no two-cycles (the adjacency is then the working set's, and
+    drops keep its reach), else the working set's.
 
     Phase 2 checks the diamond condition only on a forward-ordered,
     cross-free, diamond-ok set.  A drop only removes adjoining pairs, and
@@ -316,19 +394,14 @@ def _reduce(C):
     for frm, to in eq_extra:
         adj[index[frm]] |= 1 << index[to]
     not_implied = set()
-    # each position's reach and strict reach in adj, found when first read;
+    # each position's reach in adj, and its strict reach when first read;
     # a drop keeps them current (see reduce_relations)
-    reach = [None] * len(index)
+    reach = _reach_table(adj)
     strict_reach = [None] * len(index)
-
-    def reach_of(v):
-        if reach[v] is None:
-            reach[v] = _closure(adj, 1 << v)
-        return reach[v]
 
     def strict_reach_of(v):
         if strict_reach[v] is None:
-            strict_reach[v] = _strict_reach(L, adj, v)
+            strict_reach[v] = _table_strict_reach(L, adj, reach, v)
         return strict_reach[v]
 
     def order(rel):
@@ -343,7 +416,7 @@ def _reduce(C):
         frm, to = rel
         a, bit = index[frm], 1 << index[to]
         strict = to[0] > frm[0]
-        if reach_of(a) >> a & 1:
+        if reach[a] >> a & 1:
             # a lies on a cycle, so a walk from one of its heads may come
             # back through the arrow itself: search without it
             adj[a] ^= bit
@@ -364,7 +437,7 @@ def _reduce(C):
                 if strict and not low & L.next_row[a]:
                     found = strict_reach_of(w) & bit
                 else:
-                    found = reach_of(w) & bit
+                    found = reach[w] & bit
         if not found:
             not_implied.add(rel)
         return found
@@ -377,21 +450,29 @@ def _reduce(C):
         if rel not in eq_extra:
             adj[a] ^= 1 << b
 
-    # phase 1: repair cross-freeness by dropping implied crossing arrows
+    # phase 1: repair cross-freeness by dropping implied crossing arrows;
+    # crossed holds those kept, the only ones that may still cross
     candidates = sorted(rels, key=order)
+    crossed = []
     split = False
     for rel in candidates:
-        if _crosses(L, fwd, rev, comp, rel) and implied(rel):
-            drop(rel)
-            split = split or (rel in eq_extra and rel[::-1] not in rels)
-            if split:
-                comp = _components(fwd, rev)
+        if not _crosses(L, fwd, rev, comp, rel):
+            continue
+        if not implied(rel):
+            crossed.append(rel)
+            continue
+        drop(rel)
+        split = split or (rel in eq_extra and rel[::-1] not in rels)
+        if split:
+            comp = _components(fwd, rev)
 
     # phase 2: minimize, but never break the structural conditions or an
     # already-holding diamond condition; since a drop keeps the structural
     # conditions, only the diamond condition is checked on a trial.  comp
-    # is current: phase 1 kept it so (see above)
-    forward, cross = _structure(L, rels, fwd, rev, comp)
+    # is current: phase 1 kept it so (see above).  Without two-cycles adj
+    # is fwd, and reach is still its reach table
+    fwd_reach = _reach_table(fwd) if eq_extra else reach
+    forward, cross = _structure(L, crossed, fwd, rev, comp, fwd_reach)
     keep_diamond = forward and cross and _diamond_at(L, fwd, rev, range(1, n + 1))
 
     # drop the first droppable arrow, again and again.  An arrow passed
@@ -413,7 +494,7 @@ def _reduce(C):
         else:
             break
         start = i + 1 if held is None else held
-    out = RelationSet(n, frozenset(rels))
+    out = RelationSet._legal(n, frozenset(rels))
     object.__setattr__(out, "_reduced", True)
     if keep_diamond:
         object.__setattr__(out, "_admissible", True)
@@ -444,13 +525,13 @@ def _crosses(L, fwd, rev, comp, rel):
     return False
 
 
-def _structure(L, rels, fwd, rev, comp):
-    """(forward-ordered, cross-free) of G(rels), whose _masks are fwd, rev
-    and whose _components are comp.  Forward-ordered: no position reaches
-    itself or a position of its row left of it."""
-    upto = L.upto
+def _structure(L, rels, fwd, rev, comp, reach):
+    """(forward-ordered, cross-free) of the graph with _masks fwd, rev,
+    _components comp and `_reach_table` reach on fwd, when rels holds every
+    arrow of it that may cross another.  Forward-ordered: no position
+    reaches itself or a position of its row left of it."""
     return (
-        not any(f and _closure(fwd, 1 << v) & upto[v] for v, f in enumerate(fwd)),
+        not any(map(int.__and__, reach, L.upto)),
         not any(_crosses(L, fwd, rev, comp, rel) for rel in rels),
     )
 
@@ -488,7 +569,9 @@ def _diamond_kept(L, fwd, rev, rel):
 
 def check_structure(C):
     """Report the three structural conditions on G(C)."""
-    forward, cross = _structure(_layout(C.n), C.relations, *C._graph)
+    L = _layout(C.n)
+    fwd, rev, comp = C._graph
+    forward, cross = _structure(L, C.relations, fwd, rev, comp, _reach_table(fwd))
     return {
         "reduced": reduce_relations(C).relations == C.relations,
         "forward_ordered": forward,
@@ -531,15 +614,43 @@ def satisfies(T, C):
     return all((t := _bound(scaled, *r)) is not None and t <= 0 for r in C.relations)
 
 
+def _classes(row, d):
+    """The (column, entry) pairs of a row of scaled entries, grouped by
+    entry mod d: the entries with an integer gap between them."""
+    out = {}
+    for col, x in enumerate(row, 1):
+        out.setdefault(x % d, []).append((col, x))
+    return out
+
+
 def satisfied_relations(T):
-    """The maximal set of relations of R that T's entries satisfy."""
-    scaled = T.scaled
-    out = [
-        rel
-        for rel in _universe(T.n)
-        if (t := _bound(scaled, *rel)) is not None and t <= 0
-    ]
-    return RelationSet(T.n, frozenset(out))
+    """The maximal set of relations of R that T's entries satisfy.
+
+    Two scaled entries a and b (`Tableau.scaled`, denominator d) can only
+    be joined when a == b (mod d), so only the pairs of one class are
+    looked at, in adjacent rows and in the top row.  A pair (k,j), (k+1,s)
+    of one class gives exactly one arrow: a - b is a multiple of d, so
+    either a - b >= d (the R- arrow (k,j) -> (k+1,s)) or b - a >= 0 (the
+    R+ arrow back).  A top-row pair gives the arrow from the larger entry,
+    and both when they are equal.  Each arrow is `_universe`'s tuple."""
+    n = T.n
+    d, rows = T.scaled
+    arrow = _universe(n)
+    out = []
+    for k in range(1, n + 1):
+        above = _classes(rows[k], d)
+        for j, a in enumerate(rows[k - 1], 1):
+            for s, b in above.get(a % d, ()):
+                if a - b >= d:
+                    out.append(arrow[(k, j), (k + 1, s)])
+                else:
+                    out.append(arrow[(k + 1, s), (k, j)])
+    for members in _classes(rows[n], d).values():
+        for i, a in members:
+            for j, b in members:
+                if i != j and a >= b:
+                    out.append(arrow[(n + 1, i), (n + 1, j)])
+    return RelationSet._legal(n, frozenset(out))
 
 
 def _realization(C, T):

@@ -18,10 +18,11 @@ classifier, the bounded criterion, Verma simplicity and the highest
 weight seed's column values with every pairing summed afresh in
 Fractions, highest-weight detection on
 GTVector arithmetic, rational parsing by Fraction's own parser, relation
-sets read from JSON one checked entry at a time, and rationals formatted
-through Fraction.  Two
-helpers of the relation tests live here too: the universe R as a list
-and the kernel's adjoining pairs as positions."""
+sets read from JSON one checked entry at a time, rationals formatted
+through Fraction, the maximal satisfied set by one test per arrow of the
+universe R, and every position's reach by its own search.  Two helpers
+of the relation tests live here too: the universe R as a list, built
+here, and the kernel's adjoining pairs as positions."""
 
 import random
 import re
@@ -53,9 +54,10 @@ from gtrel.relations import (
     RMINUS,
     RelationSet,
     _adjoining,
+    _bound,
+    _closure,
     _layout,
     _masks,
-    _universe,
     all_positions,
     reduce_relations,
     relation_kind,
@@ -514,8 +516,45 @@ def empirical_images_distinct(M, m, box):
 
 
 def full_relation_universe(n):
-    """All of R = R+ u R- u R0 for the given n."""
-    return list(_universe(n))
+    """All of R = R+ u R- u R0 for the given n, R+ then R- then R0."""
+    out = []
+    for i in range(2, n + 2):
+        for j in range(1, i + 1):
+            out += [((i, j), (i - 1, t)) for t in range(1, i)]
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            out += [((i, j), (i + 1, s)) for s in range(1, i + 2)]
+    for i in range(1, n + 2):
+        out += [((n + 1, i), (n + 1, j)) for j in range(1, n + 2) if j != i]
+    return out
+
+
+def satisfied_relations_by_universe(T):
+    """The maximal set of relations T satisfies: every arrow of R that
+    `_bound` passes on T's scaled entries."""
+    scaled = T.scaled
+    return RelationSet(
+        T.n,
+        frozenset(
+            rel
+            for rel in full_relation_universe(T.n)
+            if (t := _bound(scaled, *rel)) is not None and t <= 0
+        ),
+    )
+
+
+def reach_by_closures(adj):
+    """Every position's reach in the graph with out-masks adj, one
+    `_closure` search per position."""
+    return [_closure(adj, 1 << v) for v in range(len(adj))]
+
+
+def forward_ordered_by_closures(C):
+    """No position of G(C) reaches itself or a position of its row left of
+    it, one `_closure` search per position."""
+    L = _layout(C.n)
+    fwd, _ = _masks(L, C.relations)
+    return not any(_closure(fwd, 1 << v) & L.upto[v] for v in range(len(fwd)))
 
 
 def adjoining_pairs(C):

@@ -25,7 +25,11 @@ from gtrel.relations import (
     _diamond_kept,
     _layout,
     _masks,
+    _reach_table,
     _strict_reach,
+    _structure,
+    _table_strict_reach,
+    _universe,
     all_positions,
     relation_kind,
 )
@@ -42,12 +46,15 @@ from oracles import (
     cross_free,
     diamond_ok,
     forward_ordered,
+    forward_ordered_by_closures,
     full_relation_universe,
     is_noncritical_by_diff,
     is_realization_by_diff,
+    reach_by_closures,
     reduce_relations_per_candidate,
     relset_from_json_by_checks,
     satisfied_relations_by_diff,
+    satisfied_relations_by_universe,
     satisfies_by_diff,
     undirected_components,
 )
@@ -191,12 +198,13 @@ def test_a_reduction_without_two_cycles_finds_the_components_once(n, data):
 @pytest.mark.parametrize("n", [6, 10])
 def test_a_reduction_without_cycles_searches_each_strict_reach_once(monkeypatch, n):
     # the satisfied set of a seed with distinct top entries has no cycle, so
-    # every arrow is decided on the reach masks of its tail's heads
+    # every arrow is decided on the reach masks of its tail's heads, all
+    # read off one reach table: no strict reach is searched on its own
     T = g.tableau(n, [[F(1, 2) * (n - s) for s in range(k)] for k in range(1, n + 2)])
     C = T.satisfied
-    calls = _count_calls(monkeypatch, "_strict_reach")
+    calls = _count_calls(monkeypatch, "_strict_reach", "_reach_table")
     R = g.reduce_relations(C)
-    assert calls["_strict_reach"] <= n * (n + 1) // 2
+    assert calls == {"_strict_reach": 0, "_reach_table": 1}
     monkeypatch.undo()
     assert R == reduce_relations_per_candidate(C)
 
@@ -229,9 +237,9 @@ def test_admissibility_is_checked_once_per_set(monkeypatch):
     calls = []
     structure = relations._structure
 
-    def counted(L, rels, fwd, rev, comp):
+    def counted(L, rels, *graph):
         calls.append(rels)
-        return structure(L, rels, fwd, rev, comp)
+        return structure(L, rels, *graph)
 
     monkeypatch.setattr(relations, "_structure", counted)
     C = chain_c(2)
@@ -337,6 +345,34 @@ def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
     assert g.relation_set(3, [((2, 1), (1, 1))]).relations == {((2, 1), (1, 1))}
     with pytest.raises(ValueError, match="not a legal relation for n=3"):
         g.relation_set(3, [((2, 1), (1, 1)), ((1, 1), (3, 1))])
+
+
+def test_sets_legal_by_construction_are_not_classified_again(monkeypatch):
+    # the maximal set takes its arrows from R, the reduction and difference
+    # from a validated set: none classifies them again, while the public
+    # constructors still reject an illegal arrow
+    T = g.tableau(3, [[F(0)], [F(1), F(-1)], [F(1), F(0), F(-1)], [F(2), F(1), F(1), F(-2)]])
+    chain = chain_c(3)
+    calls = _count_calls(monkeypatch, "relation_kind")
+    S = g.satisfied_relations(T)
+    R = g.reduce_relations(S)
+    D = S.difference(sorted(R.relations)[:2])
+    C = chain.difference([((2, 1), (1, 1))])
+    assert len(R.relations) < len(S.relations) and D.relations < S.relations
+    assert calls == {"relation_kind": 0}
+    monkeypatch.undo()
+    assert S == g.relation_set(3, S.relations) and R == g.relation_set(3, R.relations)
+    assert D == g.relation_set(3, D.relations) and C == g.relation_set(3, C.relations)
+    calls = _count_calls(monkeypatch, "relation_kind")
+    illegal = ((1, 1), (3, 1))
+    for build in (
+        lambda: g.relation_set(3, [illegal]),
+        lambda: S.union([illegal]),
+        lambda: g.relset_from_json({"n": 3, "relations": [[[1, 1], [3, 1]]]}),
+    ):
+        with pytest.raises(ValueError, match="not a legal relation for n=3"):
+            build()
+    assert calls["relation_kind"] >= 3
 
 
 def test_a_module_is_read_and_verified_without_its_universe(monkeypatch):
@@ -479,6 +515,49 @@ def test_mask_kernel_matches_set_search(n, data):
     components = undirected_components(g.relation_set(n, rels))
     got = {frozenset(_positions(at, c)) for c in _components(fwd, rev)}
     assert got == set(map(frozenset, components))
+
+
+@st.composite
+def mask_graphs(draw):
+    """(n, adj): out-masks over the positions of rank n, with any arrows
+    (cycles of every length and loops among them) and two-cycles."""
+    n = draw(st.integers(1, 5))
+    size = (n + 1) * (n + 2) // 2
+    heads = st.lists(st.integers(0, size - 1), max_size=draw(st.integers(0, 4)))
+    adj = [sum(1 << w for w in set(draw(heads))) for _ in range(size)]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=4)):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return n, adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_graphs())
+def test_reach_table_matches_a_search_per_position(graph):
+    n, adj = graph
+    L = _layout(n)
+    reach = _reach_table(adj)
+    assert reach == reach_by_closures(adj)
+    for v in range(len(adj)):
+        assert _table_strict_reach(L, adj, reach, v) == _strict_reach(L, adj, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_forward_order_and_reduction_match_per_position_searches_with_two_cycles(n, data):
+    universe = full_relation_universe(n)
+    rels = set(data.draw(st.lists(st.sampled_from(universe), max_size=30)))
+    # equal top entries: both arrows of a top-row pair
+    top = [rel for rel in universe if rel[0][0] == rel[1][0]]
+    twins = data.draw(st.lists(st.sampled_from(top), max_size=3))
+    rels |= {rel for a, b in twins for rel in ((a, b), (b, a))}
+    C = g.relation_set(n, rels)
+    L = _layout(n)
+    fwd, rev, comp = C._graph
+    forward, cross = _structure(L, C.relations, fwd, rev, comp, _reach_table(fwd))
+    assert forward == forward_ordered_by_closures(C) == forward_ordered(C)
+    assert cross == cross_free(C)
+    assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +743,38 @@ def class_tableaux(draw):
         for k in range(1, n + 2)
     ]
     return g.tableau(n, rows)
+
+
+@st.composite
+def scan_tableaux(draw, n):
+    """Tableaux of rank n with entries a/b, b in 1..6, from a pool of at
+    most four, so rows repeat entries and top entries tie; a row may be
+    all integral."""
+    pool = draw(
+        st.lists(st.builds(F, st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=4)
+    )
+    rows = []
+    for k in range(1, n + 2):
+        if draw(st.booleans()):
+            rows.append([F(draw(st.integers(-2, 2))) for _ in range(k)])
+        else:
+            rows.append([draw(st.sampled_from(pool)) for _ in range(k)])
+    return g.tableau(n, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(scan_tableaux(n), scan_tableaux(n))))
+def test_class_scan_matches_the_universe_scan(pair):
+    # and every arrow is the universe's one tuple, so two seeds of a rank
+    # share their arrow objects
+    T1, T2 = pair
+    S1, S2 = g.satisfied_relations(T1), g.satisfied_relations(T2)
+    assert S1 == satisfied_relations_by_universe(T1)
+    assert S2 == satisfied_relations_by_universe(T2)
+    arrows = {rel: rel for rel in S1.relations}
+    for rel in S2.relations:
+        assert arrows.get(rel, rel) is rel
+    assert all(_universe(T1.n)[rel] is rel for rel in S1.relations | S2.relations)
 
 
 def _noncritical_or_error(fn, C, T):
