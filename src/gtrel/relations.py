@@ -13,12 +13,12 @@ diamond condition on adjoining pairs) lives here, together with the
 satisfaction / realization / noncriticality tests against concrete
 tableaux.  Every graph question is answered on integer bitmasks over the
 positions of one rank.  Each position's reach comes from one table per
-graph, `_reach_table`, which the reduction and forward order read; the
-one reachability search `_closure` is left for components, the blocked
-searches that find adjoining pairs and the searches with one arrow
-skipped.  The maximal set a tableau satisfies is found class by class
-of its entries' integer gaps, its arrows the shared tuples of the cached
-universe R (`_universe`, read by `satisfied_relations` alone).
+graph, `_reach_table`, which the reduction, forward order and strict
+reach (`_strict_reach`) read; the one reachability search `_closure` is
+left for components, the blocked searches that find adjoining pairs and
+the non-strict search with one arrow skipped.  The maximal set a tableau
+satisfies is found class by class of its entries' integer gaps, its
+arrows interned per rank as met (`_arrows`): no rank builds all of R.
 """
 
 from functools import cache, cached_property
@@ -58,8 +58,8 @@ class RelationSet(Record):
     def __init__(self, n, relations):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "relations", relations)
-        # one arrow at a time: a rank read from outside can be huge, and
-        # the universe of rank n has O(n^3) arrows
+        # one arrow at a time, with no table of the rank: a rank read from
+        # outside can be huge
         for frm, to in relations:
             relation_kind(n, frm, to)  # raises on the first illegal arrow
 
@@ -113,29 +113,12 @@ def relation_set(n, rels=()):
 
 
 @cache
-def _universe(n):
-    """Every relation of R, R+ then R- then R0, as a dict from each arrow
-    to itself.  Only satisfied_relations reads it, to hand out this one
-    tuple per arrow, so the satisfied sets of every seed of a rank share
-    their arrows instead of each holding fresh tuples.  Cached apart from
-    `_layout`: it has O(n^3) arrows."""
-    out = {}
-    for i in range(2, n + 2):
-        for j in range(1, i + 1):
-            for t in range(1, i):
-                rel = (i, j), (i - 1, t)
-                out[rel] = rel
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            for s in range(1, i + 2):
-                rel = (i, j), (i + 1, s)
-                out[rel] = rel
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i != j:
-                rel = (n + 1, i), (n + 1, j)
-                out[rel] = rel
-    return out
+def _arrows(n):
+    """The arrows of rank n that satisfied_relations has met, each mapped
+    to itself, so the satisfied sets of a rank share one tuple per arrow
+    instead of each holding fresh ones.  Only met arrows are held: R has
+    O(n^3)."""
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +214,10 @@ def _reach_table(adj):
     return reach
 
 
-def _table_strict_reach(L, adj, reach, v):
-    """`_strict_reach` of v read off the `_reach_table` reach of adj: the
-    heads of the R- arrows leaving v or a position v reaches, and what
-    those heads reach."""
+def _strict_reach(L, adj, reach, v):
+    """All positions reachable from v by a path through an R- arrow, read
+    off the `_reach_table` reach of adj: the heads of the R- arrows leaving
+    v or a position v reaches, and what those heads reach."""
     next_row = L.next_row
     todo = (1 << v) | reach[v]
     heads = 0
@@ -249,20 +232,6 @@ def _table_strict_reach(L, adj, reach, v):
         heads ^= low
         out |= reach[low.bit_length() - 1]
     return out
-
-
-def _strict_reach(L, adj, v):
-    """All positions reachable from v by a path through an R- arrow: the
-    heads of the R- arrows leaving v or a position v reaches, and what those
-    heads reach."""
-    todo = (1 << v) | _closure(adj, 1 << v)
-    heads = 0
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        u = low.bit_length() - 1
-        heads |= adj[u] & L.next_row[u]
-    return heads | _closure(adj, heads)
 
 
 def _components(fwd, rev):
@@ -326,8 +295,9 @@ def reduce_relations(C):
     it when first read.  A candidate a -> b is implied when b lies in the
     reach (strict reach, unless the first arrow is R-) of another head of
     a; when a lies on a cycle, a walk from a head may come back through
-    the candidate, and it is searched with its own arrow cleared
-    (`_closure`, `_strict_reach`).
+    the candidate, and it is searched with its own arrow cleared: by one
+    `_closure`, or for a strict candidate, whose tail then lies on a strict
+    cycle no tableau satisfies, by `_strict_reach` off a fresh table.
 
     Phase 1 visits each arrow once, in that order, and drops it when it
     crosses another arrow and is implied.  That is the same as dropping,
@@ -401,7 +371,7 @@ def _reduce(C):
 
     def strict_reach_of(v):
         if strict_reach[v] is None:
-            strict_reach[v] = _table_strict_reach(L, adj, reach, v)
+            strict_reach[v] = _strict_reach(L, adj, reach, v)
         return strict_reach[v]
 
     def order(rel):
@@ -421,7 +391,7 @@ def _reduce(C):
             # back through the arrow itself: search without it
             adj[a] ^= bit
             if strict:
-                found = _strict_reach(L, adj, a) & bit
+                found = _strict_reach(L, adj, _reach_table(adj), a) & bit
             else:
                 found = _closure(adj, 1 << a) & bit
             adj[a] ^= bit
@@ -632,24 +602,24 @@ def satisfied_relations(T):
     of one class gives exactly one arrow: a - b is a multiple of d, so
     either a - b >= d (the R- arrow (k,j) -> (k+1,s)) or b - a >= 0 (the
     R+ arrow back).  A top-row pair gives the arrow from the larger entry,
-    and both when they are equal.  Each arrow is `_universe`'s tuple."""
+    and both when they are equal.  Each arrow is interned in `_arrows(n)`,
+    so seeds of one rank share their arrow tuples."""
     n = T.n
     d, rows = T.scaled
-    arrow = _universe(n)
+    intern = _arrows(n).setdefault
     out = []
     for k in range(1, n + 1):
         above = _classes(rows[k], d)
         for j, a in enumerate(rows[k - 1], 1):
             for s, b in above.get(a % d, ()):
-                if a - b >= d:
-                    out.append(arrow[(k, j), (k + 1, s)])
-                else:
-                    out.append(arrow[(k + 1, s), (k, j)])
+                rel = ((k, j), (k + 1, s)) if a - b >= d else ((k + 1, s), (k, j))
+                out.append(intern(rel, rel))
     for members in _classes(rows[n], d).values():
         for i, a in members:
             for j, b in members:
                 if i != j and a >= b:
-                    out.append(arrow[(n + 1, i), (n + 1, j)])
+                    rel = (n + 1, i), (n + 1, j)
+                    out.append(intern(rel, rel))
     return RelationSet._legal(n, frozenset(out))
 
 
@@ -710,37 +680,22 @@ def relset_to_json(C):
 
 def relset_from_json(obj):
     """The RelationSet of a JSON object {"n": n, "relations": [[[i, j],
-    [r, s]], ...]}.  Plain lists and ints, as json.loads gives them, are
-    read in one pass; any other input goes to `_relset_from_json_checked`,
-    which raises the error that names what is wrong."""
-    if type(obj) is dict:
-        n, rels = obj.get("n"), obj.get("relations")
-        if type(n) is int and type(rels) is list:
-            arrows = []
-            for rel in rels:
-                if type(rel) is list and len(rel) == 2:
-                    frm, to = rel
-                    if type(frm) is list and type(to) is list and len(frm) == len(to) == 2:
-                        (i, j), (r, s) = frm, to
-                        if type(i) is type(j) is type(r) is type(s) is int:
-                            arrows.append(((i, j), (r, s)))
-                            continue
-                break
-            else:
-                return RelationSet(n, frozenset(arrows))
-    return _relset_from_json_checked(obj)
-
-
-def _relset_from_json_checked(obj):
-    """`relset_from_json` on any input: a list may be a tuple, positions and
-    arrows may have any length (RelationSet rejects a wrong one), and the
-    first object, list or entry of the wrong type raises, the rank last."""
+    [r, s]], ...]}, in one pass.  A list may be a tuple and an arrow or
+    position any length (RelationSet rejects a wrong one); only a value
+    that is not a plain list or int goes through json_list or json_int,
+    so the first of the wrong type raises, the rank last."""
     obj = json_object(obj, "relation set")
-    rels = [
-        tuple(
-            tuple(json_int(x, "position entry") for x in json_list(pos, "position"))
-            for pos in json_list(rel, "relation")
-        )
-        for rel in json_list(obj.get("relations"), "relations")
-    ]
-    return RelationSet(json_int(obj.get("n"), "relation set n"), frozenset(rels))
+    rels = obj.get("relations")
+    arrows = []
+    for rel in rels if type(rels) is list else json_list(rels, "relations"):
+        arrow = []
+        for pos in rel if type(rel) is list else json_list(rel, "relation"):
+            if type(pos) is not list:
+                pos = json_list(pos, "position")
+            for x in pos:
+                if type(x) is not int:
+                    json_int(x, "position entry")
+            arrow.append(tuple(pos))
+        arrows.append(tuple(arrow))
+    n = obj.get("n")
+    return RelationSet(n if type(n) is int else json_int(n, "relation set n"), frozenset(arrows))

@@ -20,7 +20,8 @@ Fractions, highest-weight detection on
 GTVector arithmetic, rational parsing by Fraction's own parser, relation
 sets read from JSON one checked entry at a time, rationals formatted
 through Fraction, the maximal satisfied set by one test per arrow of the
-universe R, and every position's reach by its own search.  Two helpers
+universe R, every position's reach by its own search, and its strict
+reach built on those searches instead of a reach table.  Two helpers
 of the relation tests live here too: the universe R as a list, built
 here, and the kernel's adjoining pairs as positions."""
 
@@ -547,6 +548,20 @@ def reach_by_closures(adj):
     """Every position's reach in the graph with out-masks adj, one
     `_closure` search per position."""
     return [_closure(adj, 1 << v) for v in range(len(adj))]
+
+
+def strict_reach_by_closures(L, adj, v):
+    """`_strict_reach` of v by `_closure` searches instead of a reach
+    table: the heads of the R- arrows leaving v or a position v reaches,
+    and what those heads reach."""
+    todo = (1 << v) | _closure(adj, 1 << v)
+    heads = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        heads |= adj[u] & L.next_row[u]
+    return heads | _closure(adj, heads)
 
 
 def forward_ordered_by_closures(C):

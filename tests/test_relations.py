@@ -24,12 +24,11 @@ from gtrel.relations import (
     _diamond_at,
     _diamond_kept,
     _layout,
+    _arrows,
     _masks,
     _reach_table,
     _strict_reach,
     _structure,
-    _table_strict_reach,
-    _universe,
     all_positions,
     relation_kind,
 )
@@ -56,6 +55,7 @@ from oracles import (
     satisfied_relations_by_diff,
     satisfied_relations_by_universe,
     satisfies_by_diff,
+    strict_reach_by_closures,
     undirected_components,
 )
 
@@ -199,12 +199,12 @@ def test_a_reduction_without_two_cycles_finds_the_components_once(n, data):
 def test_a_reduction_without_cycles_searches_each_strict_reach_once(monkeypatch, n):
     # the satisfied set of a seed with distinct top entries has no cycle, so
     # every arrow is decided on the reach masks of its tail's heads, all
-    # read off one reach table: no strict reach is searched on its own
+    # read off one reach table: no arrow is searched with itself cleared
     T = g.tableau(n, [[F(1, 2) * (n - s) for s in range(k)] for k in range(1, n + 2)])
     C = T.satisfied
-    calls = _count_calls(monkeypatch, "_strict_reach", "_reach_table")
+    calls = _count_calls(monkeypatch, "_reach_table")
     R = g.reduce_relations(C)
-    assert calls == {"_strict_reach": 0, "_reach_table": 1}
+    assert calls == {"_reach_table": 1}
     monkeypatch.undo()
     assert R == reduce_relations_per_candidate(C)
 
@@ -334,9 +334,10 @@ def _forbid(monkeypatch, *names):
 
 
 def test_a_huge_rank_is_validated_without_its_universe(monkeypatch):
-    # the universe of rank n has O(n^3) arrows; a rank read from JSON can
-    # be huge, so validation classifies the arrows one by one, at every rank
-    _forbid(monkeypatch, "_layout", "_universe")
+    # R has O(n^3) arrows at rank n; a rank read from JSON can be huge, so
+    # validation classifies the arrows one by one and builds no table of
+    # the rank, neither its layout nor its interned arrows
+    _forbid(monkeypatch, "_layout", "_arrows")
     obj = {"n": 10**9, "relations": [[[2, 1], [1, 1]]]}
     assert g.relset_from_json(obj).relations == {((2, 1), (1, 1))}
     obj["relations"].append([[1, 1], [3, 1]])
@@ -376,7 +377,8 @@ def test_sets_legal_by_construction_are_not_classified_again(monkeypatch):
 
 
 def test_a_module_is_read_and_verified_without_its_universe(monkeypatch):
-    # the layout that BasisChecker and the graph read holds no universe
+    # reading and verifying a module takes no satisfied set, so it interns
+    # no arrow; the layout that BasisChecker and the graph read holds none
     from gtrel import relations
 
     for M in (
@@ -385,7 +387,7 @@ def test_a_module_is_read_and_verified_without_its_universe(monkeypatch):
     ):
         obj = json.loads(json.dumps(g.module_to_json(M)))
         with monkeypatch.context() as patch:
-            _forbid(patch, "_universe")
+            _forbid(patch, "_arrows")
             relations._layout.cache_clear()  # the layout is built afresh
             M2 = g.module_from_json(obj)
             assert M2 == M
@@ -496,21 +498,25 @@ def test_mask_kernel_matches_set_search(n, data):
     adj = _adjacency(rels)
     kinds = {rel: relation_kind(n, *rel) for rel in rels}
     at = all_positions(n)
+    reach = _reach_table(fwd)
     for v, p in enumerate(at):
         row = L.rows[p[0]]
         assert _positions(at, _closure(fwd, 1 << v)) == _reachable_from(adj, p)
         blocked = _reachable_from(adj, p, blocked=_positions(at, row))
         assert _positions(at, _closure(fwd, 1 << v, row)) == blocked
-        strict = _positions(at, _strict_reach(L, fwd, v))
+        strict = _positions(at, _strict_reach(L, fwd, reach, v))
+        assert strict == _positions(at, strict_reach_by_closures(L, fwd, v))
         assert strict == _strictly_reached(adj, kinds, p)
-    # one arrow skipped: cleared from its mask, searched, then restored
+    # one arrow skipped: cleared from its mask, searched, then restored; the
+    # strict search reads a reach table of the graph without it, as the
+    # reduction's does
     for frm, to in sorted(rels):
         a, bit = L.index[frm], 1 << L.index[to]
         fwd[a] ^= bit
-        reach = _positions(at, _closure(fwd, 1 << a))
-        strict = _positions(at, _strict_reach(L, fwd, a))
+        skipped = _positions(at, _closure(fwd, 1 << a))
+        strict = _positions(at, _strict_reach(L, fwd, _reach_table(fwd), a))
         fwd[a] ^= bit
-        assert reach == _reachable_from(adj, frm, skip_edge=(frm, to))
+        assert skipped == _reachable_from(adj, frm, skip_edge=(frm, to))
         assert strict == _strictly_reached(adj, kinds, frm, skip_edge=(frm, to))
     components = undirected_components(g.relation_set(n, rels))
     got = {frozenset(_positions(at, c)) for c in _components(fwd, rev)}
@@ -539,7 +545,7 @@ def test_reach_table_matches_a_search_per_position(graph):
     reach = _reach_table(adj)
     assert reach == reach_by_closures(adj)
     for v in range(len(adj)):
-        assert _table_strict_reach(L, adj, reach, v) == _strict_reach(L, adj, v)
+        assert _strict_reach(L, adj, reach, v) == strict_reach_by_closures(L, adj, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -631,6 +637,37 @@ def test_reduction_marks_hold_on_random_subsets_with_two_cycles(n, data):
     rels = data.draw(st.lists(st.sampled_from(universe), max_size=30))
     twins = data.draw(st.lists(st.sampled_from(rels), max_size=4)) if rels else []
     _assert_marks_hold(g.relation_set(n, rels + [(b, a) for a, b in twins]))
+
+
+@st.composite
+def sets_with_strict_cycles(draw):
+    """A relation set of rank 1..4: random arrows plus one to three closed
+    walks between adjacent rows, each a strict cycle (it enters a higher
+    row, R-, as often as it leaves one, R+, and does so at least once); a
+    walk up one row and back down is a two-cycle."""
+    n = draw(st.integers(1, 4))
+    universe = full_relation_universe(n)
+    rels = set(draw(st.lists(st.sampled_from(universe), max_size=20)))
+    for _ in range(draw(st.integers(1, 3))):
+        steps = draw(st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=3))
+        heights = [0]
+        for step in steps + [-step for step in reversed(steps)]:
+            heights.append(heights[-1] + step)
+        low, high = min(heights), max(heights)
+        assume(high - low <= n)
+        base = draw(st.integers(1 - low, n + 1 - high))
+        walk = [(base + h, draw(st.integers(1, base + h))) for h in heights[:-1]]
+        rels |= set(zip(walk, walk[1:] + walk[:1]))
+    return g.relation_set(n, rels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets_with_strict_cycles())
+def test_reduction_matches_reference_on_sets_with_strict_cycles(C):
+    # a tail on a strict cycle sends the reduction to its search with the
+    # candidate cleared, the strict one reading a fresh reach table
+    assert g.reduce_relations(C) == reduce_relations_per_candidate(C)
+    _assert_marks_hold(C)
 
 
 @settings(max_examples=150, deadline=None)
@@ -765,8 +802,8 @@ def scan_tableaux(draw, n):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(scan_tableaux(n), scan_tableaux(n))))
 def test_class_scan_matches_the_universe_scan(pair):
-    # and every arrow is the universe's one tuple, so two seeds of a rank
-    # share their arrow objects
+    # and every arrow is the one tuple interned for its rank, so two seeds
+    # of a rank share their arrow objects
     T1, T2 = pair
     S1, S2 = g.satisfied_relations(T1), g.satisfied_relations(T2)
     assert S1 == satisfied_relations_by_universe(T1)
@@ -774,7 +811,23 @@ def test_class_scan_matches_the_universe_scan(pair):
     arrows = {rel: rel for rel in S1.relations}
     for rel in S2.relations:
         assert arrows.get(rel, rel) is rel
-    assert all(_universe(T1.n)[rel] is rel for rel in S1.relations | S2.relations)
+    assert all(_arrows(T1.n)[rel] is rel for rel in S1.relations | S2.relations)
+
+
+def test_satisfied_sets_intern_only_the_arrows_they_meet():
+    # the generic sl31 seed (entries -k/31) satisfies 705 of the 20,770
+    # arrows of R, and the table of rank 30 then holds those alone; a second
+    # seed of the rank hands out the same objects for the arrows it shares
+    seed = g.hw_module_of(tuple(F(-k, 31) for k in range(1, 31))).seed
+    _arrows.cache_clear()
+    S = g.satisfied_relations(seed)
+    assert len(_arrows(30)) == len(S.relations) == 705
+    other = g.hw_module_of(tuple(F(-k, 31) for k in range(2, 32))).seed
+    S2 = g.satisfied_relations(other)
+    assert len(_arrows(30)) == len(S.relations | S2.relations)
+    mine = {rel: rel for rel in S.relations}
+    shared = [rel for rel in S2.relations if rel in mine]
+    assert shared and all(mine[rel] is rel for rel in shared)
 
 
 def _noncritical_or_error(fn, C, T):
