@@ -13,10 +13,11 @@ diamond condition on adjoining pairs) lives here, together with the
 satisfaction / realization / noncriticality tests against concrete
 tableaux.  Every graph question is answered on integer bitmasks over the
 positions of one rank.  Each position's reach comes from one table per
-graph, `_reach_table`, which the reduction, forward order and strict
-reach (`_strict_reach`) read; the one reachability search `_closure` is
-left for components, the blocked searches that find adjoining pairs and
-the non-strict search with one arrow skipped.  The maximal set a tableau
+graph, `_reach_table`, which the reduction and forward order read; the
+one reachability search `_closure` is left for components, the blocked
+searches that find adjoining pairs and the search with one arrow
+skipped.  A strict arrow's implication needs no search of its own: a
+walk from row k to row k+1 holds an R- arrow.  The maximal set a tableau
 satisfies is found class by class of its entries' integer gaps, its
 arrows interned per rank as met (`_arrows`): no rank builds all of R.
 """
@@ -214,26 +215,6 @@ def _reach_table(adj):
     return reach
 
 
-def _strict_reach(L, adj, reach, v):
-    """All positions reachable from v by a path through an R- arrow, read
-    off the `_reach_table` reach of adj: the heads of the R- arrows leaving
-    v or a position v reaches, and what those heads reach."""
-    next_row = L.next_row
-    todo = (1 << v) | reach[v]
-    heads = 0
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        u = low.bit_length() - 1
-        heads |= adj[u] & next_row[u]
-    out = heads
-    while heads:
-        low = heads & -heads
-        heads ^= low
-        out |= reach[low.bit_length() - 1]
-    return out
-
-
 def _components(fwd, rev):
     """The mask of each position's component of the graph, its arrows taken
     undirected."""
@@ -288,16 +269,17 @@ def reduce_relations(C):
     (reachability only shrinks, components only split).  The arrows are sorted once:
     their order is fixed and their set only shrinks.
 
-    A dropped arrow is implied: a walk of the same strength joins its
-    endpoints without it and can stand in for it in any other walk.  So
-    drops change no position's reach or strict reach: every reach is read
-    from one `_reach_table` of the start, and a strict reach is built from
-    it when first read.  A candidate a -> b is implied when b lies in the
-    reach (strict reach, unless the first arrow is R-) of another head of
-    a; when a lies on a cycle, a walk from a head may come back through
-    the candidate, and it is searched with its own arrow cleared: by one
-    `_closure`, or for a strict candidate, whose tail then lies on a strict
-    cycle no tableau satisfies, by `_strict_reach` off a fresh table.
+    Plain reach decides both strengths.  An R- arrow climbs one row, an
+    R+ arrow descends one and an R0 arrow stays in the top row, so a walk
+    from row k to row k+1 climbs once more than it descends.  So it holds
+    an R- arrow: any walk that joins a strict arrow's endpoints is
+    strict.  A dropped arrow is implied: a walk of the same strength joins
+    its endpoints without it and can stand in for it in any other walk.
+    So drops change no position's reach: every reach is read from one
+    `_reach_table` of the start.  A candidate a -> b is implied when b
+    lies in the reach of another head of a; when a lies on a cycle, a walk
+    from a head may come back through the candidate, and one `_closure`
+    searches from a with the candidate cleared.
 
     Phase 1 visits each arrow once, in that order, and drops it when it
     crosses another arrow and is implied.  That is the same as dropping,
@@ -340,9 +322,12 @@ def _reduce(C):
     n = C.n
     L = _layout(n)
     index = L.index
-    # two-cycles (possible only among top-row pairs) mean the entries are
-    # equal; keep the column-increasing direction in the output but let
-    # implication paths use both directions
+    # a top-row two-cycle means equal entries: keep the column-increasing
+    # direction in the output but let implication paths use both
+    # directions.  A set from relation_set or JSON may also hold a two-cycle
+    # between adjacent rows, whose arrows demand contradictory differences,
+    # so no tableau satisfies it; it is reduced alike, and phase 1 finds the
+    # components afresh once both its arrows are gone (`split`)
     eq_extra = {rel for rel in C.relations if (rel[1], rel[0]) in C.relations}
     # a column-decreasing top-row arrow breaks the forward order and fixes
     # no shift (both endpoints are pinned), so it is never kept
@@ -351,28 +336,15 @@ def _reduce(C):
         for frm, to in C.relations
         if not (frm[0] == to[0] and frm[1] > to[1])
     }
-    # C's graph, when built and no arrow was left out, is the working set's
-    # at the start; fwd and rev are copied since drops change them, and
-    # comp is only read
-    graph = vars(C).get("_graph")
-    if graph is not None and len(rels) == len(C.relations):
-        fwd, rev, comp = list(graph[0]), list(graph[1]), graph[2]
-    else:
-        fwd, rev = _masks(L, rels)
-        comp = _components(fwd, rev)
+    fwd, rev = _masks(L, rels)
+    comp = _components(fwd, rev)
     adj = list(fwd)
     for frm, to in eq_extra:
         adj[index[frm]] |= 1 << index[to]
     not_implied = set()
-    # each position's reach in adj, and its strict reach when first read;
-    # a drop keeps them current (see reduce_relations)
+    # each position's reach in adj; a drop keeps it current (see
+    # reduce_relations)
     reach = _reach_table(adj)
-    strict_reach = [None] * len(index)
-
-    def strict_reach_of(v):
-        if strict_reach[v] is None:
-            strict_reach[v] = _strict_reach(L, adj, reach, v)
-        return strict_reach[v]
 
     def order(rel):
         # try to drop skewed arrows first so straight column chains
@@ -383,31 +355,21 @@ def _reduce(C):
     def implied(rel):
         if rel in not_implied:
             return False
-        frm, to = rel
-        a, bit = index[frm], 1 << index[to]
-        strict = to[0] > frm[0]
+        a, bit = index[rel[0]], 1 << index[rel[1]]
         if reach[a] >> a & 1:
             # a lies on a cycle, so a walk from one of its heads may come
             # back through the arrow itself: search without it
             adj[a] ^= bit
-            if strict:
-                found = _strict_reach(L, adj, _reach_table(adj), a) & bit
-            else:
-                found = _closure(adj, 1 << a) & bit
+            found = _closure(adj, 1 << a) & bit
             adj[a] ^= bit
         else:
-            # a walk from a to `to` without the arrow leaves a by another
-            # arrow a -> w, and goes on from w (w is not `to`); it is strict
-            # if that arrow is (R-) or the rest is
+            # a walk from a to the head without the arrow leaves a by
+            # another arrow a -> w, and goes on from w (w is not the head)
             found, heads = 0, adj[a] & ~bit
             while heads and not found:
                 low = heads & -heads
                 heads ^= low
-                w = low.bit_length() - 1
-                if strict and not low & L.next_row[a]:
-                    found = strict_reach_of(w) & bit
-                else:
-                    found = reach[w] & bit
+                found = reach[low.bit_length() - 1] & bit
         if not found:
             not_implied.add(rel)
         return found

@@ -550,20 +550,6 @@ def reach_by_closures(adj):
     return [_closure(adj, 1 << v) for v in range(len(adj))]
 
 
-def strict_reach_by_closures(L, adj, v):
-    """`_strict_reach` of v by `_closure` searches instead of a reach
-    table: the heads of the R- arrows leaving v or a position v reaches,
-    and what those heads reach."""
-    todo = (1 << v) | _closure(adj, 1 << v)
-    heads = 0
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        u = low.bit_length() - 1
-        heads |= adj[u] & L.next_row[u]
-    return heads | _closure(adj, heads)
-
-
 def forward_ordered_by_closures(C):
     """No position of G(C) reaches itself or a position of its row left of
     it, one `_closure` search per position."""

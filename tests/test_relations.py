@@ -27,7 +27,6 @@ from gtrel.relations import (
     _arrows,
     _masks,
     _reach_table,
-    _strict_reach,
     _structure,
     all_positions,
     relation_kind,
@@ -55,7 +54,6 @@ from oracles import (
     satisfied_relations_by_diff,
     satisfied_relations_by_universe,
     satisfies_by_diff,
-    strict_reach_by_closures,
     undirected_components,
 )
 
@@ -162,8 +160,9 @@ def test_a_set_builds_its_graph_once(monkeypatch):
 
 
 def test_check_structure_builds_a_fresh_sets_graph_once(monkeypatch):
-    # the structure report builds C's graph, and the reduction starts from
-    # a copy of it: the chain has no column-decreasing top-row arrow
+    # the structure report builds C's graph, and the reduction its own
+    # working masks from C's arrows (it copies no built graph): one _masks
+    # and one _components call each
     C = chain_c(2)
     calls = _count_calls(monkeypatch, "_masks", "_components")
     assert g.check_structure(C) == {
@@ -171,13 +170,14 @@ def test_check_structure_builds_a_fresh_sets_graph_once(monkeypatch):
         "forward_ordered": True,
         "cross_free": True,
     }
-    assert calls == {"_masks": 1, "_components": 1}
-    # a reduction that drops arrows changes its copy, not the set's graph
+    assert calls == {"_masks": 2, "_components": 2}
+    # a reduction that drops arrows changes its working masks, not the
+    # set's graph
     C = g.satisfied_relations(g.tableau(2, [[F(1)], [F(1), F(0)], [F(2), F(1), F(-1)]]))
     assert len(g.reduce_relations(C).relations) < len(C.relations)
     calls["_masks"] = 0
     g.check_structure(C)
-    assert calls["_masks"] == 1
+    assert calls["_masks"] == 2
     monkeypatch.undo()
     fwd, rev = _masks(_layout(2), C.relations)
     assert C._graph == (fwd, rev, _components(fwd, rev))
@@ -196,10 +196,11 @@ def test_a_reduction_without_two_cycles_finds_the_components_once(n, data):
 
 
 @pytest.mark.parametrize("n", [6, 10])
-def test_a_reduction_without_cycles_searches_each_strict_reach_once(monkeypatch, n):
+def test_a_reduction_without_cycles_reads_one_reach_table(monkeypatch, n):
     # the satisfied set of a seed with distinct top entries has no cycle, so
-    # every arrow is decided on the reach masks of its tail's heads, all
-    # read off one reach table: no arrow is searched with itself cleared
+    # every arrow, strict or not, is decided on the reach masks of its
+    # tail's heads, all read off one reach table: no arrow is searched with
+    # itself cleared
     T = g.tableau(n, [[F(1, 2) * (n - s) for s in range(k)] for k in range(1, n + 2)])
     C = T.satisfied
     calls = _count_calls(monkeypatch, "_reach_table")
@@ -498,26 +499,29 @@ def test_mask_kernel_matches_set_search(n, data):
     adj = _adjacency(rels)
     kinds = {rel: relation_kind(n, *rel) for rel in rels}
     at = all_positions(n)
-    reach = _reach_table(fwd)
     for v, p in enumerate(at):
         row = L.rows[p[0]]
-        assert _positions(at, _closure(fwd, 1 << v)) == _reachable_from(adj, p)
+        reach = _positions(at, _closure(fwd, 1 << v))
+        assert reach == _reachable_from(adj, p)
         blocked = _reachable_from(adj, p, blocked=_positions(at, row))
         assert _positions(at, _closure(fwd, 1 << v, row)) == blocked
-        strict = _positions(at, _strict_reach(L, fwd, reach, v))
-        assert strict == _positions(at, strict_reach_by_closures(L, fwd, v))
-        assert strict == _strictly_reached(adj, kinds, p)
-    # one arrow skipped: cleared from its mask, searched, then restored; the
-    # strict search reads a reach table of the graph without it, as the
-    # reduction's does
+        # every walk from row k to row k+1 is strict, so plain reach into
+        # the next row is strict reach there: the reduction reads no other
+        if p[0] <= n:
+            up = _positions(at, L.rows[p[0] + 1])
+            assert reach & up == _strictly_reached(adj, kinds, p) & up
+    # one arrow skipped: cleared from its mask, searched, then restored,
+    # as the reduction searches from the tail of a candidate on a cycle
     for frm, to in sorted(rels):
         a, bit = L.index[frm], 1 << L.index[to]
         fwd[a] ^= bit
         skipped = _positions(at, _closure(fwd, 1 << a))
-        strict = _positions(at, _strict_reach(L, fwd, _reach_table(fwd), a))
         fwd[a] ^= bit
         assert skipped == _reachable_from(adj, frm, skip_edge=(frm, to))
-        assert strict == _strictly_reached(adj, kinds, frm, skip_edge=(frm, to))
+        if frm[0] <= n:
+            up = _positions(at, L.rows[frm[0] + 1])
+            strict = _strictly_reached(adj, kinds, frm, skip_edge=(frm, to))
+            assert skipped & up == strict & up
     components = undirected_components(g.relation_set(n, rels))
     got = {frozenset(_positions(at, c)) for c in _components(fwd, rev)}
     assert got == set(map(frozenset, components))
@@ -540,12 +544,8 @@ def mask_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(mask_graphs())
 def test_reach_table_matches_a_search_per_position(graph):
-    n, adj = graph
-    L = _layout(n)
-    reach = _reach_table(adj)
-    assert reach == reach_by_closures(adj)
-    for v in range(len(adj)):
-        assert _strict_reach(L, adj, reach, v) == strict_reach_by_closures(L, adj, v)
+    _, adj = graph
+    assert _reach_table(adj) == reach_by_closures(adj)
 
 
 @settings(max_examples=150, deadline=None)
