@@ -13,10 +13,11 @@ from itertools import product
 from math import gcd
 
 from .core import Record, format_rational, json_int, json_list, json_object, parse_rational
-from .errors import CriticalDenominator, NotInBasis, RankMismatch, UnsupportedGenerator
+from .errors import (
+    CriticalDenominator, NotARealization, NotInBasis, RankMismatch, UnsupportedGenerator
+)
 from .relations import (
-    _noncritical,
-    _satisfied_realization,
+    _realization,
     is_admissible,
     reduce_relations,
     relset_from_json,
@@ -137,7 +138,10 @@ class GTModule(Record):
         object.__setattr__(self, "shifts", {})
         if not is_admissible(C):
             raise ValueError("relation set is not admissible")
-        if not _noncritical(_satisfied_realization(C, seed)):
+        realization = _realization(C, seed)
+        if realization is None:
+            raise NotARealization("tableau is not a C-realization")
+        if not realization:
             raise ValueError("seed is critical for the relation set")
 
     def entries(self, z):

@@ -7,8 +7,8 @@ top-left entry, simple quotients, and flag permutation.
 from fractions import Fraction
 
 from .core import Record
-from .errors import BadTwist, IncompatiblePair, NotInjective, WrongShape
-from .relations import _realization
+from .errors import BadTwist, IncompatiblePair, NotARealization, NotInjective, WrongShape
+from .relations import is_noncritical_for
 from .tableau import apply_rational_shift, apply_shift, unit_shift
 
 E21_DOWN = frozenset({((2, 1), (1, 1)), ((2, 2), (1, 1))})
@@ -92,35 +92,43 @@ def _check_family_shape(M):
                 raise WrongShape("relation set does not contain the family arrows")
 
 
-def em1_injective(M, m):
-    _check_family_shape(M)
+def _em1(M, m):
+    """(injective, surjective) of E_{m1} on a module of the family shape."""
     if not 2 <= m <= M.n + 1:
         raise ValueError("m out of range")
-    return ((m - 1, 1), (m, 1)) not in M.C
+    return ((m - 1, 1), (m, 1)) not in M.C, ((m, 1), (m - 1, 1)) not in M.C
+
+
+def em1_injective(M, m):
+    _check_family_shape(M)
+    return _em1(M, m)[0]
 
 
 def em1_surjective(M, m):
     _check_family_shape(M)
-    if not 2 <= m <= M.n + 1:
-        raise ValueError("m out of range")
-    return ((m, 1), (m - 1, 1)) not in M.C
+    return _em1(M, m)[1]
 
 
 def localize_family(M, spec):
     """Drop the first-column descending arrow at each target; optionally
     shift the seed entries (m-1, 1) by the twist."""
+    _check_family_shape(M)
     for m in spec.targets:
-        if not em1_injective(M, m):
+        injective, surjective = _em1(M, m)
+        if not injective:
             raise NotInjective("E(%d,1) is not injective" % m)
-        if em1_surjective(M, m):
+        if surjective:
             raise NotInjective("E(%d,1) is already bijective" % m)
     D = M.C.difference({((m, 1), (m - 1, 1)) for m in spec.targets})
     seed = M.seed
     if spec.twist is not None:
         for m in spec.targets:
             seed = apply_rational_shift(seed, m - 1, 1, spec.twist)
-        # None when the seed is no realization, False when it is critical
-        if not _realization(D, seed):
+        try:
+            noncritical = is_noncritical_for(D, seed)
+        except NotARealization:
+            noncritical = False
+        if not noncritical:
             raise BadTwist("twisted seed is not a noncritical realization")
     return M.replace(C=D, seed=seed)
 

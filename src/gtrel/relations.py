@@ -586,47 +586,33 @@ def satisfied_relations(T):
 
 
 def _realization(C, T):
-    """None when T is not a C-realization, else whether T is noncritical
-    for C."""
-    return _satisfied_realization(C, T) if satisfies(T, C) else None
-
-
-def _satisfied_realization(C, T):
-    """`_realization` for a T known to satisfy C, as a module's seed is
-    once its `BasisChecker` is built.
-
-    Once T satisfies C, every arrow of G(C) joins entries with an integer
-    gap, so no component holds two entries without one.  Only same-row
-    pairs with a gap need a look: in different components T is not a
-    realization, and in one component with gap 0 it is critical.
-    """
+    """None when T, which satisfies C, is not a C-realization, else whether
+    T is noncritical for C.  Every arrow of G(C) then joins entries with an
+    integer gap, so within a row a component's entries lie in one class of
+    `_classes`, and only the classes of rows 2..n need a look: one that
+    meets two components makes T no realization, two equal entries in one
+    make it critical."""
     comp = C._graph[2]
-    scaled, noncritical = T.scaled, True
-    for k in range(1, C.n + 1):
-        first = k * (k - 1) // 2
-        for i in range(k):
-            for j in range(i + 1, k):
-                t = _bound(scaled, (k, i + 1), (k, j + 1))
-                if t is not None:
-                    if comp[first + i] != comp[first + j]:
-                        return None
-                    noncritical = noncritical and t != 0
+    d, rows = T.scaled
+    noncritical = True
+    for k in range(2, C.n + 1):  # row 1 has one entry
+        first = k * (k - 1) // 2 - 1  # (k, col) has flat index first + col
+        for members in _classes(rows[k - 1], d).values():
+            if len(members) > 1:
+                if len({comp[first + col] for col, _ in members}) > 1:
+                    return None
+                noncritical = noncritical and len({x for _, x in members}) == len(members)
     return noncritical
 
 
 def is_realization(C, T):
     """T satisfies C, and same-row integer differences match components."""
-    return _realization(C, T) is not None
+    return satisfies(T, C) and _realization(C, T) is not None
 
 
 def is_noncritical_for(C, T):
     """Same-component entries in each row 1..n are pairwise distinct."""
-    return _noncritical(_realization(C, T))
-
-
-def _noncritical(realization):
-    """The answer of `is_noncritical_for` from that of `_realization`:
-    NotARealization when T is not a C-realization."""
+    realization = _realization(C, T) if satisfies(T, C) else None
     if realization is None:
         raise NotARealization("tableau is not a C-realization")
     return realization

@@ -475,20 +475,6 @@ def _hw_top_values(lam, normalization):
     return [Fraction(base + (n + 1) * t, (n + 1) * d) for t in tails]
 
 
-def _validated(T, C):
-    try:
-        noncritical = is_noncritical_for(C, T)
-    except NotARealization:
-        raise PreconditionViolated(
-            "constructed tableau is not a C-realization"
-        ) from None
-    if not noncritical:
-        raise PreconditionViolated("constructed tableau is critical")
-    if not is_admissible(C):
-        raise PreconditionViolated("constructed relation set is not admissible")
-    return T, C
-
-
 def _hw_seed(lam, case, normalization):
     """The highest weight seed of lam in its case of
     `classify.hw_relation_case`, a or b, not validated: constant columns in
@@ -517,7 +503,7 @@ def hw_tableau_case_a(lam, normalization="hw"):
     if case.tag != "CaseA":
         raise NotCaseA("weight is not in case a: %r" % (case,))
     T = _hw_seed(lam, case, normalization)
-    return _validated(T, T.maximal_set)
+    return T, T.maximal_set
 
 
 def hw_tableau_case_b(lam, i, j, normalization="hw"):
@@ -526,13 +512,14 @@ def hw_tableau_case_b(lam, i, j, normalization="hw"):
     if case.tag != "CaseB" or (case.i, case.j) != (i, j):
         raise NotCaseB("weight is not in case b with (i,j)=(%d,%d): %r" % (i, j, case))
     T = _hw_seed(lam, case, normalization)
-    return _validated(T, T.maximal_set)
+    return T, T.maximal_set
 
 
 def family_tableau(u, v, m=None):
     """Dense-family seed: first column u_i, interior columns v_{j-1}.
 
-    Returns (T, Q) without m, (T^m, C^m) with it.
+    Returns (T, Q) without m, (T^m, C^m) with it, for `module` to
+    validate: parameters that pass these checks always make a module.
     """
     n = len(v)
     if len(u) != n + 1:
@@ -568,8 +555,21 @@ def family_tableau(u, v, m=None):
     if m is not None:
         for i in range(m, n + 1):
             rels.add(((i + 1, 1), (i, 1)))
-    C = RelationSet(n, frozenset(rels))
-    return _validated(T, C)
+    return T, RelationSet(n, frozenset(rels))
+
+
+def _validated(T, C):
+    """lem_key_tableau's check of its pair: weights that pass its own
+    checks can still build no realization."""
+    try:
+        noncritical = is_noncritical_for(C, T)
+    except NotARealization:
+        raise PreconditionViolated("constructed tableau is not a C-realization") from None
+    if not noncritical:
+        raise PreconditionViolated("constructed tableau is critical")
+    if not is_admissible(C):
+        raise PreconditionViolated("constructed relation set is not admissible")
+    return T, C
 
 
 def lem_key_tableau(lam, i, normalization="hw"):

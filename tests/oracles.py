@@ -679,9 +679,11 @@ def reduce_relations_per_candidate(C):
     column-increasing direction is kept.
     """
     rels = set(C.relations)
-    # two-cycles (possible only among top-row pairs) mean the entries are
-    # equal; keep the column-increasing direction in the output but let
-    # implication paths use both directions
+    # a top-row two-cycle means equal entries: keep the column-increasing
+    # direction in the output but let implication paths use both
+    # directions.  A set from relation_set or JSON may also hold a
+    # two-cycle between adjacent rows, whose arrows demand contradictory
+    # differences; it is reduced alike
     eq_extra = {rel for rel in rels if (rel[1], rel[0]) in rels}
     # a column-decreasing top-row arrow breaks the forward order and fixes
     # no shift (both endpoints are pinned), so it is never kept

@@ -144,6 +144,47 @@ def test_family_tableau_rejects_bad_parameters(u, v, m, message):
     assert str(err.value) == message
 
 
+def _rarely(draw):
+    """True one draw in eight, never on the simplest draw."""
+    return draw(st.integers(0, 7)) == 7
+
+
+@st.composite
+def family_parameters(draw):
+    """(u, v, m) of rank n <= 4 for family_tableau, m None or not: most
+    draws pass its parameter checks, and each check fails now and then."""
+    n = draw(st.integers(1, 4))
+    v = [draw(st.integers(-3, 6)) + draw(st.sampled_from((F(0), F(1, 2))))]
+    for _ in range(n - 1):
+        # a step of 0 breaks v_j - v_{j+1} in Z_{>0}
+        v.append(v[-1] - (0 if _rarely(draw) else draw(st.integers(1, 3))))
+    # u_i has the fractional part 1/p_i of its own prime, or now and then
+    # 0 or 1/2, which may meet v_1's or a neighbour's
+    u = [
+        draw(st.integers(-3, 3))
+        + (draw(st.sampled_from((F(0), F(1, 2)))) if _rarely(draw) else F(1, p))
+        for p in (3, 5, 7, 11, 13)[: n + 1]
+    ]
+    m = draw(st.none() | st.integers(2, n)) if n > 1 else None
+    if m is not None and not _rarely(draw):
+        u[m:] = [u[m - 1]] * (n + 1 - m)
+    return tuple(u), tuple(v), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_parameters())
+def test_every_family_pair_that_passes_the_checks_is_a_module(params):
+    # family_tableau checks only its parameters and leaves the pair to the
+    # module: no pair it returns may fail there
+    u, v, m = params
+    try:
+        T, C = g.family_tableau(u, v, m)
+    except PreconditionViolated:
+        assume(False)
+    M = g.module(T, C)
+    assert M.seed is T and M.C is C
+
+
 def test_weight_of_seed_matches_delta():
     T, C = g.hw_tableau_case_a((F(-3, 2), F(0)))
     z = g.unit_shift(2, 2, 1)
@@ -688,3 +729,8 @@ def test_lem_key_requires_bounded_case():
     # passes the explicit checks, but the seed built is no realization
     with pytest.raises(PreconditionViolated, match="constructed tableau is not a C-realization"):
         g.lem_key_tableau((F(1, 3), F(-1, 3)), 2)
+    # so is the case-a seed of (0, -1), whose <lam + rho, alpha_2> = 0 is an
+    # integer
+    with pytest.raises(PreconditionViolated) as err:
+        g.lem_key_tableau((F(0), F(-1)), 2)
+    assert str(err.value) == "constructed tableau is not a C-realization"
